@@ -17,9 +17,11 @@ one :class:`~repro.service.server.QueryService` into a *fleet*:
 * :mod:`repro.serve.shared_cache` — the sqlite cross-process L2, CRC-checked,
   where every read failure degrades to recompute, never to a wrong answer;
 * :mod:`repro.serve.router` — :class:`ShardedService`, composing all of the
-  above: coalesced fan-out with answers merged byte-identical to a single
-  service on the union graph, in-flight dedup, vector-keyed caching, and
-  delta routing that bumps only the shards a batch reaches.
+  above as the fleet backend of the request pipeline a single service runs
+  (:mod:`repro.service.pipeline`): coalesced fan-out with answers merged
+  byte-identical to a single service on the union graph, in-flight dedup,
+  vector-keyed caching, and delta routing that bumps only the shards a
+  batch reaches.
 
 See ``docs/SERVING.md`` for the executable walkthrough and
 ``benchmarks/bench_scaleout.py`` for the figure this layer is measured by.

@@ -1,8 +1,14 @@
-"""The shard router: one serving façade over a fleet of ``QueryService``\\ s.
+"""The shard router: the fleet backend of the request pipeline.
 
 :class:`ShardedService` is layer 8's entry point.  It owns the **union
 graph** and N :class:`~repro.service.server.QueryService` instances, one per
-d-hop preserving shard (:mod:`repro.serve.shards`), and keeps three promises:
+d-hop preserving shard (:mod:`repro.serve.shards`).  Its request path is the
+same :class:`repro.service.pipeline.RequestPipeline` a single service runs —
+a fleet differs only behind the seam: the **epoch** is the fleet's
+:class:`~repro.serve.versions.VersionVector`, **compute** is a coalesced
+fan-out + owned-node merge, the **L2** is the optional shared store, and the
+**queue** under :meth:`ShardedService.submit` is a bounded
+:class:`~repro.serve.admission.AdmissionQueue`.  It keeps three promises:
 
 **Byte-identity.**  For any pattern of radius ≤ d, the merged answer —
 the union over shards of (shard answer ∩ shard-owned nodes) — equals the
@@ -31,25 +37,21 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.delta.ops import GraphDelta, apply_delta as apply_graph_delta
 from repro.graph.digraph import PropertyGraph
 from repro.matching.qmatch import QMatch
-from repro.obs.explain import ExplainReport, StatsRegistry, build_report
-from repro.obs.flight import FlightRecorder
 from repro.obs.introspect import ServiceIntrospection
 from repro.obs.metrics import get_registry
-from repro.obs.trace import TraceContext, get_tracer, span
+from repro.obs.trace import get_tracer, span
 from repro.parallel.coordinator import PQMatch
 from repro.parallel.worker import options_key_text
 from repro.patterns.qgp import QuantifiedGraphPattern
-from repro.plan.cache import PlanCache
 from repro.serve.admission import AdmissionConfig, AdmissionQueue
 from repro.serve.shards import (
     GraphShard,
@@ -60,12 +62,10 @@ from repro.serve.shards import (
 )
 from repro.serve.shared_cache import SharedResultCache
 from repro.serve.versions import VersionVector
-from repro.service.cache import ResultCache
-from repro.service.patterns import CanonicalPattern, canonicalize
-from repro.service.server import QueryService, ServiceResult
+from repro.service.pipeline import Computed, RequestPipeline, ServiceResult, Unique, _Request
+from repro.service.server import QueryService
 from repro.utils.counters import WorkCounter
-from repro.utils.errors import ReproError, ServiceError
-from repro.utils.timing import Timer
+from repro.utils.errors import ServiceError
 
 __all__ = ["ShardedService", "RouterStats"]
 
@@ -95,7 +95,16 @@ class _FleetToken:
 
 @dataclass
 class RouterStats:
-    """Lifetime counters of one :class:`ShardedService`."""
+    """Lifetime counters of one :class:`ShardedService`.
+
+    ``deduplicated`` counts requests that shared another's computation — by
+    riding an in-flight future at :meth:`ShardedService.submit`, or as an
+    in-batch duplicate; ``shared_hits`` counts L2 reads promoted to L1;
+    ``memo_hits`` counts canonicalizations skipped by the per-object memo
+    (:meth:`ShardedService.submit` canonicalizes on the caller's thread for
+    the in-flight key and the dispatcher again, so a submitted request
+    always counts at least one).
+    """
 
     served: int = 0
     batches: int = 0
@@ -104,6 +113,7 @@ class RouterStats:
     deduplicated: int = 0
     submitted: int = 0
     shared_hits: int = 0
+    memo_hits: int = 0
     deltas_applied: int = 0
     shards_touched: int = 0
     shards_skipped: int = 0
@@ -117,30 +127,14 @@ class RouterStats:
             "deduplicated": self.deduplicated,
             "submitted": self.submitted,
             "shared_hits": self.shared_hits,
+            "memo_hits": self.memo_hits,
             "deltas_applied": self.deltas_applied,
             "shards_touched": self.shards_touched,
             "shards_skipped": self.shards_skipped,
         }
 
 
-class _Request(NamedTuple):
-    """One queued request.
-
-    ``context`` is the submitter's :func:`~repro.obs.trace.current_context`
-    (captured inside its ``serve.submit`` span) so the dispatcher can parent
-    the fan-out work under the submitting thread's tree; ``enqueued_wall``
-    anchors the synthetic admission-wait span on the wall clock.
-    """
-
-    pattern: QuantifiedGraphPattern
-    form: CanonicalPattern
-    key: Hashable
-    future: "Future[ServiceResult]"
-    context: TraceContext
-    enqueued_wall: float
-
-
-class ShardedService:
+class ShardedService(RequestPipeline):
     """Route quantified-pattern queries across a fleet of graph shards.
 
     Parameters
@@ -189,10 +183,20 @@ class ShardedService:
         flight_capacity: int = 256,
         stats_registry_capacity: int = 256,
     ) -> None:
+        # Fleet-level request introspection: slow fleet queries carry the
+        # serve-tier fields (fan-out count, cache route, admission wait); the
+        # small plan cache is there so explain never recompiles per call.
+        super().__init__(
+            name,
+            RouterStats(),
+            cache_capacity=cache_capacity,
+            plan_cache_capacity=64,
+            introspection=ServiceIntrospection(slow_query_threshold=slow_query_threshold),
+            flight_capacity=flight_capacity,
+            stats_registry_capacity=stats_registry_capacity,
+        )
         self.graph = graph
-        self.name = name
         self.d = d
-        self.stats = RouterStats()
         self.shards, self._assign = build_shards(graph, num_shards, d, partition)
         self.services: List[QueryService] = []
         kwargs = dict(service_kwargs or {})
@@ -219,26 +223,12 @@ class ShardedService:
         self._options_key = next(iter(options_keys))
         self._options_text = options_key_text(self._options_key)
 
-        self.cache = ResultCache(cache_capacity)
+        self._plans_enabled = True  # explain() always goes through self.plans
         self._token = _FleetToken(self)
         self._owns_shared = isinstance(shared_cache, str)
         self.shared: Optional[SharedResultCache] = (
             SharedResultCache(shared_cache) if self._owns_shared else shared_cache
         )
-
-        # Fleet-level request introspection (slow fleet queries carry the
-        # serve-tier fields: fan-out count, cache route, admission wait),
-        # flight recorder, and the per-fingerprint estimated-vs-observed
-        # registry (epoch key: the fleet version vector's text form).
-        self.introspection = ServiceIntrospection(
-            slow_query_threshold=slow_query_threshold
-        )
-        self.flight = FlightRecorder(flight_capacity)
-        self.stats_registry = StatsRegistry(stats_registry_capacity)
-        # fingerprint -> representative pattern (for explain-by-fingerprint),
-        # plus a small plan cache so explain never recompiles per call.
-        self._patterns: "OrderedDict[str, QuantifiedGraphPattern]" = OrderedDict()
-        self.plans = PlanCache(64)
         if self.shared is not None:
             # Degraded L2 reads land in the flight recorder as they happen —
             # the listener keeps SharedResultCache free of any obs dependency.
@@ -250,20 +240,11 @@ class ShardedService:
             )
 
         self.admission = AdmissionQueue(admission or AdmissionConfig())
-        self._canonical_memo: "weakref.WeakKeyDictionary[QuantifiedGraphPattern, CanonicalPattern]" = (
-            weakref.WeakKeyDictionary()
-        )
-        # Serialises fan-out rounds and delta application: a served answer
-        # reflects the fleet strictly before or strictly after any batch.
-        self._evaluate_lock = threading.RLock()
         # (fingerprint, options key, version vector) -> shared in-flight
         # future.  Guarded by its own lock so submit() never blocks behind a
         # running fan-out round.
         self._inflight: Dict[Hashable, "Future[ServiceResult]"] = {}
         self._inflight_lock = threading.Lock()
-        self._dispatcher: Optional[threading.Thread] = None
-        self._dispatcher_lock = threading.Lock()
-        self._closed = False
         # Per-shard WorkCounter of the most recent fan-out round, for the
         # per-slot contribution accounting in bench/introspection.
         self.last_round_counters: Dict[int, WorkCounter] = {}
@@ -279,197 +260,37 @@ class ShardedService:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    # -------------------------------------------------------------- one query
+    _shard_fanout = num_shards  # a computed request touches every shard
 
-    def evaluate(self, pattern: QuantifiedGraphPattern) -> ServiceResult:
-        """Serve one pattern (L1 → L2 → coalesced fan-out merge)."""
-        return self.evaluate_many([pattern])[0]
+    # ------------------------------------------------------------ backend seam
 
-    def evaluate_many(
-        self, patterns: Sequence[QuantifiedGraphPattern]
-    ) -> List[ServiceResult]:
-        """Serve a batch, in input order; one fan-out round for all misses."""
-        with self._evaluate_lock:
-            if self._closed:
-                raise ServiceError(f"{self.name} is closed")
-            return self._evaluate_batch(list(patterns))
+    SPAN_BATCH = "serve.batch"
+    SPAN_WAIT = "serve.admission.wait"
+    METRIC_BATCHES = "serve.batches"
+    METRIC_SERVED = "serve.served"
+    METRIC_BATCH_SECONDS = "serve.batch_seconds"
+    MISS_ROUTE = "fanout"
+    FLIGHT_OWNER = "fleet"
 
-    def _serve_batch(
-        self,
-        patterns: Sequence[QuantifiedGraphPattern],
-        waits: Optional[List[float]] = None,
-    ) -> List[ServiceResult]:
-        """Closed-check-free batch path for the dispatcher's graceful drain."""
-        with self._evaluate_lock:
-            return self._evaluate_batch(list(patterns), waits=waits)
-
-    def _canonical(self, pattern: QuantifiedGraphPattern) -> CanonicalPattern:
-        form = self._canonical_memo.get(pattern)
-        if form is None:
-            form = canonicalize(pattern)
-            try:
-                self._canonical_memo[pattern] = form
-            except TypeError:
-                pass
-        # Representative registry for explain-by-fingerprint, LRU-bounded by
-        # the L1 capacity (same discipline as QueryService._patterns).
-        self._patterns[form.fingerprint] = pattern
-        self._patterns.move_to_end(form.fingerprint)
-        while len(self._patterns) > self.cache.capacity:
-            self._patterns.popitem(last=False)
-        return form
-
-    def _evaluate_batch(
-        self,
-        patterns: List[QuantifiedGraphPattern],
-        waits: Optional[List[float]] = None,
-    ) -> List[ServiceResult]:
-        if not patterns:
-            return []
-        # Read ONCE per batch: answers computed below are filed under this
-        # vector even though nothing can move it mid-batch (apply_delta takes
-        # the same lock) — the single-service discipline, kept on principle.
+    def _epoch(self) -> Tuple[_FleetToken, VersionVector, str]:
+        # Nothing can move the vector mid-batch (apply_delta takes the same
+        # lock); the text form doubles as the L2 key and the explain epoch.
         vector = self.version_vector
-        version_text = vector.key_text()
-        results: List[Optional[ServiceResult]] = [None] * len(patterns)
-        missing: Dict[str, Tuple[QuantifiedGraphPattern, List[int]]] = {}
-        # Per-request route + service time: an L1 hit costs its lookup, an L2
-        # hit adds the sqlite read, a computed request adds the fan-out round
-        # it shared — the serve-tier columns of the slow-query log.
-        routes: List[str] = ["fanout"] * len(patterns)
-        request_elapsed: List[float] = [0.0] * len(patterns)
-        with span("serve.batch", size=len(patterns), shards=self.num_shards), Timer() as timer:
-            for position, pattern in enumerate(patterns):
-                lookup_started = perf_counter()
-                form = self._canonical(pattern)
-                answer = self.cache.lookup(
-                    self._token, form.fingerprint, self._options_key, version=vector
-                )
-                route = "l1"
-                if answer is None and self.shared is not None:
-                    answer = self.shared.lookup(
-                        form.fingerprint, self._options_text, version_text
-                    )
-                    if answer is not None:
-                        # Promote to L1 so the next hit skips sqlite.
-                        answer = self.cache.store(
-                            self._token,
-                            form.fingerprint,
-                            answer,
-                            self._options_key,
-                            version=vector,
-                        )
-                        self.stats.shared_hits += 1
-                        route = "l2"
-                request_elapsed[position] = perf_counter() - lookup_started
-                if answer is not None:
-                    routes[position] = route
-                    results[position] = ServiceResult(
-                        pattern=pattern.name,
-                        fingerprint=form.fingerprint,
-                        answer=answer,
-                        cached=True,
-                    )
-                else:
-                    entry = missing.setdefault(form.fingerprint, (pattern, []))
-                    entry[1].append(position)
+        return self._token, vector, vector.key_text()
 
-            if missing:
-                unique = [
-                    (fingerprint, pattern)
-                    for fingerprint, (pattern, _) in missing.items()
-                ]
-                fanout_started = perf_counter()
-                answers, counters = self._fan_out(unique)
-                fanout_elapsed = perf_counter() - fanout_started
-                for fingerprint, (pattern, positions) in missing.items():
-                    answer = self.cache.store(
-                        self._token,
-                        fingerprint,
-                        answers[fingerprint],
-                        self._options_key,
-                        version=vector,
-                    )
-                    if self.shared is not None:
-                        self.shared.store(
-                            fingerprint, self._options_text, version_text, answer
-                        )
-                    self.stats_registry.record(
-                        fingerprint,
-                        pattern.name,
-                        version_text,
-                        counter=counters[fingerprint],
-                        answer_size=len(answer),
-                        elapsed=fanout_elapsed,
-                    )
-                    for position in positions:
-                        request_elapsed[position] += fanout_elapsed
-                        results[position] = ServiceResult(
-                            pattern=patterns[position].name,
-                            fingerprint=fingerprint,
-                            answer=answer,
-                            cached=False,
-                            counter=counters[fingerprint],
-                        )
-                self.stats.computed += len(missing)
+    def _l2_lookup(self, fingerprint: str, epoch_key: str) -> Optional[FrozenSet]:
+        if self.shared is None:
+            return None
+        answer = self.shared.lookup(fingerprint, self._options_text, epoch_key)
+        if answer is not None:
+            self.stats.shared_hits += 1
+        return answer
 
-        self.stats.served += len(patterns)
-        self.stats.batches += 1
-        elapsed = timer.elapsed
-        batch_size = len(patterns)
-        flight = self.flight
-        for position, result in enumerate(results):
-            admission_wait = waits[position] if waits is not None else 0.0
-            cache_route = routes[position]
-            shard_fanout = 0 if result.cached else self.num_shards
-            slow = self.introspection.observe(
-                fingerprint=result.fingerprint,
-                pattern_name=result.pattern,
-                elapsed=request_elapsed[position],
-                cached=result.cached,
-                counter=result.counter,
-                batch_size=batch_size,
-                shard_fanout=shard_fanout,
-                cache_route=cache_route,
-                admission_wait=admission_wait,
-            )
-            if flight and not result.cached:
-                # Computed-work grain only: cache hits stay off the recorder
-                # so the default hot path costs two falsy checks, not an event.
-                flight.record(
-                    "query",
-                    fleet=self.name,
-                    fingerprint=result.fingerprint,
-                    pattern=result.pattern,
-                    cached=result.cached,
-                    cache_route=cache_route,
-                    shard_fanout=shard_fanout,
-                    elapsed=request_elapsed[position],
-                    batch_size=batch_size,
-                    admission_wait=admission_wait,
-                )
-            if flight and slow is not None:
-                flight.record("slow_query", fleet=self.name, **slow.as_dict())
-        registry = get_registry()
-        if registry:
-            registry.counter("serve.batches").inc()
-            registry.counter("serve.served").inc(batch_size)
-            registry.histogram("serve.batch_seconds").observe(elapsed)
-        return [
-            ServiceResult(
-                pattern=result.pattern,
-                fingerprint=result.fingerprint,
-                answer=result.answer,
-                cached=result.cached,
-                elapsed=elapsed,
-                counter=result.counter,
-            )
-            for result in results
-        ]
+    def _l2_store(self, fingerprint: str, epoch_key: str, answer: FrozenSet) -> None:
+        if self.shared is not None:
+            self.shared.store(fingerprint, self._options_text, epoch_key, answer)
 
-    def _fan_out(
-        self, unique: List[Tuple[str, QuantifiedGraphPattern]]
-    ) -> Tuple[Dict[str, FrozenSet], Dict[str, WorkCounter]]:
+    def _compute(self, unique: List[Unique]) -> Computed:
         """One coalesced round: every missing pattern to every shard, merged.
 
         Each shard service receives the whole miss list as ONE batch (its own
@@ -478,16 +299,18 @@ class ShardedService:
         pattern, the merged answer is the union of each shard's answer
         restricted to its owned nodes, and the merged counter is the sum of
         the per-shard counters that actually computed (a shard serving its
-        slice from its local cache contributes no fresh work).
+        slice from its local cache contributes no fresh work).  Every pattern
+        of the round is charged the whole round's wall time.
         """
-        for _, pattern in unique:
+        started = perf_counter()
+        for _, pattern, _ in unique:
             radius = pattern.radius()
             if radius > self.d:
                 raise ServiceError(
                     f"pattern {pattern.name!r} has radius {radius} > shard halo "
                     f"d={self.d}; rebuild the fleet with a larger d"
                 )
-        patterns = [pattern for _, pattern in unique]
+        patterns = [pattern for _, pattern, _ in unique]
         self.stats.fanout_rounds += 1
         round_counters: Dict[int, WorkCounter] = {}
         with span("serve.fanout", patterns=len(unique), shards=self.num_shards):
@@ -495,7 +318,7 @@ class ShardedService:
 
         answers: Dict[str, FrozenSet] = {}
         counters: Dict[str, WorkCounter] = {}
-        for index, (fingerprint, _pattern) in enumerate(unique):
+        for index, (fingerprint, _pattern, _form) in enumerate(unique):
             merged: Set[Hashable] = set()
             merged_counter = WorkCounter()
             for shard, shard_results in zip(self.shards, per_shard):
@@ -509,7 +332,7 @@ class ShardedService:
             answers[fingerprint] = frozenset(merged)
             counters[fingerprint] = merged_counter
         self.last_round_counters = round_counters
-        return answers, counters
+        return answers, dict.fromkeys(answers, perf_counter() - started), counters, {}
 
     # ------------------------------------------------------------- submission
 
@@ -544,95 +367,42 @@ class ShardedService:
                 self._inflight[key] = future
             # Captured inside the submit span: the dispatcher parents its
             # admission-wait and serve.batch spans under this submit.
-            context = get_tracer().current_context()
-            request = _Request(pattern, form, key, future, context, time.time())
+            request = _Request(pattern, future, get_tracer().current_context(), time.time())
             try:
                 self.admission.submit(request, priority)
             except BaseException:
-                with self._inflight_lock:
-                    if self._inflight.get(key) is future:
-                        del self._inflight[key]
+                self._release_inflight(key, future)
                 raise
+            # However the future ends — served, failed, or cancelled while
+            # queued — its in-flight slot is released with it.
+            future.add_done_callback(partial(self._release_inflight, key))
             self._ensure_dispatcher()
             self.stats.submitted += 1
             return future
-
-    def _ensure_dispatcher(self) -> None:
-        with self._dispatcher_lock:
-            if self._dispatcher is None or not self._dispatcher.is_alive():
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"{self.name}-dispatcher",
-                    daemon=True,
-                )
-                self._dispatcher.start()
 
     def _release_inflight(self, key: Hashable, future: "Future[ServiceResult]") -> None:
         with self._inflight_lock:
             if self._inflight.get(key) is future:
                 del self._inflight[key]
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            self.admission.wait_for_work()
-            batch = self.admission.drain()
-            if not batch:
-                if self.admission.closed:
-                    return
-                continue
-            drain_waits = self.admission.last_waits()
-            claimed: List[_Request] = []
-            claimed_waits: List[float] = []
-            for (_priority, request), wait in zip(batch, drain_waits):
-                if request.future.set_running_or_notify_cancel():
-                    claimed.append(request)
-                    claimed_waits.append(wait)
-                else:
-                    self._release_inflight(request.key, request.future)
-            if not claimed:
-                continue
-            tracer = get_tracer()
-            if tracer.enabled:
-                # Synthetic, pre-measured: enqueue → claim, parented under
-                # each submitter's serve.submit span so one fleet query is
-                # one connected tree even though the drain coalesced many.
-                for request, wait in zip(claimed, claimed_waits):
-                    tracer.record_span(
-                        "serve.admission.wait",
-                        start=request.enqueued_wall,
-                        wall=wait,
-                        context=request.context,
-                        pattern=request.pattern.name,
-                    )
-            patterns = [request.pattern for request in claimed]
-            try:
-                # The coalesced batch's spans parent under the oldest claimed
-                # request (its submit reached admission first); riders keep
-                # their submit + wait spans and share the served answer.
-                with tracer.attach(claimed[0].context):
-                    served = self._serve_batch(patterns, waits=claimed_waits)
-            except BaseException:
-                # Per-request isolation, same discipline as QueryService: one
-                # caller's invalid pattern must not fail coalesced strangers.
-                for request, wait in zip(claimed, claimed_waits):
-                    try:
-                        with tracer.attach(request.context):
-                            result = self._serve_batch(
-                                [request.pattern], waits=[wait]
-                            )[0]
-                    except BaseException as error:
-                        if not request.future.done():
-                            request.future.set_exception(error)
-                    else:
-                        if not request.future.done():
-                            request.future.set_result(result)
-                    finally:
-                        self._release_inflight(request.key, request.future)
-            else:
-                for request, result in zip(claimed, served):
-                    if not request.future.done():
-                        request.future.set_result(result)
-                    self._release_inflight(request.key, request.future)
+    def _drain(self) -> Optional[List[Tuple[_Request, float]]]:
+        self.admission.wait_for_work()
+        batch = self.admission.drain()
+        if not batch and self.admission.closed:
+            return None
+        return [
+            (request, wait)
+            for (_priority, request), wait in zip(batch, self.admission.last_waits())
+        ]
+
+    def _stop_intake(self) -> None:
+        self.admission.close()
+
+    def _shutdown(self) -> None:
+        for service in self.services:
+            service.close()
+        if self.shared is not None and self._owns_shared:
+            self.shared.close()
 
     # ----------------------------------------------------------------- updates
 
@@ -660,8 +430,7 @@ class ShardedService:
         with self._evaluate_lock, span(
             "serve.delta", fleet=self.name, size=delta.size
         ) as delta_span:
-            if self._closed:
-                raise ServiceError(f"{self.name} is closed")
+            self._check_open()
             inverse = apply_graph_delta(self.graph, delta)
             affected_ids: Set[int] = set()
             touched = 0
@@ -716,48 +485,7 @@ class ShardedService:
             )
             return inverse
 
-    # ---------------------------------------------------------------- explain
-
-    def explain(
-        self,
-        query,
-        analyze: bool = False,
-        analyze_limit: Optional[int] = None,
-    ) -> ExplainReport:
-        """EXPLAIN (ANALYZE) one query against the **union graph**.
-
-        Same contract as :meth:`QueryService.explain` — *query* is a pattern
-        or a served fingerprint, estimates come from the union graph's
-        cardinality model, traffic observations from the fleet's
-        :class:`~repro.obs.explain.StatsRegistry` (epoch key: the version
-        vector's text form).  ``analyze=True`` re-enumerates on the union
-        graph, which is exactly what the fleet's merged answer reproduces.
-        """
-        with self._evaluate_lock:
-            if self._closed:
-                raise ReproError(f"{self.name} is closed")
-            if isinstance(query, str):
-                pattern = self._patterns.get(query)
-                if pattern is None:
-                    raise ReproError(
-                        f"{self.name} has no pattern registered for "
-                        f"fingerprint {query!r}"
-                    )
-            else:
-                pattern = query
-            form = self._canonical(pattern)
-            fingerprint = form.fingerprint
-            plan = self.plans.plan_for(
-                self.graph, fingerprint, self._options_key, pattern, form=form
-            )
-            return build_report(
-                plan,
-                self.graph,
-                pattern=pattern,
-                traffic=self.stats_registry.observed(fingerprint),
-                analyze=analyze,
-                analyze_limit=analyze_limit,
-            )
+    # ------------------------------------------------------------- invariants
 
     def check_invariants(self) -> None:
         """Assert the fleet's structural invariants (test/debug helper).
@@ -825,13 +553,7 @@ class ShardedService:
             "shared_degraded": (
                 self.shared.degraded_reasons() if self.shared is not None else []
             ),
-            "fingerprints": self.introspection.snapshot(),
-            "slow_queries": [
-                record.as_dict()
-                for record in self.introspection.slow_queries.records()
-            ],
-            "explain": self.stats_registry.snapshot(),
-            "flight": self.flight.snapshot(),
+            **self._introspect_requests(),
             "shards": [
                 {
                     "shard_id": shard.shard_id,
@@ -848,33 +570,6 @@ class ShardedService:
                 for shard, service in zip(self.shards, self.services)
             ],
         }
-
-    # -------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Drain and stop: admitted work finishes, then the fleet shuts down.
-
-        Admission closes first (new submits raise), the dispatcher drains
-        what was already admitted, and only then do the shard services —
-        and an owned shared-cache handle — go down.
-        """
-        self.admission.close()
-        with self._dispatcher_lock:
-            dispatcher = self._dispatcher
-        if dispatcher is not None and dispatcher.is_alive():
-            dispatcher.join()
-        with self._evaluate_lock:
-            self._closed = True
-            for service in self.services:
-                service.close()
-            if self.shared is not None and self._owns_shared:
-                self.shared.close()
-
-    def __enter__(self) -> "ShardedService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

@@ -12,10 +12,14 @@ of fast single-query evaluation:
   ``(graph, graph.version, fingerprint, engine options)`` that piggybacks on
   the graph's mutation counter: structural changes invalidate by
   unreachability, attribute updates keep it warm;
-* :mod:`repro.service.server` — :class:`QueryService`, the façade that
-  canonicalizes, serves hits from cache, deduplicates misses and ships them
-  through the coordinator's persistent executor in one batched round, plus a
-  thread-safe ``submit`` for concurrent callers.
+* :mod:`repro.service.pipeline` — the one request path both serving tiers
+  run: canonicalize, serve hits from cache, deduplicate the misses of a
+  batch, compute them in one round, record — plus the dispatcher loop behind
+  ``submit``, ``explain`` and ``close``;
+* :mod:`repro.service.server` — :class:`QueryService`, its single-graph
+  backend: misses ship through the coordinator's persistent executor in one
+  batched round, with a thread-safe ``submit`` for concurrent callers
+  (:class:`repro.serve.ShardedService` is the fleet backend).
 
 See ``docs/ARCHITECTURE.md`` for how this layer composes with the graph,
 index, matching and parallel layers, and ``benchmarks/bench_serving.py`` for

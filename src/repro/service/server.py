@@ -1,24 +1,29 @@
-"""The query-serving façade: canonicalize → cache → batched parallel dispatch.
+"""The single-graph backend of the request pipeline.
 
 :class:`QueryService` is the request-level layer in front of
 :class:`~repro.parallel.coordinator.PQMatch`.  Where the coordinator answers
 one pattern per call — walking candidate filtering, DMatch and the negated
-edges from scratch every time — the service recognises *traffic*:
+edges from scratch every time — the service recognises *traffic*.  The
+request path itself (canonicalize → cache → in-batch dedup → compute →
+record, the dispatcher loop, ``explain``, ``close``) is
+:class:`repro.service.pipeline.RequestPipeline`, shared with the scale-out
+router; this module supplies the single-graph side of its seam:
 
-1. every incoming pattern is **canonicalized**
-   (:mod:`repro.service.patterns`), so syntactically different spellings of
-   one query share a single identity (its fingerprint);
-2. answers are served from a **version-aware LRU cache**
-   (:mod:`repro.service.cache`) keyed on the graph's mutation counter —
-   structural mutations invalidate by unreachability, attribute updates keep
-   the cache warm;
-3. cache misses inside one batch are **deduplicated** by fingerprint and
-   shipped as a single executor round: one
-   :class:`~repro.parallel.worker.FragmentTask` per (unique pattern ×
-   fragment), all submitted to the coordinator's persistent executor at once
-   instead of one dispatch round per query.  On the process backend the
-   fragments themselves were already shipped at pool creation, so a serving
-   round moves only patterns and answers.
+1. the **epoch** is the graph's mutation counter — the version-aware LRU
+   cache (:mod:`repro.service.cache`) keys on it, so structural mutations
+   invalidate by unreachability and attribute updates keep the cache warm;
+2. **compute** ships the deduplicated misses of a batch as a single executor
+   round: one :class:`~repro.parallel.worker.FragmentTask` per (unique
+   pattern × fragment), all submitted to the coordinator's persistent
+   executor at once instead of one dispatch round per query.  On the process
+   backend the fragments themselves were already shipped at pool creation,
+   so a serving round moves only patterns and answers;
+3. there is no L2, and the **queue** under :meth:`QueryService.submit` is an
+   unbounded list-and-event hand-off (measured cheaper per hit than the
+   fleet's :class:`~repro.serve.admission.AdmissionQueue`).
+
+It also owns what only one graph has: :meth:`QueryService.apply_delta` with
+selective cache carry-forward, and standing queries.
 
 The pool, partition and executor are owned by the wrapped coordinator and
 reused for the service's lifetime (close the service — or use it as a context
@@ -37,29 +42,21 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
-from collections import OrderedDict
 from concurrent.futures import Future
 from time import perf_counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.graph.digraph import PropertyGraph
 from repro.matching.qmatch import QMatch
-from repro.obs.explain import ExplainReport, StatsRegistry, build_report
-from repro.obs.flight import FlightRecorder
 from repro.obs.introspect import ServiceIntrospection
-from repro.obs.metrics import get_registry
-from repro.obs.trace import TraceContext, get_tracer, span
+from repro.obs.trace import get_tracer, span
 from repro.parallel.coordinator import PQMatch
 from repro.parallel.worker import FragmentTask, engine_to_spec, options_key_from_spec
 from repro.patterns.qgp import QuantifiedGraphPattern
-from repro.plan.cache import PlanCache
-from repro.service.cache import ResultCache
-from repro.service.patterns import CanonicalPattern, canonicalize
+from repro.service.pipeline import Computed, RequestPipeline, ServiceResult, Unique, _Request
 from repro.utils.counters import WorkCounter
 from repro.utils.errors import ReproError
-from repro.utils.timing import Timer
 
 __all__ = [
     "QueryService",
@@ -68,34 +65,6 @@ __all__ = [
     "Subscription",
     "DeltaNotification",
 ]
-
-
-@dataclass(frozen=True)
-class ServiceResult:
-    """One served answer.
-
-    ``answer`` is a frozenset — cached and freshly computed answers are the
-    same immutable object family, so callers can compare them byte-for-byte
-    with a cold :class:`~repro.parallel.coordinator.PQMatch` run.
-
-    ``counter`` carries the merged :class:`~repro.utils.counters.WorkCounter`
-    of the dispatch that computed the answer — ``None`` for cache hits (no
-    matching work ran).  The scale-out router sums these across shards and
-    the oracle tests assert the sum against the per-shard parts.
-    """
-
-    pattern: str
-    fingerprint: str
-    answer: FrozenSet
-    cached: bool
-    elapsed: float = 0.0
-    counter: Optional[WorkCounter] = None
-
-    def __len__(self) -> int:
-        return len(self.answer)
-
-    def __contains__(self, node: object) -> bool:
-        return node in self.answer
 
 
 @dataclass
@@ -225,7 +194,7 @@ def _engine_options_key(engine: object) -> Hashable:
     return options_key_from_spec(engine_to_spec(engine))
 
 
-class QueryService:
+class QueryService(RequestPipeline):
     """Serve quantified-pattern queries against one graph, with reuse.
 
     Parameters
@@ -260,7 +229,7 @@ class QueryService:
     ...     first = service.evaluate_many(queries + queries)
     ...     again = service.evaluate(queries[0])
     >>> [r.cached for r in first], again.cached
-    ([False, False, True, True], True)
+    ([False, False, False, False], True)
     """
 
     def __init__(
@@ -277,67 +246,40 @@ class QueryService:
         flight_capacity: int = 256,
         stats_registry_capacity: int = 256,
     ) -> None:
+        # Calling service.stats() (vs reading its counter attributes) yields
+        # the full introspection snapshot.
+        stats = ServiceStats()
+        stats._snapshot_provider = self.introspect
+        super().__init__(
+            name,
+            stats,
+            cache_capacity=cache_capacity,
+            plan_cache_capacity=plan_cache_capacity,
+            introspection=ServiceIntrospection(
+                capacity=introspection_capacity,
+                slow_query_threshold=slow_query_threshold,
+                slow_query_capacity=slow_query_capacity,
+            ),
+            flight_capacity=flight_capacity,
+            stats_registry_capacity=stats_registry_capacity,
+        )
         self.graph = graph
         self.coordinator = coordinator if coordinator is not None else PQMatch(
             num_workers=4, d=2, engine=QMatch()
         )
-        self.cache = ResultCache(cache_capacity)
-        self.plans = PlanCache(plan_cache_capacity)
-        self.name = name
-        self.stats = ServiceStats()
-        # Calling service.stats() (vs reading its counter attributes) yields
-        # the full introspection snapshot.
-        self.stats._snapshot_provider = self.introspect
-        # Request-level accounting: per-fingerprint traffic + latency
-        # histograms and the (opt-in via slow_query_threshold) slow-query log.
-        self.introspection = ServiceIntrospection(
-            capacity=introspection_capacity,
-            slow_query_threshold=slow_query_threshold,
-            slow_query_capacity=slow_query_capacity,
-        )
-        # Always-on, bounded post-mortem ring buffers (capacity 0 disables).
-        self.flight = FlightRecorder(flight_capacity)
-        # The per-fingerprint estimated-vs-observed feed behind explain() —
-        # epoch key is the graph version each computed answer ran against.
-        self.stats_registry = StatsRegistry(stats_registry_capacity)
         self._options_key = _engine_options_key(self.coordinator.engine)
         # Plans are only wired through for the standard QMatch engine: an
         # opaque engine would reject the plan keyword inside match_fragment's
         # TypeError fallback and silently lose its focus restriction with it.
         self._plans_enabled = bool(use_plans) and self._options_key[0] == "qmatch"
-        # Prepared-statement style canonicalization memo: repeat submissions
-        # of the *same pattern object* skip the ~50µs canonicalize.  Weak keys
-        # so the memo never pins a caller's pattern; callers must treat a
-        # submitted pattern as frozen (mutating it would stale the memo — the
-        # same contract a prepared statement has).
-        self._canonical_memo: "weakref.WeakKeyDictionary[QuantifiedGraphPattern, CanonicalPattern]" = (
-            weakref.WeakKeyDictionary()
-        )
-        # fingerprint -> representative pattern object, kept so update batches
-        # can reason per cached entry (radius, focus label) during migration.
-        # Bounded like the answer cache; an evicted representative only costs
-        # a dropped carry-forward.
-        self._patterns: "OrderedDict[str, QuantifiedGraphPattern]" = OrderedDict()
         self._subscriptions: List[Subscription] = []
-        # Serialises evaluation (engines, partition and executor are not
-        # thread-safe); submit() only ever touches it via the dispatcher.
-        self._evaluate_lock = threading.RLock()
-        # submit() machinery: pending (pattern, future, trace context,
-        # enqueue wall/perf timestamps) tuples drained in batches by a single
-        # lazily started dispatcher thread.
-        self._pending: List[
-            Tuple[QuantifiedGraphPattern, Future, TraceContext, float, float]
-        ] = []
+        # submit() machinery: (request, enqueue perf timestamp) pairs drained
+        # in batches by a single lazily started dispatcher thread.
+        self._pending: List[Tuple[_Request, float]] = []
         self._pending_lock = threading.Lock()
         self._pending_signal = threading.Event()
-        self._dispatcher: Optional[threading.Thread] = None
-        self._closed = False
 
     # -------------------------------------------------------------- one query
-
-    def evaluate(self, pattern: QuantifiedGraphPattern) -> ServiceResult:
-        """Serve one pattern (cache → canonical dedupe → parallel dispatch)."""
-        return self.evaluate_many([pattern])[0]
 
     def evaluate_answer(self, pattern: QuantifiedGraphPattern, graph=None) -> FrozenSet:
         """Engine-interface parity helper returning only the answer set.
@@ -352,181 +294,21 @@ class QueryService:
             )
         return self.evaluate(pattern).answer
 
-    # ------------------------------------------------------------- batch path
+    # ------------------------------------------------------------ backend seam
 
-    def evaluate_many(
-        self, patterns: Sequence[QuantifiedGraphPattern]
-    ) -> List[ServiceResult]:
-        """Serve a batch of patterns, in input order.
+    SPAN_BATCH = "service.batch"
+    SPAN_WAIT = "service.pending.wait"
+    METRIC_BATCHES = "service.batches"
+    METRIC_SERVED = "service.served"
+    METRIC_BATCH_SECONDS = "service.batch_seconds"
+    MISS_ROUTE = "compute"
+    FLIGHT_OWNER = "service"
 
-        Duplicate (equivalent) patterns inside the batch are computed once;
-        all cache misses ship to the executor in a single round.  The call is
-        all-or-nothing: an invalid pattern anywhere in the batch raises (the
-        :meth:`submit` path isolates failures per request instead, so one
-        caller's bad pattern never fails a coalesced stranger's).
-        """
-        with self._evaluate_lock:
-            # The closed-check must share the evaluation lock that close()
-            # takes around the executor shutdown: a caller that passed an
-            # unlocked check could otherwise resume after close() finished
-            # and lazily resurrect a fresh process pool nothing would ever
-            # shut down.
-            if self._closed:
-                raise ReproError(f"{self.name} is closed")
-            return self._evaluate_batch(list(patterns))
+    def _epoch(self) -> Tuple[PropertyGraph, int, int]:
+        version = self.graph.version
+        return self.graph, version, version
 
-    def _serve_batch(
-        self,
-        patterns: Sequence[QuantifiedGraphPattern],
-        waits: Optional[List[float]] = None,
-    ) -> List[ServiceResult]:
-        """The closed-check-free batch path: the dispatcher drains queued
-        submissions through this while :meth:`close` is joining it (close
-        shuts the executor down only after the join returns)."""
-        with self._evaluate_lock:
-            return self._evaluate_batch(list(patterns), waits=waits)
-
-    def _evaluate_batch(
-        self,
-        patterns: List[QuantifiedGraphPattern],
-        waits: Optional[List[float]] = None,
-    ) -> List[ServiceResult]:
-        if not patterns:
-            return []
-        graph = self.graph
-        # The graph version is read ONCE per batch: answers computed for the
-        # misses below are filed under this version even if the owning thread
-        # mutates the graph while the dispatch runs — a concurrent mutation
-        # must never let a pre-mutation answer masquerade as a fresh one.
-        version = graph.version
-        results: List[Optional[ServiceResult]] = [None] * len(patterns)
-        # fingerprint -> (representative pattern, canonical form, positions
-        # awaiting it) — the form rides along so dispatch can attach the
-        # compiled plan without re-canonicalizing.
-        missing: Dict[str, Tuple[QuantifiedGraphPattern, CanonicalPattern, List[int]]] = {}
-        # Per-request service time: a hit costs its lookup; a miss costs the
-        # lookup plus its fingerprint's share of the dispatch round (the sum
-        # of its fragments' evaluation times) — this is what feeds the
-        # per-fingerprint p50/p99 and the slow-query log.
-        request_elapsed: List[float] = [0.0] * len(patterns)
-        compute_counters: Dict[str, WorkCounter] = {}
-        with span("service.batch", size=len(patterns)), Timer() as timer:
-            forms = [self._canonical(pattern) for pattern in patterns]
-            for position, (pattern, form) in enumerate(zip(patterns, forms)):
-                lookup_started = perf_counter()
-                answer = self.cache.lookup(
-                    graph, form.fingerprint, self._options_key, version=version
-                )
-                request_elapsed[position] = perf_counter() - lookup_started
-                if answer is not None:
-                    results[position] = ServiceResult(
-                        pattern=pattern.name,
-                        fingerprint=form.fingerprint,
-                        answer=answer,
-                        cached=True,
-                    )
-                else:
-                    entry = missing.setdefault(form.fingerprint, (pattern, form, []))
-                    entry[2].append(position)
-
-            plan_labels: Dict[str, str] = {}
-            if missing:
-                unique = [
-                    (fingerprint, pattern, form)
-                    for fingerprint, (pattern, form, _) in missing.items()
-                ]
-                answers, timings, compute_counters, plan_labels = self._dispatch_batch(
-                    graph, unique
-                )
-                for fingerprint, (pattern, form, positions) in missing.items():
-                    answer = self.cache.store(
-                        graph,
-                        fingerprint,
-                        answers[fingerprint],
-                        self._options_key,
-                        version=version,
-                    )
-                    self.stats_registry.record(
-                        fingerprint,
-                        pattern.name,
-                        version,
-                        counter=compute_counters.get(fingerprint),
-                        answer_size=len(answer),
-                        elapsed=timings.get(fingerprint, 0.0),
-                    )
-                    for position in positions:
-                        request_elapsed[position] += timings.get(fingerprint, 0.0)
-                        results[position] = ServiceResult(
-                            pattern=patterns[position].name,
-                            fingerprint=fingerprint,
-                            answer=answer,
-                            cached=False,
-                            counter=compute_counters.get(fingerprint),
-                        )
-                self.stats.computed += len(missing)
-                self.stats.deduplicated += sum(
-                    len(positions) - 1 for _, _, positions in missing.values()
-                )
-
-        self.stats.served += len(patterns)
-        self.stats.batches += 1
-        elapsed = timer.elapsed
-        batch_size = len(patterns)
-        flight = self.flight
-        for position, result in enumerate(results):
-            cache_route = "l1" if result.cached else "compute"
-            admission_wait = waits[position] if waits is not None else 0.0
-            slow = self.introspection.observe(
-                fingerprint=result.fingerprint,
-                pattern_name=result.pattern,
-                elapsed=request_elapsed[position],
-                cached=result.cached,
-                counter=None if result.cached else compute_counters.get(result.fingerprint),
-                batch_size=batch_size,
-                plan="" if result.cached else plan_labels.get(result.fingerprint, ""),
-                cache_route=cache_route,
-                admission_wait=admission_wait,
-            )
-            if flight and not result.cached:
-                # Computed-work grain only: L1 hits stay off the recorder so
-                # the default hot path costs two falsy checks, not an event.
-                flight.record(
-                    "query",
-                    service=self.name,
-                    fingerprint=result.fingerprint,
-                    pattern=result.pattern,
-                    cached=result.cached,
-                    cache_route=cache_route,
-                    elapsed=request_elapsed[position],
-                    batch_size=batch_size,
-                    admission_wait=admission_wait,
-                )
-            if flight and slow is not None:
-                flight.record("slow_query", service=self.name, **slow.as_dict())
-        registry = get_registry()
-        if registry:
-            registry.counter("service.batches").inc()
-            registry.counter("service.served").inc(batch_size)
-            registry.histogram("service.batch_seconds").observe(elapsed)
-        return [
-            ServiceResult(
-                pattern=result.pattern,
-                fingerprint=result.fingerprint,
-                answer=result.answer,
-                cached=result.cached,
-                elapsed=elapsed,
-                counter=result.counter,
-            )
-            for result in results
-        ]
-
-    def _dispatch_batch(
-        self,
-        graph: PropertyGraph,
-        unique: List[Tuple[str, QuantifiedGraphPattern, CanonicalPattern]],
-    ) -> Tuple[
-        Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter], Dict[str, str]
-    ]:
+    def _compute(self, unique: List[Unique]) -> Computed:
         """Evaluate the unique cache misses in one executor round.
 
         Composes :meth:`PQMatch.fragment_tasks` / ``run_fragment_tasks`` —
@@ -547,7 +329,7 @@ class QueryService:
         compute-latency sample), the merged work counters, and the serving
         plan's compact label for the slow-query log.
         """
-        coordinator = self.coordinator
+        graph, coordinator = self.graph, self.coordinator
         radius = 0
         for _, pattern, _ in unique:
             pattern.validate()
@@ -599,36 +381,6 @@ class QueryService:
             plan_labels,
         )
 
-    # -------------------------------------------------------- canonicalization
-
-    def _canonical(self, pattern: QuantifiedGraphPattern) -> CanonicalPattern:
-        """Canonicalize with the per-pattern-object memo (prepared statements).
-
-        Repeat submissions of the same object skip the colour-refinement
-        canonicalization entirely; distinct-but-equivalent objects still meet
-        at the fingerprint, exactly as before.  Also records the pattern as
-        the representative of its fingerprint for delta-time migration.
-        """
-        form = self._canonical_memo.get(pattern)
-        if form is not None:
-            self.stats.memo_hits += 1
-            # Keep the representative registry's LRU order tracking real
-            # traffic: without this, the hottest (always-memo-hit) patterns
-            # would be the first evicted and lose delta-time carry-forward.
-            self._patterns[form.fingerprint] = pattern
-            self._patterns.move_to_end(form.fingerprint)
-            return form
-        form = canonicalize(pattern)
-        try:
-            self._canonical_memo[pattern] = form
-        except TypeError:
-            pass  # unhashable/unweakrefable pattern subclass: just skip the memo
-        self._patterns[form.fingerprint] = pattern
-        self._patterns.move_to_end(form.fingerprint)
-        while len(self._patterns) > self.cache.capacity:
-            self._patterns.popitem(last=False)
-        return form
-
     # ----------------------------------------------------------------- updates
 
     def apply_delta(self, delta) -> "GraphDelta":
@@ -666,8 +418,7 @@ class QueryService:
         with self._evaluate_lock, span(
             "service.delta", service=self.name, size=delta.size
         ) as delta_span:
-            if self._closed:
-                raise ReproError(f"{self.name} is closed")
+            self._check_open()
             graph = self.graph
             old_version = graph.version
             inverse = apply_graph_delta(graph, delta)
@@ -758,8 +509,7 @@ class QueryService:
         and notifies the subscription (list + optional callback) of the diff.
         """
         with self._evaluate_lock:
-            if self._closed:
-                raise ReproError(f"{self.name} is closed")
+            self._check_open()
             result = self._evaluate_batch([pattern])[0]
             subscription = Subscription(
                 service=self,
@@ -861,160 +611,46 @@ class QueryService:
         # captured inside the span; the enqueue timestamps are always taken —
         # they feed the always-on admission-wait field of the slow-query log.
         with span("service.submit", service=self.name, pattern=pattern.name):
-            context = get_tracer().current_context()
-            enqueued_wall = time.time()
-            enqueued_perf = perf_counter()
+            request = _Request(pattern, future, get_tracer().current_context(), time.time())
+            enqueued = perf_counter()
             with self._pending_lock:
                 # Closed-check and enqueue share the lock close() takes, so a
                 # submit racing close() either lands before it (and is
                 # drained) or observes _closed — it can never restart the
                 # dispatcher and resurrect the coordinator's executor after
                 # shutdown.
-                if self._closed:
-                    raise ReproError(f"{self.name} is closed")
-                self._pending.append(
-                    (pattern, future, context, enqueued_wall, enqueued_perf)
-                )
+                self._check_open()
+                self._pending.append((request, enqueued))
                 self._ensure_dispatcher()
                 self._pending_signal.set()
                 self.stats.submitted += 1
         return future
 
-    def _ensure_dispatcher(self) -> None:
-        if self._dispatcher is None or not self._dispatcher.is_alive():
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name=f"{self.name}-dispatcher", daemon=True
-            )
-            self._dispatcher.start()
+    def _drain(self) -> Optional[List[Tuple[_Request, float]]]:
+        # A plain blocking wait: submit() always sets the signal under the
+        # pending lock after appending and close() sets it too, so there is
+        # no lost-wakeup window and no idle polling.
+        self._pending_signal.wait()
+        with self._pending_lock:
+            batch, self._pending = self._pending, []
+            if not self._closed:
+                self._pending_signal.clear()
+            elif not batch:
+                return None
+            # else: closed with work left — the signal stays set, so the next
+            # wait() returns immediately and the empty drain ends the loop.
+        claimed_at = perf_counter()
+        return [(request, claimed_at - enqueued) for request, enqueued in batch]
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            # A plain blocking wait: submit() always sets the signal under
-            # the pending lock after appending and close() sets it too, so
-            # there is no lost-wakeup window and no idle polling.
-            self._pending_signal.wait()
-            with self._pending_lock:
-                batch = self._pending
-                self._pending = []
-                if not self._closed:
-                    self._pending_signal.clear()
-                # else: leave the signal set so the next wait() returns
-                # immediately and the empty drain below terminates the loop.
-            if not batch:
-                if self._closed:
-                    return
-                continue
-            # Claim each future; ones cancelled while queued are skipped (and
-            # must not poison the rest of the batch — a dead dispatcher would
-            # orphan every later future).
-            claimed = [
-                request
-                for request in batch
-                if request[1].set_running_or_notify_cancel()
-            ]
-            if not claimed:
-                continue
-            patterns = [request[0] for request in claimed]
-            # Pending-queue wait per claimed request: always computed (it
-            # feeds the slow-query log), and — when the submitter captured a
-            # live trace — also filed as a synthetic span under its submit
-            # span, so queueing time shows up in the tree it delayed.
-            claimed_at = perf_counter()
-            waits = [claimed_at - request[4] for request in claimed]
-            tracer = get_tracer()
-            if tracer.enabled:
-                for request, wait in zip(claimed, waits):
-                    if request[2].enabled:
-                        tracer.record_span(
-                            "service.pending.wait",
-                            start=request[3],
-                            wall=wait,
-                            context=request[2],
-                            pattern=request[0].name,
-                        )
-            try:
-                # The coalesced batch runs once; its spans parent under the
-                # first claimant's submit span (the others' trees keep their
-                # submit root + wait span and share the served work).
-                with tracer.attach(claimed[0][2]):
-                    served = self._serve_batch(patterns, waits=waits)
-            except BaseException:
-                # The coalesced batch mixes unrelated callers, so a failure
-                # (typically one invalid pattern) must not fan out: fall back
-                # to serving each request on its own and fail only the
-                # request that is actually broken.  Valid requests stay cheap
-                # — whatever the failed round cached is reused.
-                for request, wait in zip(claimed, waits):
-                    pattern, future = request[0], request[1]
-                    try:
-                        with tracer.attach(request[2]):
-                            result = self._serve_batch([pattern], waits=[wait])[0]
-                    except BaseException as error:
-                        if not future.done():
-                            future.set_exception(error)
-                    else:
-                        if not future.done():
-                            future.set_result(result)
-            else:
-                for request, result in zip(claimed, served):
-                    future = request[1]
-                    if not future.done():
-                        future.set_result(result)
+    def _stop_intake(self) -> None:
+        with self._pending_lock:
+            self._closed = True
+            self._pending_signal.set()
+
+    def _shutdown(self) -> None:
+        self.coordinator.close()
 
     # -------------------------------------------------------------- telemetry
-
-    def explain(
-        self,
-        query,
-        analyze: bool = False,
-        analyze_limit: Optional[int] = None,
-    ) -> ExplainReport:
-        """EXPLAIN (ANALYZE) one query: the compiled plan with per-step
-        estimated vs observed cardinalities.
-
-        *query* is a pattern object or the canonical fingerprint of one this
-        service has seen (the representative registry keeps one live pattern
-        per served fingerprint).  Estimates come from the graph's
-        :class:`~repro.graph.statistics.CardinalityModel`; observations come
-        from the :class:`StatsRegistry` traffic averages and — with
-        ``analyze=True`` — from re-running the enumeration with a per-depth
-        probe profile (``analyze_limit`` caps the embeddings enumerated).
-        """
-        from repro.plan.compile import compile_plan
-
-        with self._evaluate_lock:
-            if self._closed:
-                raise ReproError(f"{self.name} is closed")
-            if isinstance(query, str):
-                pattern = self._patterns.get(query)
-                if pattern is None:
-                    raise ReproError(
-                        f"{self.name} has no pattern registered for "
-                        f"fingerprint {query!r}"
-                    )
-            else:
-                pattern = query
-            form = self._canonical(pattern)
-            fingerprint = form.fingerprint
-            if self._plans_enabled:
-                plan = self.plans.plan_for(
-                    self.graph, fingerprint, self._options_key, pattern, form=form
-                )
-            else:
-                plan = compile_plan(
-                    pattern,
-                    fingerprint=fingerprint,
-                    options_key=self._options_key,
-                    form=form,
-                )
-            return build_report(
-                plan,
-                self.graph,
-                pattern=pattern,
-                traffic=self.stats_registry.observed(fingerprint),
-                analyze=analyze,
-                analyze_limit=analyze_limit,
-            )
 
     @property
     def worker_rebuilds(self) -> int:
@@ -1067,42 +703,8 @@ class QueryService:
             },
             "graph": {"name": self.graph.name, "version": self.graph.version},
             "subscriptions": sum(1 for s in self._subscriptions if s.active),
-            "fingerprints": self.introspection.snapshot(),
-            "slow_queries": [
-                record.as_dict()
-                for record in self.introspection.slow_queries.records()
-            ],
-            "explain": self.stats_registry.snapshot(),
-            "flight": self.flight.snapshot(),
+            **self._introspect_requests(),
         }
-
-    # -------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Stop the dispatcher (draining queued work) and release the executor.
-
-        The join is unbounded on purpose: close() promises queued submissions
-        are drained, and shutting the executor down under a timed-out join
-        would race the still-running dispatcher.  The executor shutdown takes
-        the evaluation lock, so an in-flight ``evaluate_many`` that passed its
-        closed-check first finishes before the pool goes down — and can never
-        resurrect it afterwards.
-        """
-        with self._pending_lock:
-            self._closed = True
-        dispatcher = self._dispatcher
-        if dispatcher is not None and dispatcher.is_alive():
-            self._pending_signal.set()
-            dispatcher.join()
-        self._dispatcher = None
-        with self._evaluate_lock:
-            self.coordinator.close()
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

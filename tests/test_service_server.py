@@ -6,19 +6,27 @@ a batch), all misses of a batch ship in one executor round, mutation triggers
 recomputation while attribute updates do not, concurrent ``submit`` calls are
 safe and coalesce, and process-backend serving never rebuilds indexes inside
 pool workers.
+
+The ``submit`` / ``close`` contract belongs to the request pipeline both
+serving tiers share (:mod:`repro.service.pipeline`), so those cases run over
+``QueryService`` *and* ``ShardedService`` through the ``make_tier`` fixture.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.datasets import benchmark_graph, paper_pattern, workload_patterns
 from repro.index.snapshot import build_call_count
 from repro.parallel import PQMatch
+from repro.patterns.qgp import QuantifiedGraphPattern
+from repro.patterns.quantifier import CountingQuantifier
+from repro.serve import ShardedService
 from repro.service import QueryService, ServiceResult
-from repro.utils.errors import ReproError
+from repro.utils.errors import PatternValidationError, ReproError, ServiceError
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,37 @@ def _renamed(pattern):
     clone = pattern.relabel_nodes({node: f"alias_{node}" for node in pattern.nodes()})
     clone.name = f"{pattern.name}#alias"
     return clone
+
+
+TIERS = {
+    "QueryService": QueryService,
+    "ShardedService": lambda graph: ShardedService(graph, num_shards=2),
+}
+
+
+@pytest.fixture(params=sorted(TIERS))
+def make_tier(request, served_graph):
+    """Builds the serving tier under test (no test here writes to the graph,
+    so the fleet may take the shared one as its union graph)."""
+    return lambda: TIERS[request.param](served_graph)
+
+
+def _double_negation():
+    """Fingerprints fine on either tier, fails ``validate()`` in compute."""
+    broken = QuantifiedGraphPattern(name="double-negation")
+    for node in "xyz":
+        broken.add_node(node, "person")
+    broken.set_focus("x")
+    broken.add_edge("x", "y", "follow", CountingQuantifier.negation())
+    broken.add_edge("y", "z", "follow", CountingQuantifier.negation())
+    return broken
+
+
+def _wait_until_claimed(future):
+    deadline = time.monotonic() + 10
+    while not future.running() and not future.done():
+        assert time.monotonic() < deadline, "dispatcher never claimed"
+        time.sleep(0.005)
 
 
 class TestServing:
@@ -126,17 +165,15 @@ class TestInvalidation:
         next request recomputes instead of being served a stale answer."""
         graph = benchmark_graph("pokec", scale=1.0, seed=1)
         with QueryService(graph) as service:
-            original_dispatch = service._dispatch_batch
+            original_compute = service._compute
 
-            def mutating_dispatch(dispatch_graph, unique):
-                dispatch_graph.add_node(
-                    f"interloper-{dispatch_graph.version}", "person"
-                )
-                return original_dispatch(dispatch_graph, unique)
+            def mutating_compute(unique):
+                graph.add_node(f"interloper-{graph.version}", "person")
+                return original_compute(unique)
 
-            service._dispatch_batch = mutating_dispatch
+            service._compute = mutating_compute
             service.evaluate(queries[0])  # computed while the graph mutates
-            service._dispatch_batch = original_dispatch
+            service._compute = original_compute
             refreshed = service.evaluate(queries[0])
             assert not refreshed.cached  # stale answer was unreachable
             cold = PQMatch(num_workers=4, d=2)
@@ -171,49 +208,53 @@ class TestSubmit:
             assert service.stats.computed == len(queries)
 
     def test_cancelled_future_does_not_kill_the_dispatcher(
-        self, served_graph, queries, cold_answers
+        self, make_tier, queries, cold_answers
     ):
         """A future cancelled while queued is skipped; the dispatcher must
         survive and resolve the rest of the batch (a dead dispatcher would
         orphan every later future)."""
-        import time
-
-        with QueryService(served_graph) as service:
+        with make_tier() as tier:
             # Block the dispatcher inside its first batch by holding the
             # evaluation lock, so later submissions stay queued.
-            service._evaluate_lock.acquire()
-            try:
-                blocked = service.submit(queries[0])
-                deadline = time.monotonic() + 10
-                while blocked._state == "PENDING" and time.monotonic() < deadline:
-                    time.sleep(0.005)  # wait until the dispatcher claimed it
-                doomed = service.submit(queries[1])
-                survivor = service.submit(queries[2])
+            with tier._evaluate_lock:
+                blocked = tier.submit(queries[0])
+                _wait_until_claimed(blocked)
+                doomed = tier.submit(queries[1])
+                survivor = tier.submit(queries[2])
                 assert doomed.cancel()  # still queued: cancellable
-            finally:
-                service._evaluate_lock.release()
             assert set(blocked.result(timeout=60).answer) == cold_answers[0]
             assert set(survivor.result(timeout=60).answer) == cold_answers[2]
             assert doomed.cancelled()
+            # a cancelled request leaves nothing behind: it can be re-asked
+            assert set(tier.submit(queries[1]).result(timeout=60).answer) == cold_answers[1]
 
-    def test_submit_after_close_raises(self, served_graph, queries):
-        service = QueryService(served_graph)
-        service.close()
-        with pytest.raises(ReproError):
-            service.submit(queries[0])
+    def test_submit_and_evaluate_after_close_raise(self, make_tier, queries):
+        tier = make_tier()
+        fingerprint = tier.evaluate(queries[0]).fingerprint
+        tier.close()
+        tier.close()  # idempotent
+        for refused in (
+            lambda: tier.submit(queries[0]),
+            lambda: tier.evaluate(queries[0]),
+            lambda: tier.evaluate_many(queries[:2]),
+            lambda: tier.explain(fingerprint),
+        ):
+            with pytest.raises(ServiceError, match="is closed"):
+                refused()
+        tier.stats_snapshot()  # telemetry stays readable after close...
+        coordinators = [s.coordinator for s in getattr(tier, "services", [tier])]
+        # ...and every pool stays down
+        assert all(c.current_executor is None for c in coordinators)
 
-    def test_evaluate_after_close_raises_and_never_resurrects_the_pool(
-        self, served_graph, queries
-    ):
-        service = QueryService(served_graph)
-        service.evaluate(queries[0])
-        service.close()
-        with pytest.raises(ReproError):
-            service.evaluate(queries[0])
-        with pytest.raises(ReproError):
-            service.evaluate_many(queries[:2])
-        service.stats_snapshot()  # telemetry stays readable after close...
-        assert service.coordinator.current_executor is None  # ...pool stays down
+    def test_close_drains_queued_work(self, make_tier, queries, cold_answers):
+        tier = make_tier()
+        with tier._evaluate_lock:  # park the dispatcher: the rest stays queued
+            futures = [tier.submit(pattern) for pattern in queries[:3]]
+        tier.close()  # joins the dispatcher: accepted work finishes first
+        assert all(future.done() for future in futures)
+        assert [
+            set(future.result(timeout=0).answer) for future in futures
+        ] == cold_answers[:3]
 
     def test_close_concurrent_with_evaluate_never_resurrects_the_pool(
         self, queries
@@ -221,21 +262,19 @@ class TestSubmit:
         """close() must wait for an in-flight evaluation (which passed its
         closed-check first) and only then shut the executor down — the late
         evaluation must not re-create a pool nothing would release."""
-        import time
-
         graph = benchmark_graph("pokec", scale=0.5, seed=1)
         service = QueryService(graph)
         service.evaluate(queries[0])  # warm partition + executor
         service.cache.clear()
         entered = threading.Event()
-        original_dispatch = service._dispatch_batch
+        original_compute = service._compute
 
-        def slow_dispatch(dispatch_graph, unique):
+        def slow_compute(unique):
             entered.set()
             time.sleep(0.2)
-            return original_dispatch(dispatch_graph, unique)
+            return original_compute(unique)
 
-        service._dispatch_batch = slow_dispatch
+        service._compute = slow_compute
         outcome = {}
 
         def worker():
@@ -254,45 +293,71 @@ class TestSubmit:
         assert "answer" in outcome or "closed" in outcome
 
     def test_one_bad_submission_fails_only_its_own_future(
-        self, served_graph, queries, cold_answers
+        self, make_tier, queries, cold_answers
     ):
         """Coalesced batches mix unrelated callers: an invalid pattern must
         fail its own future and leave the strangers' requests served."""
-        import time
-
-        from repro.patterns.qgp import QuantifiedGraphPattern
-
-        broken = QuantifiedGraphPattern(name="no-focus")
-        broken.add_node("x", "person")
-        with QueryService(served_graph) as service:
+        with make_tier() as tier:
             # Hold the evaluation lock so all three submissions coalesce
             # into the dispatcher's next batch.
-            service._evaluate_lock.acquire()
-            try:
-                first = service.submit(queries[0])
-                deadline = time.monotonic() + 10
-                while first._state == "PENDING" and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                good = service.submit(queries[1])
-                bad = service.submit(broken)
-                also_good = service.submit(queries[2])
-            finally:
-                service._evaluate_lock.release()
+            with tier._evaluate_lock:
+                first = tier.submit(queries[0])
+                _wait_until_claimed(first)
+                good = tier.submit(queries[1])
+                bad = tier.submit(_double_negation())
+                also_good = tier.submit(queries[2])
             assert set(first.result(timeout=60).answer) == cold_answers[0]
             assert set(good.result(timeout=60).answer) == cold_answers[1]
             assert set(also_good.result(timeout=60).answer) == cold_answers[2]
-            with pytest.raises(Exception):
+            with pytest.raises(PatternValidationError):
                 bad.result(timeout=60)
 
-    def test_invalid_pattern_propagates_through_future(self, served_graph):
-        from repro.patterns.qgp import QuantifiedGraphPattern
+    def test_invalid_pattern_propagates_through_future(self, make_tier):
+        with make_tier() as tier:
+            future = tier.submit(_double_negation())
+            with pytest.raises(PatternValidationError):
+                future.result(timeout=60)
 
+    def test_unfingerprintable_pattern_propagates_through_future(
+        self, served_graph, queries, cold_answers
+    ):
+        """No focus, so canonicalization itself fails — on the dispatcher,
+        which must hand the error to the future and keep running."""
         broken = QuantifiedGraphPattern(name="no-focus")
         broken.add_node("x", "person")
         with QueryService(served_graph) as service:
-            future = service.submit(broken)
-            with pytest.raises(Exception):
-                future.result(timeout=60)
+            with pytest.raises(ReproError):
+                service.submit(broken).result(timeout=60)
+            assert set(service.submit(queries[0]).result(timeout=60).answer) == cold_answers[0]
+
+
+class TestOnePipeline:
+    def test_one_shard_fleet_serves_like_a_query_service(self, served_graph, queries):
+        """Both tiers run the same request pipeline, so on one shard — same
+        coordinator configuration, same batches with repeats, in-batch
+        duplicates and re-spellings — they agree on every answer, every
+        ``cached`` flag and the request counters."""
+        stream = [
+            [queries[0], queries[1], _renamed(queries[0])],
+            [queries[0], queries[2], queries[2]],
+            [_renamed(queries[1]), queries[3], queries[0], _renamed(queries[3])],
+        ]
+        with QueryService(served_graph, PQMatch(num_workers=2, d=2)) as service, ShardedService(
+            served_graph,
+            num_shards=1,
+            coordinator_factory=lambda shard: PQMatch(num_workers=2, d=2),
+        ) as fleet:
+            for batch in stream:
+                assert [
+                    (r.pattern, r.fingerprint, r.answer, r.cached)
+                    for r in fleet.evaluate_many(batch)
+                ] == [
+                    (r.pattern, r.fingerprint, r.answer, r.cached)
+                    for r in service.evaluate_many(batch)
+                ]
+            for counter in ("served", "batches", "computed", "deduplicated", "memo_hits"):
+                assert getattr(fleet.stats, counter) == getattr(service.stats, counter)
+            assert service.stats.computed == 4 and service.stats.deduplicated == 3
 
 
 class TestLifecycle:
