@@ -15,7 +15,13 @@ from repro.parallel.executor import (
     make_executor,
 )
 from repro.parallel.mkp import KnapsackItem, greedy_mkp, mkp_assign
-from repro.parallel.partition import DPar, Fragment, HopPreservingPartition, base_partition
+from repro.parallel.partition import (
+    DPar,
+    Fragment,
+    HopPreservingPartition,
+    IdentityPartition,
+    base_partition,
+)
 from repro.parallel.worker import (
     FragmentPayload,
     FragmentTask,
@@ -32,6 +38,7 @@ __all__ = [
     "DPar",
     "Fragment",
     "HopPreservingPartition",
+    "IdentityPartition",
     "base_partition",
     "FragmentPayload",
     "FragmentTask",

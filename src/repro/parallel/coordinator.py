@@ -5,7 +5,10 @@ The coordinator implements the algorithm of Figure 6:
 1. **Pre-processing** — partition the graph once with DPar into a d-hop
    preserving, balanced partition.  The same partition serves every QGP whose
    radius is at most ``d``; a query with a larger radius triggers the
-   incremental partition extension instead of a re-partition.
+   incremental partition extension instead of a re-partition.  With one
+   worker there is nobody to partition *for*: the single fragment is the
+   graph itself (:class:`~repro.parallel.partition.IdentityPartition`), built
+   at no cost — which is what the serving tiers run on by default.
 2. **Posting** — ship the pattern to every worker; each worker evaluates it
    locally on its fragment (``mQMatch``), restricted to the focus candidates
    it *owns*, so partial answers neither overlap nor miss matches
@@ -29,7 +32,8 @@ from repro.matching.enumerate import EnumMatcher
 from repro.matching.qmatch import QMatch
 from repro.matching.result import FragmentResult, MatchResult, ParallelMatchResult
 from repro.parallel.executor import make_executor
-from repro.parallel.partition import DPar, HopPreservingPartition
+from repro.obs.trace import span
+from repro.parallel.partition import DPar, HopPreservingPartition, IdentityPartition
 from repro.parallel.worker import FragmentTask, match_fragment, mqmatch_fragment
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
@@ -74,7 +78,14 @@ class PQMatch:
     Parameters
     ----------
     num_workers:
-        The number of fragments / workers ``n``.
+        The number of fragments / workers ``n``.  ``n >= 2`` is the paper's
+        algorithm: DPar builds ``n`` d-hop preserving fragments and each
+        worker verifies the focus candidates it owns.  ``n = 1`` evaluates on
+        the graph itself, in place — the *identity* partition: no fragment
+        copy, no second compiled index, no d-hop BFS, no focus restriction,
+        every radius preserved — so one worker costs exactly what the
+        wrapped sequential engine costs (answers and work counters equal
+        ``engine.evaluate(pattern, graph)``).
     d:
         Hop radius preserved by the partition (defaults to 2, the radius of
         99% of real-world queries according to the paper).
@@ -179,9 +190,22 @@ class PQMatch:
             or self._partition_graph_id != id(graph)
             or self._partition_version != graph.version
         ):
-            self._partition = self.partitioner.partition(graph, self.num_workers)
+            if self.num_workers == 1:
+                self._partition = IdentityPartition(graph)
+            else:
+                with span("parallel.partition", workers=self.num_workers) as build:
+                    self._partition = self.partitioner.partition(graph, self.num_workers)
+                    build.annotate(
+                        fragments=self._partition.num_fragments,
+                        replication=self._partition.replication_factor(),
+                    )
             self._partition_graph_id = id(graph)
             self._partition_version = graph.version
+        return self._partition
+
+    @property
+    def current_partition(self) -> Optional[HopPreservingPartition]:
+        """The cached partition if one exists, else ``None`` — never builds one."""
         return self._partition
 
     def ensure_radius(self, graph: PropertyGraph, radius: int) -> HopPreservingPartition:
@@ -210,8 +234,15 @@ class PQMatch:
         from scratch, which is always correct.  Returns the per-fragment
         :class:`~repro.delta.FragmentUpdate` list (empty when nothing was
         maintained).
+
+        The identity partition (``num_workers=1``) has nothing to maintain —
+        its fragment graph *is* the graph the caller just mutated, so
+        replaying a sub-delta on it would apply the batch twice.  It returns
+        no updates; :meth:`partition` re-stamps it for the new version in
+        O(1), and a process pool re-ships the graph on its next round (a
+        fresh payload key), never rebuilding in a worker.
         """
-        if not delta.is_structural():
+        if not delta.is_structural() or self.num_workers == 1:
             return []
         if (
             self._partition is None
@@ -266,7 +297,11 @@ class PQMatch:
             FragmentTask(
                 fragment_id=fragment.fragment_id,
                 fragment_graph=partition.fragment_graph(fragment),
-                owned_nodes=set(fragment.owned_nodes),
+                # None (the identity fragment) means "owns whatever the graph
+                # holds": no per-task O(|V|) copy, no focus restriction.
+                owned_nodes=(
+                    None if fragment.owned_nodes is None else set(fragment.owned_nodes)
+                ),
                 pattern=pattern,
                 engine=self.engine,
                 fingerprint=fingerprint,
@@ -274,7 +309,7 @@ class PQMatch:
                 plan_binding=plan_binding,
             )
             for fragment in partition.fragments
-            if fragment.owned_nodes
+            if fragment.owned_nodes is None or fragment.owned_nodes
         ]
 
     def run_fragment_tasks(self, tasks: List[FragmentTask]) -> List[FragmentResult]:

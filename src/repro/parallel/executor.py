@@ -76,8 +76,9 @@ def _run_task(task: FragmentTask) -> FragmentResult:
 # *refresh* the compiled index (never rebuild), adjust the owned set, re-key.
 
 _WORKER_PAYLOADS: Dict[CacheKey, FragmentPayload] = {}
-# cache key -> (materialised fragment graph, current owned-node set)
-_WORKER_FRAGMENTS: Dict[CacheKey, Tuple[object, Set]] = {}
+# cache key -> (materialised fragment graph, current owned-node set — None
+# for the identity fragment, which owns its whole graph and is never chained)
+_WORKER_FRAGMENTS: Dict[CacheKey, Tuple[object, Optional[Set]]] = {}
 
 # One chain hop: (child cache key, parent cache key, pickled GraphDelta,
 # owned nodes added, owned nodes removed).
@@ -107,7 +108,8 @@ def _worker_fragment(cache_key: CacheKey, chain: Tuple[ChainHop, ...]) -> Tuple[
     if hop is None:
         payload = _WORKER_PAYLOADS[cache_key]
         graph = payload.materialise()
-        entry = (graph, set(payload.owned_nodes))
+        owned = payload.owned_nodes
+        entry = (graph, None if owned is None else set(owned))
     else:
         from repro.delta.ops import apply_delta
 

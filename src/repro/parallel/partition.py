@@ -31,6 +31,7 @@ a property the integration tests assert.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set
@@ -42,7 +43,13 @@ from repro.utils.errors import PartitionError
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timing import Timer
 
-__all__ = ["Fragment", "HopPreservingPartition", "DPar", "base_partition"]
+__all__ = [
+    "Fragment",
+    "HopPreservingPartition",
+    "IdentityPartition",
+    "DPar",
+    "base_partition",
+]
 
 NodeId = Hashable
 
@@ -54,12 +61,15 @@ class Fragment:
     ``owned_nodes`` are the nodes this fragment answers for (each graph node
     is owned by exactly one fragment); ``node_set`` additionally contains the
     replicated d-hop context of the owned nodes.  ``graph`` is materialised
-    lazily by :meth:`HopPreservingPartition.fragment_graph`.
+    lazily by :meth:`HopPreservingPartition.fragment_graph`.  The lone
+    fragment of an :class:`IdentityPartition` carries ``None`` for both:
+    it owns and stores whatever its graph holds *now*, which no materialised
+    set can say across node inserts.
     """
 
     fragment_id: int
-    owned_nodes: Set[NodeId] = field(default_factory=set)
-    node_set: Set[NodeId] = field(default_factory=set)
+    owned_nodes: Optional[Set[NodeId]] = field(default_factory=set)
+    node_set: Optional[Set[NodeId]] = field(default_factory=set)
     border_nodes: Set[NodeId] = field(default_factory=set)
 
     @property
@@ -162,6 +172,53 @@ class HopPreservingPartition:
             "largest": float(max((f.size for f in self.fragments), default=0)),
             "smallest": float(min((f.size for f in self.fragments), default=0)),
             "elapsed": self.elapsed,
+        }
+
+
+class IdentityPartition(HopPreservingPartition):
+    """The one-fragment partition whose fragment graph **is** the source graph.
+
+    What ``PQMatch(num_workers=1)`` evaluates on.  DPar replicates d-hop
+    context so that *n* workers can each verify the focus candidates they
+    own; with one worker there is nothing to replicate for, so nothing is
+    built: no ``induced_subgraph`` copy, no second ``GraphIndex``, no d-hop
+    BFS.  Ownership is "everything" — represented as ``owned_nodes=None``
+    (no focus restriction), never as a copied node set, so a node inserted
+    after construction is owned the moment it exists — and every radius is
+    preserved (``d`` is unbounded), so :meth:`DPar.extend` never runs.
+    """
+
+    def __init__(self, source: PropertyGraph) -> None:
+        whole = Fragment(fragment_id=0, owned_nodes=None, node_set=None)
+        super().__init__(d=sys.maxsize, fragments=[whole], source=source)
+
+    def owner_of(self, node: NodeId) -> Optional[int]:
+        return 0 if self.source.has_node(node) else None
+
+    def fragment_graph(self, fragment: Fragment) -> PropertyGraph:
+        return self.source
+
+    def is_covering(self) -> bool:
+        return True
+
+    def is_complete(self) -> bool:
+        return True
+
+    def skew(self) -> float:
+        return 1.0
+
+    def replication_factor(self) -> float:
+        return 1.0
+
+    def statistics(self) -> Dict[str, float]:
+        nodes = float(self.source.num_nodes)
+        return {
+            "fragments": 1.0,
+            "skew": 1.0,
+            "replication": 1.0,
+            "largest": nodes,
+            "smallest": nodes,
+            "elapsed": 0.0,
         }
 
 

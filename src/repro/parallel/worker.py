@@ -18,7 +18,9 @@ speedups deterministically.
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import Executor
+from functools import lru_cache
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
@@ -103,6 +105,10 @@ class FragmentTask:
     engine instance with its :func:`engine_to_spec` description — workers
     reconstruct the engine from options instead of unpickling engine state.
 
+    ``owned_nodes=None`` is the identity fragment's "owns everything": the
+    pattern is evaluated on ``fragment_graph`` with no focus restriction and
+    the answer is returned unfiltered.
+
     Compiled plans ship **by reference only**: the pickled form carries the
     pattern's ``fingerprint`` and the ``plan_binding`` (pattern node →
     canonical position), never the :class:`repro.plan.CompiledPlan` itself —
@@ -115,7 +121,7 @@ class FragmentTask:
         self,
         fragment_id: int,
         fragment_graph: PropertyGraph,
-        owned_nodes: Set[NodeId],
+        owned_nodes: Optional[Set[NodeId]],
         pattern: QuantifiedGraphPattern,
         engine: QMatch,
         fingerprint: Optional[str] = None,
@@ -182,7 +188,7 @@ class FragmentPayload:
     def __init__(
         self,
         fragment_id: int,
-        owned_nodes: Set[NodeId],
+        owned_nodes: Optional[Set[NodeId]],
         snapshot_bytes: bytes,
         attrs: Dict[NodeId, Dict[str, object]],
         cache_key: Tuple[int, int, int],
@@ -198,7 +204,7 @@ class FragmentPayload:
         cls,
         fragment_id: int,
         fragment_graph: PropertyGraph,
-        owned_nodes: Set[NodeId],
+        owned_nodes: Optional[Set[NodeId]],
     ) -> "FragmentPayload":
         """Compile (or reuse) the fragment's snapshot and freeze it to bytes.
 
@@ -222,7 +228,7 @@ class FragmentPayload:
         cache_key = (fragment_id, index.version, snapshot_checksum(snapshot_bytes))
         return cls(
             fragment_id=fragment_id,
-            owned_nodes=set(owned_nodes),
+            owned_nodes=None if owned_nodes is None else set(owned_nodes),
             snapshot_bytes=snapshot_bytes,
             attrs=attrs,
             cache_key=cache_key,
@@ -251,14 +257,35 @@ class FragmentPayload:
         )
 
 
-def _restrict_answer_to_owned(result: MatchResult, owned_nodes: Set[NodeId]) -> Set[NodeId]:
+def _restrict_answer_to_owned(
+    result: MatchResult, owned_nodes: Optional[Set[NodeId]]
+) -> Set[NodeId]:
+    if owned_nodes is None:
+        return result.answer
     return {node for node in result.answer if node in owned_nodes}
+
+
+@lru_cache(maxsize=None)
+def _takes_focus_restriction(engine_type: type) -> bool:
+    """Whether ``engine_type.evaluate`` accepts ``focus_restriction``.
+
+    Decided once per engine type from the signature, so an engine without
+    per-candidate decomposition (e.g. a bare Enum baseline) is *called* the
+    way it can be called — never probed with a keyword it rejects, which
+    would make any ``TypeError`` raised inside an engine look like a
+    capability answer.
+    """
+    parameters = inspect.signature(engine_type.evaluate).parameters
+    return "focus_restriction" in parameters or any(
+        parameter.kind is inspect.Parameter.VAR_KEYWORD
+        for parameter in parameters.values()
+    )
 
 
 def match_fragment(
     pattern: QuantifiedGraphPattern,
     fragment_graph: PropertyGraph,
-    owned_nodes: Set[NodeId],
+    owned_nodes: Optional[Set[NodeId]],
     engine: Optional[QMatch] = None,
     fragment_id: int = 0,
     plan=None,
@@ -270,30 +297,28 @@ def match_fragment(
     what makes the union of per-fragment answers exact *and* keeps the total
     work across fragments equal to the sequential work: every candidate is
     verified by exactly one worker (its owner), inside the fragment that holds
-    its whole d-hop neighbourhood.
+    its whole d-hop neighbourhood.  ``owned_nodes=None`` (the identity
+    fragment) owns the whole graph: no restriction, answer unfiltered.
 
-    A compiled ``plan`` is only handed to the standard :class:`QMatch` engine:
-    opaque engines would reject the keyword and land in the ``TypeError``
-    fallback below, silently dropping the focus restriction with it.
+    A compiled ``plan`` is only handed to the standard :class:`QMatch` engine.
+    An engine whose ``evaluate`` takes no ``focus_restriction`` evaluates the
+    whole fragment and is filtered to the owned nodes afterwards; any
+    exception an engine raises propagates.
     """
     engine = engine or QMatch()
-    with span(
-        "worker.fragment", fragment=fragment_id, owned=len(owned_nodes)
-    ), Timer() as timer:
-        try:
-            if plan is not None and isinstance(engine, QMatch):
-                result = engine.evaluate(
-                    pattern,
-                    fragment_graph,
-                    focus_restriction=owned_nodes,
-                    plan=plan,
-                    plan_binding=plan_binding,
-                )
-            else:
-                result = engine.evaluate(pattern, fragment_graph, focus_restriction=owned_nodes)
-        except TypeError:
-            # Engines without per-candidate decomposition (e.g. the Enum
-            # baseline) evaluate the whole fragment and filter afterwards.
+    owned = fragment_graph.num_nodes if owned_nodes is None else len(owned_nodes)
+    with span("worker.fragment", fragment=fragment_id, owned=owned), Timer() as timer:
+        if plan is not None and isinstance(engine, QMatch):
+            result = engine.evaluate(
+                pattern,
+                fragment_graph,
+                focus_restriction=owned_nodes,
+                plan=plan,
+                plan_binding=plan_binding,
+            )
+        elif _takes_focus_restriction(type(engine)):
+            result = engine.evaluate(pattern, fragment_graph, focus_restriction=owned_nodes)
+        else:
             result = engine.evaluate(pattern, fragment_graph)
         answer = _restrict_answer_to_owned(result, owned_nodes)
     fragment_result = FragmentResult(
@@ -318,7 +343,7 @@ def _chunk(sequence: Sequence[NodeId], chunks: int) -> List[List[NodeId]]:
 def mqmatch_fragment(
     pattern: QuantifiedGraphPattern,
     fragment_graph: PropertyGraph,
-    owned_nodes: Set[NodeId],
+    owned_nodes: Optional[Set[NodeId]],
     engine: Optional[QMatch] = None,
     fragment_id: int = 0,
     threads: int = 1,
@@ -347,10 +372,13 @@ def mqmatch_fragment(
         )
 
     focus_label = pattern.node_label(pattern.focus)
-    owned_candidates = [
-        node for node in owned_nodes
-        if fragment_graph.has_node(node) and fragment_graph.node_label(node) == focus_label
-    ]
+    if owned_nodes is None:
+        owned_candidates = fragment_graph.nodes_with_label(focus_label)
+    else:
+        owned_candidates = [
+            node for node in owned_nodes
+            if fragment_graph.has_node(node) and fragment_graph.node_label(node) == focus_label
+        ]
     chunks = [chunk for chunk in _chunk(sorted(owned_candidates, key=str), threads) if chunk]
     if not chunks:
         return FragmentResult(fragment_id=fragment_id, answer=set(), counter=WorkCounter())

@@ -147,8 +147,12 @@ class ShardedService(RequestPipeline):
         Forwarded to :func:`repro.serve.shards.build_shards`.  ``d`` bounds
         the radius of every servable pattern.
     coordinator_factory:
-        ``shard -> PQMatch`` for custom per-shard backends; defaults to a
-        serial 2-worker coordinator per shard.
+        ``shard -> PQMatch`` for custom per-shard backends.  By default the
+        shard *is* the fragment: each shard service evaluates on its whole
+        shard graph in process (``PQMatch(num_workers=1, d=d)``), with no
+        d-hop partition nested inside the d-hop shard.  Return
+        ``PQMatch(num_workers=n, executor="process")`` to partition a shard
+        further and run its fragments concurrently.
     shared_cache:
         A :class:`SharedResultCache`, or a path (str) to open one — opened
         handles are owned (closed by :meth:`close`), passed handles are
@@ -204,7 +208,7 @@ class ShardedService(RequestPipeline):
             if coordinator_factory is not None:
                 coordinator = coordinator_factory(shard)
             else:
-                coordinator = PQMatch(num_workers=2, d=d, engine=QMatch())
+                coordinator = PQMatch(num_workers=1, d=d, engine=QMatch())
             self.services.append(
                 QueryService(
                     shard.graph,

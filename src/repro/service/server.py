@@ -15,9 +15,13 @@ router; this module supplies the single-graph side of its seam:
 2. **compute** ships the deduplicated misses of a batch as a single executor
    round: one :class:`~repro.parallel.worker.FragmentTask` per (unique
    pattern × fragment), all submitted to the coordinator's persistent
-   executor at once instead of one dispatch round per query.  On the process
-   backend the fragments themselves were already shipped at pool creation,
-   so a serving round moves only patterns and answers;
+   executor at once instead of one dispatch round per query.  By default
+   there is one fragment — the served graph itself, evaluated in process
+   (``PQMatch(num_workers=1)``, the identity partition); hand the service a
+   ``PQMatch(num_workers=n, executor="process")`` to partition with DPar and
+   run fragments concurrently.  On the process backend the fragments
+   themselves were already shipped at pool creation, so a serving round
+   moves only patterns and answers;
 3. there is no L2, and the **queue** under :meth:`QueryService.submit` is an
    unbounded list-and-event hand-off (measured cheaper per hit than the
    fleet's :class:`~repro.serve.admission.AdmissionQueue`).
@@ -203,11 +207,15 @@ class QueryService(RequestPipeline):
         The live :class:`~repro.graph.PropertyGraph` being served.  The
         service reads its mutation counter on every batch, so structural
         updates between batches are picked up automatically (stale cache
-        entries become unreachable, the coordinator re-partitions and — on
-        the process backend — re-ships fragments).
+        entries become unreachable; a partitioning coordinator re-partitions
+        and — on the process backend — re-ships fragments).
     coordinator:
         The :class:`~repro.parallel.coordinator.PQMatch` that evaluates cache
-        misses; defaults to a fresh serial-executor coordinator.  The service
+        misses.  Defaults to ``PQMatch(num_workers=1, d=2)``: one fragment
+        that *is* the served graph, evaluated in process — a miss costs what
+        :class:`QMatch` costs, with no partition to build, replicate or
+        maintain.  Pass ``PQMatch(num_workers=n, executor="process")`` to
+        partition with DPar and run the fragments concurrently.  The service
         owns it: :meth:`close` closes it.
     cache_capacity:
         Bound on the number of cached answers (LRU beyond it).
@@ -265,12 +273,11 @@ class QueryService(RequestPipeline):
         )
         self.graph = graph
         self.coordinator = coordinator if coordinator is not None else PQMatch(
-            num_workers=4, d=2, engine=QMatch()
+            num_workers=1, d=2, engine=QMatch()
         )
         self._options_key = _engine_options_key(self.coordinator.engine)
-        # Plans are only wired through for the standard QMatch engine: an
-        # opaque engine would reject the plan keyword inside match_fragment's
-        # TypeError fallback and silently lose its focus restriction with it.
+        # Plans are only wired through for the standard QMatch engine — the
+        # only one whose evaluate() takes a plan.
         self._plans_enabled = bool(use_plans) and self._options_key[0] == "qmatch"
         self._subscriptions: List[Subscription] = []
         # submit() machinery: (request, enqueue perf timestamp) pairs drained
@@ -392,10 +399,11 @@ class QueryService(RequestPipeline):
         1. the graph mutates once (one version bump) via
            :func:`repro.delta.apply_delta`;
         2. the compiled full-graph index is **refreshed**, not rebuilt;
-        3. the coordinator maintains its partition in place and the process
-           executor re-keys shipped fragments to delta chains
+        3. a partitioning coordinator maintains its partition in place and
+           the process executor re-keys shipped fragments to delta chains
            (:meth:`PQMatch.apply_delta`) — no re-partition, no re-ship,
-           zero worker rebuilds;
+           zero worker rebuilds; the default one-fragment coordinator has
+           nothing to maintain (its fragment is the graph of step 1);
         4. cached answers migrate *selectively*: an entry whose pattern's
            affected area contains **no node carrying its focus label** cannot
            have changed (any focus candidate whose answer flipped is inside
@@ -679,11 +687,14 @@ class QueryService(RequestPipeline):
 
         One nested dict answering the runtime questions in one read: lifetime
         service counters, cache occupancy/capacity/hit-rate, the live pool's
-        backend and payload epoch, active standing-query count, per-fingerprint
-        traffic with p50/p99 latency, and the slow-query log.
+        backend and payload epoch, the number of fragments a miss runs on (1
+        on the default identity partition, 0 before the first miss), active
+        standing-query count, per-fingerprint traffic with p50/p99 latency,
+        and the slow-query log.
         """
         executor = self.coordinator.current_executor
         epoch = getattr(executor, "pool_epoch", None)
+        partition = self.coordinator.current_partition
         cache_stats = self.cache.stats.as_dict()
         cache_stats["entries"] = len(self.cache)
         cache_stats["capacity"] = self.cache.capacity
@@ -693,6 +704,7 @@ class QueryService(RequestPipeline):
             "plans": self.plans.describe(),
             "pool": {
                 "backend": getattr(executor, "name", None),
+                "fragments": partition.num_fragments if partition is not None else 0,
                 "epoch_fragments": len(epoch) if epoch else 0,
                 "worker_rebuilds": self.worker_rebuilds,
                 "deltas_shipped": getattr(executor, "deltas_shipped", 0),

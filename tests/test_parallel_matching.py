@@ -33,6 +33,38 @@ class TestWorker:
         result = match_fragment(pattern_q2, paper_g1, owned_nodes=set())
         assert result.answer == set()
 
+    def test_match_fragment_without_ownership_is_unrestricted(self, paper_g1, pattern_q2):
+        result = match_fragment(pattern_q2, paper_g1, owned_nodes=None)
+        assert result.answer == {"x1", "x2"}
+        chunked = mqmatch_fragment(pattern_q2, paper_g1, owned_nodes=None, threads=3)
+        assert chunked.answer == {"x1", "x2"}
+
+    def test_engine_type_errors_surface_and_evaluate_once(self, paper_g1, pattern_q2):
+        class Broken:
+            calls = 0
+
+            def evaluate(self, pattern, graph, focus_restriction=None):
+                Broken.calls += 1
+                return len(None)  # a genuine defect, not a capability answer
+
+        with pytest.raises(TypeError):
+            match_fragment(pattern_q2, paper_g1, owned_nodes={"x1"}, engine=Broken())
+        assert Broken.calls == 1
+
+    def test_restrictionless_engine_is_filtered_to_owned_nodes(self, paper_g1, pattern_q2):
+        class WholeGraphOnly:
+            calls = 0
+
+            def evaluate(self, pattern, graph):
+                WholeGraphOnly.calls += 1
+                return QMatch().evaluate(pattern, graph)
+
+        result = match_fragment(
+            pattern_q2, paper_g1, owned_nodes={"x1", "x3"}, engine=WholeGraphOnly()
+        )
+        assert result.answer == {"x1"}
+        assert WholeGraphOnly.calls == 1
+
     def test_mqmatch_chunks_cover_all_answers(self, paper_g1, pattern_q2):
         whole = match_fragment(pattern_q2, paper_g1, owned_nodes=set(paper_g1.nodes()))
         chunked = mqmatch_fragment(

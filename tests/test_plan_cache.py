@@ -282,21 +282,34 @@ class TestWorkerPlanCache:
                 pattern.name: QMatch().evaluate_answer(pattern, graph)
                 for pattern in patterns
             }
-            first = service.evaluate_many(patterns)
-            service.cache.clear()
-            second = service.evaluate_many(patterns)
-            for result, pattern in zip(first, patterns):
+            rounds = []
+            for _ in range(3):
+                service.cache.clear()
+                rounds.append(service.evaluate_many(patterns))
+            for result, pattern in zip(rounds[0], patterns):
                 assert set(result.answer) == baseline[pattern.name]
-            assert [r.answer for r in first] == [r.answer for r in second]
+            for later in rounds[1:]:
+                assert [r.answer for r in later] == [r.answer for r in rounds[0]]
 
             executor = coordinator.executor
+            workers, uniques = coordinator.num_workers, len(patterns)
+            fragments = service.introspect()["pool"]["fragments"]
+            tasks = len(rounds) * uniques * fragments
             assert service.worker_rebuilds == 0
-            # Round one: every (worker, fingerprint) pair misses and compiles;
-            # round two is all hits. Compiles are bounded by workers×uniques.
-            assert executor.last_worker_plan_hits > 0
-            assert 0 < executor.last_worker_plan_compiles <= 2 * len(patterns)
+            # A worker plan-cache hit needs the same (worker process, fragment
+            # graph, fingerprint) as an earlier task, and which worker takes a
+            # task is the OS's choice — so no particular round is "all hits".
+            # What holds under every schedule: each task is a hit or a new
+            # key, and there are only workers × fragments × uniques keys.
+            assert fragments == 2
+            assert (
+                executor.last_worker_plan_hits + executor.last_worker_plan_misses
+                == tasks
+            )
+            assert executor.last_worker_plan_hits >= tasks - workers * fragments * uniques
             # A worker that serves several fragments misses once per fragment
             # graph but compiles each program only once (program reuse).
+            assert 0 < executor.last_worker_plan_compiles <= workers * uniques
             assert executor.last_worker_plan_misses >= executor.last_worker_plan_compiles
 
             pool_intro = service.introspect()["pool"]
