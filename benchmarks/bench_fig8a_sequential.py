@@ -7,14 +7,9 @@ larger synthetic graph.  This benchmark reproduces the same comparison on the
 scaled-down datasets: the workload per dataset mixes the paper's example
 patterns with generated queries of the same size signature.
 
-Three extra rows quantify the compiled graph index (``repro.index``):
-``QMatch-noidx`` runs the identical algorithm through the dict-backed
-fallback (``use_index=False``), ``QMatch-enum-noidx`` keeps the indexed
-filtering but falls back to dict-backed backtracking (isolating the
-enumeration-phase speedup of the CSR dynamic pools), and ``index-build``
-reports the one-off snapshot compilation as its own phase, so the table
-directly shows the sequential speedup the index buys and what it costs to
-build.
+An extra ``index-build`` row reports the one-off compilation of the graph
+snapshot (``repro.index``) as its own phase, so the engine rows measure pure
+query time and the table shows what the index costs to build.
 """
 
 from __future__ import annotations
@@ -23,25 +18,10 @@ import pytest
 
 from repro.bench import EngineSpec, run_engines, summarize_records
 from repro.datasets import paper_pattern, workload_patterns
-from repro.matching import DMatchOptions, EnumMatcher, QMatch
+from repro.matching import EnumMatcher, QMatch
 
 ENGINES = [
     EngineSpec("QMatch", lambda: QMatch()),
-    EngineSpec(
-        "QMatch-noidx",
-        lambda: QMatch(options=DMatchOptions(use_index=False), name="QMatch-noidx"),
-    ),
-    # Ablation: indexed candidate filtering but dict-backed backtracking, so
-    # the table isolates what the CSR-row dynamic pools buy the enumeration
-    # phase alone (QMatch vs QMatch-enum-noidx) from what the filtering
-    # phases buy (QMatch-enum-noidx vs QMatch-noidx).
-    EngineSpec(
-        "QMatch-enum-noidx",
-        lambda: QMatch(
-            options=DMatchOptions(use_index=True, use_index_enumeration=False),
-            name="QMatch-enum-noidx",
-        ),
-    ),
     EngineSpec("QMatchN", lambda: QMatch(use_incremental=False)),
     EngineSpec("Enum", lambda: EnumMatcher()),
 ]

@@ -9,12 +9,6 @@ work itself runs sequentially here, the per-n series reports the partition
 time, the fragment skew and the replication factor, plus the *incremental*
 extension time from d = 2 to d = 3 (the paper's remark that the partition is
 extended, not rebuilt, when a larger-radius query arrives).
-
-Each worker count also carries a ``DPar-build-noidx`` row: the identical
-build through the dict-backed BFS (``use_index=False``).  Because the two
-paths produce the *same* partition (asserted below), the pair of rows
-measures exactly what the merged undirected CSR of ``repro.index`` buys the
-d-hop expansion — the partitioner's hot loop.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ def _sweep(graph):
     rows = []
     # One-off snapshot + merged-CSR compilation, reported as its own phase
     # (mirrors the ``index-build`` row of fig8a) so the per-n build rows
-    # measure pure partition time on both variants.
+    # measure pure partition time.
     from repro.index import GraphIndex
     from repro.utils.timing import Timer
 
@@ -39,22 +33,20 @@ def _sweep(graph):
         snapshot.neighborhoods()
     rows.append(["index-build", 0, 0, round(build_timer.elapsed, 3), 1.0, 1.0, True])
     for workers in WORKER_COUNTS:
-        partitioner = DPar(d=2, seed=0, use_index=True)
+        partitioner = DPar(d=2, seed=0)
         partition = partitioner.partition(graph, workers)
-        noidx = DPar(d=2, seed=0, use_index=False).partition(graph, workers)
         extended = partitioner.extend(partition, 3)
-        for variant, built in (("DPar-build", partition), ("DPar-build-noidx", noidx)):
-            rows.append(
-                [
-                    variant,
-                    workers,
-                    2,
-                    round(built.elapsed, 3),
-                    round(built.skew(), 3),
-                    round(built.replication_factor(), 2),
-                    built.is_covering() and built.is_complete(),
-                ]
-            )
+        rows.append(
+            [
+                "DPar-build",
+                workers,
+                2,
+                round(partition.elapsed, 3),
+                round(partition.skew(), 3),
+                round(partition.replication_factor(), 2),
+                partition.is_covering() and partition.is_complete(),
+            ]
+        )
         rows.append(
             [
                 "DPar-extend",
@@ -66,13 +58,6 @@ def _sweep(graph):
                 extended.is_covering() and extended.is_complete(),
             ]
         )
-        # The compiled BFS must be a pure accelerator: same fragments either way.
-        assert [f.owned_nodes for f in partition.fragments] == [
-            f.owned_nodes for f in noidx.fragments
-        ]
-        assert [f.node_set for f in partition.fragments] == [
-            f.node_set for f in noidx.fragments
-        ]
     return rows
 
 

@@ -12,8 +12,8 @@ The package layers cleanly:
 * :mod:`repro.patterns` — quantified graph patterns (QGPs), a builder and a
   textual DSL, the workload generator, and the complexity reductions;
 * :mod:`repro.index`    — compiled graph snapshots (interned ids, per-label
-  CSR adjacency, degree arrays, neighbourhood signatures) powering the
-  ``use_index=True`` fast paths of the matching and parallel layers;
+  CSR adjacency, degree arrays, neighbourhood signatures) that the matching
+  and parallel layers run on;
 * :mod:`repro.matching` — the Enum baseline, QMatch/DMatch and the incremental
   IncQMatch for negated edges;
 * :mod:`repro.parallel` — the d-hop preserving partitioner DPar and the

@@ -69,8 +69,7 @@ def run_engines(
     undirected neighbourhood CSR the partitioner BFS runs on — is built
     **before** the engine loop and its build time is reported as a separate
     phase — a synthetic ``index-build`` record — instead of being silently
-    folded into the first indexed engine's first query.  Engines running with
-    ``use_index=False`` are unaffected; indexed engines then measure pure
+    folded into the first engine's first query.  Engines then measure pure
     query time, which is the comparison the figures need.
 
     With *warmup* (the default) every engine evaluates the first pattern once

@@ -116,7 +116,8 @@ def yago_like_graph(config: YagoConfig = YagoConfig()) -> PropertyGraph:
         if graph.has_edge(professor, uk, "in"):
             graph.remove_edge(professor, uk, "in")
         graph.add_edge(professor, usa, "in")
-        for protege in list(graph.successors(professor, "advised"))[:2]:
+        # Sorted, not set order: the cohort must not depend on PYTHONHASHSEED.
+        for protege in sorted(graph.successors(professor, "advised"))[:2]:
             graph.add_edge(protege, "prof", "is_a")
             if graph.has_edge(protege, "PhD", "is_a"):
                 graph.remove_edge(protege, "PhD", "is_a")

@@ -14,19 +14,14 @@ edge, until nothing changes.  ``dual=True`` additionally requires support for
 *incoming* pattern edges (dual simulation), which prunes more aggressively and
 is what the candidate filter uses by default.
 
-Two interchangeable execution paths compute the fixpoint:
-
-* the **dict path** probes :class:`PropertyGraph` adjacency directly (the
-  original implementation, kept as the ``use_index=False`` fallback);
-* the **index path** (default) compiles the graph to a
-  :class:`repro.index.GraphIndex` snapshot and runs the same worklist over
-  interned CSR rows, seeding the candidate pools from the compiled label
-  index intersected with the O(1) neighbourhood-signature pre-filter.
-
-Because the maximal (dual) simulation relation contained in a given seed is
-*unique*, and the signature filter only removes nodes the first refinement
-round would remove anyway, both paths return exactly the same relations —
-a property the equivalence tests assert on every example and generated graph.
+The fixpoint runs over a compiled :class:`repro.index.GraphIndex` snapshot:
+candidate pools are seeded from the compiled label index intersected with
+the O(1) neighbourhood-signature pre-filter, and support checks walk the
+interned CSR rows.  The maximal (dual) simulation relation contained in a
+given seed is *unique*, and the signature filter only removes nodes the first
+refinement round would remove anyway, so the result is exactly the relation
+the textbook worklist over plain adjacency computes — a property the oracle
+tests assert against such a reference on every example and generated graph.
 """
 
 from __future__ import annotations
@@ -44,80 +39,19 @@ __all__ = ["simulation_relation", "dual_simulation_relation", "refine_candidates
 NodeId = Hashable
 
 
-def _label_candidates(pattern_graph: PropertyGraph, graph: PropertyGraph) -> Dict[NodeId, Set[NodeId]]:
-    return {
-        u: graph.nodes_with_label(pattern_graph.node_label(u))
-        for u in pattern_graph.nodes()
-    }
-
-
 def _refine(
-    pattern_graph: PropertyGraph,
-    graph: PropertyGraph,
-    candidates: Dict[NodeId, Set[NodeId]],
-    dual: bool,
-) -> Dict[NodeId, Set[NodeId]]:
-    """Iteratively remove unsupported candidates until a fixpoint is reached."""
-    pattern_nodes = list(pattern_graph.nodes())
-    worklist = deque(pattern_nodes)
-    in_worklist = set(pattern_nodes)
-
-    def schedule(u: NodeId) -> None:
-        if u not in in_worklist:
-            worklist.append(u)
-            in_worklist.add(u)
-
-    while worklist:
-        u = worklist.popleft()
-        in_worklist.discard(u)
-        survivors: Set[NodeId] = set()
-        out_requirements = [
-            (label, u_child)
-            for label in pattern_graph.out_edge_labels(u)
-            for u_child in pattern_graph.successors(u, label)
-        ]
-        in_requirements = []
-        if dual:
-            in_requirements = [
-                (label, u_parent)
-                for u_parent in pattern_graph.predecessors(u)
-                for label in pattern_graph.edge_labels(u_parent, u)
-            ]
-        for v in candidates[u]:
-            ok = True
-            for label, u_child in out_requirements:
-                children = graph.successors(v, label)
-                if not children or children.isdisjoint(candidates[u_child]):
-                    ok = False
-                    break
-            if ok and dual:
-                for label, u_parent in in_requirements:
-                    parents = graph.predecessors(v, label)
-                    if not parents or parents.isdisjoint(candidates[u_parent]):
-                        ok = False
-                        break
-            if ok:
-                survivors.add(v)
-        if survivors != candidates[u]:
-            candidates[u] = survivors
-            # Removing candidates of u can invalidate candidates of its
-            # pattern neighbours, so re-schedule them.
-            for neighbor in pattern_graph.predecessors(u) | pattern_graph.successors(u):
-                schedule(neighbor)
-    return candidates
-
-
-def _refine_indexed(
     pattern_graph: PropertyGraph,
     graph_index,
     candidates: Dict[NodeId, Set[int]],
     dual: bool,
 ) -> Dict[NodeId, Set[int]]:
-    """The worklist fixpoint of :func:`_refine`, over interned CSR rows.
+    """Iteratively remove unsupported candidates until a fixpoint is reached.
 
     *candidates* maps pattern nodes to sets of **dense node ids**; support
-    checks walk contiguous ``array('i')`` neighbour rows instead of building
-    per-probe set copies, which is where the compiled path wins its time.
+    checks walk contiguous ``array('i')`` neighbour rows of the compiled
+    *graph_index* instead of building per-probe set copies.  Removing
+    candidates of ``u`` can invalidate candidates of its pattern neighbours,
+    so those are re-scheduled.
     """
     pattern_nodes = list(pattern_graph.nodes())
     worklist = deque(pattern_nodes)
@@ -185,47 +119,38 @@ def _refine_indexed(
     return candidates
 
 
-def _indexed_relation(
+def _relation(
     pattern_graph: PropertyGraph, graph: PropertyGraph, dual: bool
 ) -> Dict[NodeId, Set[NodeId]]:
     from repro.index.snapshot import GraphIndex
 
     graph_index = GraphIndex.for_graph(graph)
     candidates = graph_index.label_candidates_ids(pattern_graph, dual=dual)
-    refined = _refine_indexed(pattern_graph, graph_index, candidates, dual=dual)
+    refined = _refine(pattern_graph, graph_index, candidates, dual=dual)
     return {u: graph_index.to_nodes(ids) for u, ids in refined.items()}
 
 
 def simulation_relation(
-    pattern_graph: PropertyGraph, graph: PropertyGraph, use_index: bool = True
+    pattern_graph: PropertyGraph, graph: PropertyGraph
 ) -> Dict[NodeId, Set[NodeId]]:
     """The maximal (forward) simulation relation, per pattern node.
 
     Returns a mapping ``pattern node -> set of graph nodes that simulate it``.
     Any pattern node mapped to an empty set cannot be matched by isomorphism
-    either, so the whole pattern has no match in *graph*.  ``use_index=False``
-    selects the dict-backed fallback path (identical result).
+    either, so the whole pattern has no match in *graph*.
     """
-    if use_index:
-        return _indexed_relation(pattern_graph, graph, dual=False)
-    candidates = _label_candidates(pattern_graph, graph)
-    return _refine(pattern_graph, graph, candidates, dual=False)
+    return _relation(pattern_graph, graph, dual=False)
 
 
 def dual_simulation_relation(
-    pattern_graph: PropertyGraph, graph: PropertyGraph, use_index: bool = True
+    pattern_graph: PropertyGraph, graph: PropertyGraph
 ) -> Dict[NodeId, Set[NodeId]]:
     """The maximal dual simulation relation (children and parents must be supported).
 
     Dual simulation is strictly stronger than forward simulation and still
     polynomial, so it is the default candidate pre-filter in QMatch.
-    ``use_index=False`` selects the dict-backed fallback path (identical
-    result).
     """
-    if use_index:
-        return _indexed_relation(pattern_graph, graph, dual=True)
-    candidates = _label_candidates(pattern_graph, graph)
-    return _refine(pattern_graph, graph, candidates, dual=True)
+    return _relation(pattern_graph, graph, dual=True)
 
 
 def refine_candidates(
@@ -233,7 +158,6 @@ def refine_candidates(
     graph: PropertyGraph,
     candidates: Dict[NodeId, Set[NodeId]],
     dual: bool = True,
-    use_index: bool = True,
 ) -> Dict[NodeId, Set[NodeId]]:
     """Run the (dual) simulation fixpoint starting from *candidates*.
 
@@ -243,60 +167,54 @@ def refine_candidates(
     always a subset of the input pools, and still a superset of every true
     isomorphic image (the filter is sound).
     """
-    if use_index:
-        from repro.index.snapshot import GraphIndex
-        from repro.utils.errors import NodeNotFoundError
+    from repro.index.snapshot import GraphIndex
+    from repro.utils.errors import NodeNotFoundError
 
-        # Unlike the label-derived seeds of ``_indexed_relation``, the pools
-        # here are caller-supplied and may contain nodes whose labels differ
-        # from the pattern's, so the signature pre-filter (which also checks
-        # neighbour *labels*) would prune candidates the dict fixpoint keeps.
-        # Only the CSR worklist runs here; support is membership in the
-        # supplied pools, exactly as in the dict path.
-        graph_index = GraphIndex.for_graph(graph)
-        node_id = graph_index.node_id
-        pattern_nodes = set(pattern_graph.nodes())
-        working_ids: Dict[NodeId, Set[int]] = {}
-        passthrough: Dict[NodeId, Set[NodeId]] = {}
-        unknown: Dict[NodeId, Set[NodeId]] = {}
-        for pattern_node, members in candidates.items():
-            if pattern_node not in pattern_nodes:
-                # Keys outside the pattern graph carry no requirements; the
-                # dict path's worklist never visits them, so they must come
-                # back verbatim (including members unknown to the graph).
-                passthrough[pattern_node] = set(members)
-                continue
-            constrained = bool(pattern_graph.successors(pattern_node)) or (
-                dual and bool(pattern_graph.predecessors(pattern_node))
-            )
-            ids: Set[int] = set()
-            ghosts: Set[NodeId] = set()
-            for member in members:
-                dense = node_id(member)
-                if dense >= 0:
-                    ids.add(dense)
-                elif constrained:
-                    # The dict path probes every candidate of a constrained
-                    # pattern node, so a member missing from the graph raises
-                    # there too.
-                    raise NodeNotFoundError(member)
-                else:
-                    # Requirement-free pools are never probed: unknown members
-                    # survive verbatim (and, having no graph edges, they can
-                    # never support a neighbour either way).
-                    ghosts.add(member)
-            working_ids[pattern_node] = ids
-            if ghosts:
-                unknown[pattern_node] = ghosts
-        for pattern_node in pattern_graph.nodes():
-            working_ids.setdefault(pattern_node, set())
-        refined = _refine_indexed(pattern_graph, graph_index, working_ids, dual=dual)
-        result = {u: graph_index.to_nodes(ids) for u, ids in refined.items()}
-        for pattern_node, ghosts in unknown.items():
-            result[pattern_node] |= ghosts
-        result.update(passthrough)
-        return result
-    working = {node: set(members) for node, members in candidates.items()}
-    for node in pattern_graph.nodes():
-        working.setdefault(node, set())
-    return _refine(pattern_graph, graph, working, dual=dual)
+    # Unlike the label-derived seeds of ``_relation``, the pools
+    # here are caller-supplied and may contain nodes whose labels differ
+    # from the pattern's, so the signature pre-filter (which also checks
+    # neighbour *labels*) would prune candidates the fixpoint keeps.  Only
+    # the CSR worklist runs here; support is membership in the supplied
+    # pools, not label agreement.
+    graph_index = GraphIndex.for_graph(graph)
+    node_id = graph_index.node_id
+    pattern_nodes = set(pattern_graph.nodes())
+    working_ids: Dict[NodeId, Set[int]] = {}
+    passthrough: Dict[NodeId, Set[NodeId]] = {}
+    unknown: Dict[NodeId, Set[NodeId]] = {}
+    for pattern_node, members in candidates.items():
+        if pattern_node not in pattern_nodes:
+            # Keys outside the pattern graph carry no requirements; the
+            # worklist never visits them, so they come back verbatim
+            # (including members unknown to the graph).
+            passthrough[pattern_node] = set(members)
+            continue
+        constrained = bool(pattern_graph.successors(pattern_node)) or (
+            dual and bool(pattern_graph.predecessors(pattern_node))
+        )
+        ids: Set[int] = set()
+        ghosts: Set[NodeId] = set()
+        for member in members:
+            dense = node_id(member)
+            if dense >= 0:
+                ids.add(dense)
+            elif constrained:
+                # Every candidate of a constrained pattern node is probed,
+                # so a member missing from the graph is an error.
+                raise NodeNotFoundError(member)
+            else:
+                # Requirement-free pools are never probed: unknown members
+                # survive verbatim (and, having no graph edges, they can
+                # never support a neighbour either way).
+                ghosts.add(member)
+        working_ids[pattern_node] = ids
+        if ghosts:
+            unknown[pattern_node] = ghosts
+    for pattern_node in pattern_graph.nodes():
+        working_ids.setdefault(pattern_node, set())
+    refined = _refine(pattern_graph, graph_index, working_ids, dual=dual)
+    result = {u: graph_index.to_nodes(ids) for u, ids in refined.items()}
+    for pattern_node, ghosts in unknown.items():
+        result[pattern_node] |= ghosts
+    result.update(passthrough)
+    return result

@@ -7,9 +7,10 @@ ids, per-edge-label CSR adjacency with degree arrays (rows sorted), per-node
 neighbourhood label signatures, a compiled label index, and a lazily merged
 undirected adjacency view (:mod:`repro.index.neighborhoods`) — that the
 candidate filter, the (dual) simulation fixpoint, the backtracking
-enumeration and the partitioner consume through ``use_index=True`` switches,
-each keeping a dict-backed fallback path that is asserted byte-identical by
-the test suite.
+enumeration and the partitioner all run on.  Only the ``Enum`` oracle
+(:mod:`repro.matching.enumerate`) and the partition validity checks keep to
+plain ``PropertyGraph`` adjacency, so they stay independent of what they
+check.
 
 Snapshots also have a versioned binary wire format
 (:mod:`repro.index.serialize`): ``to_bytes``/``from_bytes`` round-trip the

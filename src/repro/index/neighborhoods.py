@@ -40,7 +40,7 @@ class NeighborhoodCSR:
 
     ``indptr[v]`` / ``indptr[v + 1]`` delimit the slice of ``indices`` holding
     the distinct undirected neighbours of node ``v`` (all edge labels, both
-    directions, self-loops excluded exactly as the dict path excludes them —
+    directions, self-loops excluded exactly as ``nodes_within_hops`` does —
     the graph model has none).  Rows are sorted ascending.
     """
 

@@ -333,8 +333,8 @@ class GraphIndex:
         then a single C-level ``&`` against a shared immutable set — no
         adjacency copy per probe (the very cost this index exists to remove),
         and CPython iterates the smaller operand automatically, so hub rows
-        cost ``O(min(|row|, |candidates|))`` instead of the ``O(|row|)`` the
-        dict fallback pays to copy them.
+        cost ``O(min(|row|, |candidates|))`` instead of the ``O(|row|)`` an
+        adjacency-set copy pays.
 
         Built lazily per label on first use and memoised (the build is
         idempotent, so the snapshot stays safely shareable).  This is a

@@ -77,31 +77,15 @@ class CandidateIndex:
         return True
 
 
-def _upper_bound(
-    graph: PropertyGraph, source: NodeId, edge_label: str, target_label: str
-) -> int:
-    """A cheap upper bound on ``|Me(vx, v, Q)|``: children with the right labels."""
-    children = graph.successors(source, edge_label)
-    if not children:
-        return 0
-    return sum(1 for child in children if graph.node_label(child) == target_label)
-
-
-def apply_quantifier_bound_filter(
-    index: CandidateIndex,
-    edge,
-    graph: PropertyGraph,
-    graph_index=None,
-) -> None:
+def apply_quantifier_bound_filter(index: CandidateIndex, edge, graph_index) -> None:
     """Apply the ``U(v, e)`` upper-bound filter of one pattern edge to *index*.
 
     Records the bound for every candidate of ``edge.source``, keeps the ones
     whose quantifier may still hold, and counts the rest in ``index.pruned``.
     The same routine serves the full build (:func:`build_candidate_index`)
     and the incremental rebuild around positified edges
-    (:mod:`repro.matching.incremental`): with *graph_index* the bound walks
-    one CSR row and the total comes from the degree arrays, otherwise both
-    are dict scans — values (and therefore prune counts) are identical.
+    (:mod:`repro.matching.incremental`): the bound walks one CSR row of the
+    compiled *graph_index* and the total comes from its degree arrays.
     Negated edges are skipped (they constrain via subtraction, not counting).
     """
     quantifier = edge.quantifier
@@ -110,33 +94,23 @@ def apply_quantifier_bound_filter(
     edge_key = edge.key
     target_label = index.pattern.node_label(edge.target)
     survivors: Set[NodeId] = set()
-    if graph_index is not None:
-        edge_label_id = graph_index.edge_label_id(edge.label)
-        target_label_id = graph_index.node_label_id(target_label)
-        for candidate in index.candidates.get(edge.source, ()):
-            candidate_id = graph_index.node_id(candidate)
-            if edge_label_id < 0 or candidate_id < 0:
-                bound = 0
-                total = 0
-            else:
-                bound = graph_index.count_out_with_label(
-                    candidate_id, edge_label_id, target_label_id
-                )
-                total = graph_index.out_degree_ids(candidate_id, edge_label_id)
-            index.upper_bounds[(edge_key, candidate)] = bound
-            if quantifier.may_still_hold(bound, total):
-                survivors.add(candidate)
-            else:
-                index.pruned += 1
-    else:
-        for candidate in index.candidates.get(edge.source, ()):
-            bound = _upper_bound(graph, candidate, edge.label, target_label)
-            index.upper_bounds[(edge_key, candidate)] = bound
-            total = graph.out_degree(candidate, edge.label)
-            if quantifier.may_still_hold(bound, total):
-                survivors.add(candidate)
-            else:
-                index.pruned += 1
+    edge_label_id = graph_index.edge_label_id(edge.label)
+    target_label_id = graph_index.node_label_id(target_label)
+    for candidate in index.candidates.get(edge.source, ()):
+        candidate_id = graph_index.node_id(candidate)
+        if edge_label_id < 0 or candidate_id < 0:
+            bound = 0
+            total = 0
+        else:
+            bound = graph_index.count_out_with_label(
+                candidate_id, edge_label_id, target_label_id
+            )
+            total = graph_index.out_degree_ids(candidate_id, edge_label_id)
+        index.upper_bounds[(edge_key, candidate)] = bound
+        if quantifier.may_still_hold(bound, total):
+            survivors.add(candidate)
+        else:
+            index.pruned += 1
     index.candidates[edge.source] = survivors
 
 
@@ -145,7 +119,6 @@ def build_candidate_index(
     graph: PropertyGraph,
     use_simulation: bool = True,
     counter: Optional[WorkCounter] = None,
-    use_index: bool = True,
 ) -> CandidateIndex:
     """Build filtered candidate sets for a *positive* pattern.
 
@@ -156,40 +129,24 @@ def build_candidate_index(
     3. per-edge quantifier upper bounds ``U(v, e)``.
 
     Every filter is sound for isomorphism, so the filtered sets still contain
-    every true match; tests assert this against the reference engine.
-
-    ``use_index=True`` (the default) resolves the label candidates, the
-    simulation fixpoint and the degree probes of step 3 through a compiled
-    :class:`repro.index.GraphIndex` snapshot instead of per-node dict scans.
-    Both paths produce identical candidate sets, upper bounds and prune
-    counts; the dict fallback is kept precisely so tests can assert that.
+    every true match; tests assert this against the reference engine.  All
+    three resolve through the compiled :class:`repro.index.GraphIndex`
+    snapshot: label index, CSR simulation fixpoint, CSR-row bound walks and
+    degree arrays.
     """
-    index = CandidateIndex(pattern=pattern, graph=graph)
-    graph_index = None
-    if use_index:
-        from repro.index.snapshot import GraphIndex
+    from repro.index.snapshot import GraphIndex
 
-        graph_index = GraphIndex.for_graph(graph)
+    index = CandidateIndex(pattern=pattern, graph=graph)
+    graph_index = GraphIndex.for_graph(graph)
     if use_simulation:
-        index.candidates = dual_simulation_relation(
-            pattern.stratified().graph, graph, use_index=use_index
-        )
-    elif graph_index is not None:
+        index.candidates = dual_simulation_relation(pattern.stratified().graph, graph)
+    else:
         index.candidates = {
             u: graph_index.nodes_with_label(pattern.node_label(u))
             for u in pattern.nodes()
         }
-    else:
-        index.candidates = {
-            u: graph.nodes_with_label(pattern.node_label(u))
-            for u in pattern.nodes()
-        }
-
-    # Quantifier-aware upper-bound filter.  The compiled path computes
-    # U(v, e) by walking one CSR row and reads the total degree from the
-    # per-label degree arrays; values are identical to the dict path.
     for edge in pattern.edges():
-        apply_quantifier_bound_filter(index, edge, graph, graph_index)
+        apply_quantifier_bound_filter(index, edge, graph_index)
 
     if counter is not None:
         counter.candidates_pruned += index.pruned

@@ -34,7 +34,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from repro.graph.digraph import PropertyGraph
 from repro.graph.traversal import nodes_within_hops
 from repro.matching.candidates import CandidateIndex, build_candidate_index
-from repro.matching.generic import MatchContext, find_isomorphisms
+from repro.matching.generic import MatchContext
 from repro.matching.pruning import potential_ordering
 from repro.matching.result import MatchResult
 from repro.patterns.qgp import QuantifiedGraphPattern
@@ -66,47 +66,27 @@ class DMatchOptions:
                            connected to the focus candidate, so this is off by
                            default; it pays off on patterns whose candidate
                            sets are huge and poorly connected.
-    ``use_index``        — resolve candidate filtering, the dual-simulation
-                           fixpoint and the backtracking enumeration through
-                           the compiled :class:`repro.index.GraphIndex`
-                           snapshot (CSR adjacency, degree arrays,
-                           neighbourhood signatures).  Answers are identical
-                           with the dict-backed fallback (``False``); only
-                           the speed differs.
-    ``use_index_enumeration`` — override ``use_index`` for the enumeration
-                           phase only (the :class:`MatchContext` dynamic
-                           pools).  ``None`` (default) follows ``use_index``;
-                           setting it to ``False`` while ``use_index`` stays
-                           on is the ``QMatch-enum-noidx`` benchmark
-                           ablation: indexed filtering, dict-backed
-                           backtracking.
     ``vectorized``       — enumerate over dense interned ids with the
                            sorted-run merge kernels of
                            :mod:`repro.plan.vectorized`: candidate pools
                            become sorted ``array('i')`` runs intersected
                            against raw CSR rows, the locality ball becomes a
                            dense frontier BFS, and ids decode back only when
-                           a match is yielded.  Requires the indexed
-                           enumeration; answers and work counters are
-                           byte-identical to the frozenset path, which keeps
-                           serving whenever the dense state declines to
-                           build (e.g. under the potential ordering).
+                           a match is yielded.  Answers and work counters
+                           are byte-identical to the frozenset path, which
+                           keeps serving whenever the dense state declines
+                           to build (e.g. under the potential ordering).
+
+    Candidate filtering, the dual-simulation fixpoint and the backtracking
+    enumeration always run over the compiled :class:`repro.index.GraphIndex`
+    snapshot (CSR adjacency, degree arrays, neighbourhood signatures).
     """
 
     use_simulation: bool = True
     use_potential: bool = True
     early_exit: bool = True
     use_locality: bool = False
-    use_index: bool = True
-    use_index_enumeration: Optional[bool] = None
     vectorized: bool = False
-
-    @property
-    def index_enumeration(self) -> bool:
-        """The effective enumeration switch (``use_index`` unless overridden)."""
-        if self.use_index_enumeration is None:
-            return self.use_index
-        return self.use_index_enumeration
 
 
 @dataclass
@@ -240,7 +220,6 @@ def _verify_focus_candidate(
                 candidates=local_candidates,
                 candidate_order=ordering if isinstance(ordering, dict) else None,
                 anchored_nodes={focus},
-                use_index=options.index_enumeration,
                 plan=plan,
                 plan_binding=plan_binding,
             )
@@ -364,7 +343,6 @@ def dmatch(
                 graph,
                 use_simulation=options.use_simulation,
                 counter=counter,
-                use_index=options.use_index,
             )
         outcome.index = index
         outcome.node_matches = {u: set() for u in pattern.nodes()}
@@ -386,9 +364,7 @@ def dmatch(
             # One global potential ordering is computed per query; the
             # anchored search intersects it with the dynamically derived
             # candidate pools, so per-candidate re-ranking is unnecessary.
-            ordering = potential_ordering(
-                pattern, graph, index, use_index=options.use_index
-            )
+            ordering = potential_ordering(pattern, graph, index)
         # One shared search context per query: pattern adjacency, matching
         # order and candidate pools are computed once and reused for every
         # focus candidate (only the anchor binding changes).
@@ -399,7 +375,6 @@ def dmatch(
             candidates={u: index.candidate_set(u) for u in pattern.nodes()},
             candidate_order=ordering,
             anchored_nodes={pattern.focus},
-            use_index=options.index_enumeration,
             plan=plan,
             plan_binding=plan_binding,
             vectorized=options.vectorized,
@@ -437,16 +412,15 @@ def dmatch(
                 (source, check, degree_rows.get(label, _EMPTY_ROWS).get)
                 for source, label, check in plan.edge_specs(pattern_edges)
             )
-            if options.index_enumeration:
-                # The plan's str-rank map orders the focus sweep without
-                # stringifying every candidate; equal-str candidates share a
-                # rank so the stable sort preserves the key=str order exactly.
-                try:
-                    focus_order = sorted(
-                        focus_candidates, key=resolution.str_ranks.__getitem__
-                    )
-                except KeyError:
-                    focus_order = None
+            # The plan's str-rank map orders the focus sweep without
+            # stringifying every candidate; equal-str candidates share a rank
+            # so the stable sort preserves the key=str order exactly.
+            try:
+                focus_order = sorted(
+                    focus_candidates, key=resolution.str_ranks.__getitem__
+                )
+            except KeyError:
+                focus_order = None
         if focus_order is None:
             focus_order = sorted(focus_candidates, key=str)
         for focus_candidate in focus_order:

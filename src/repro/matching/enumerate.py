@@ -17,10 +17,15 @@ incremental handling of negated edges — which is exactly what makes it useful:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
-from repro.matching.generic import find_isomorphisms, label_candidates
+from repro.matching.generic import (
+    _build_adjacency,
+    _consistent,
+    _search_order,
+    label_candidates,
+)
 from repro.matching.result import MatchResult
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -32,6 +37,69 @@ from repro.utils.timing import Timer
 __all__ = ["EnumMatcher", "evaluate_positive_by_enumeration"]
 
 NodeId = Hashable
+Assignment = Dict[NodeId, NodeId]
+
+
+def _plain_isomorphisms(
+    pattern: QuantifiedGraphPattern,
+    graph: PropertyGraph,
+    candidates: Dict[NodeId, Set[NodeId]],
+    counter: WorkCounter,
+) -> Iterator[Assignment]:
+    """The paper's generic ``Match`` over :class:`PropertyGraph` adjacency.
+
+    The oracle's own backtracking search, kept free of the compiled
+    machinery it checks (no index snapshot, row store or plan): each pool is
+    the intersection of the matched neighbours' adjacency sets with the
+    static candidate set — the static set alone for a constraint-free node —
+    visited in ``str`` order under the shared ``SelectNext`` order, and every
+    probe re-checks the pattern edges with :func:`_consistent`.  Probes are
+    tallied into ``counter.extensions`` exactly where
+    :meth:`MatchContext.isomorphisms` tallies them, so the same pattern and
+    candidates give the same stream and the same count on both.
+    """
+    if pattern.num_nodes == 0:
+        raise MatchingError("cannot match an empty pattern")
+    adjacency = _build_adjacency(pattern)
+    order = _search_order(pattern, candidates, set(), adjacency=adjacency)
+    assignment: Assignment = {}
+    used: Set[NodeId] = set()
+
+    def ordered_candidates(pattern_node: NodeId) -> List[NodeId]:
+        pool: Optional[Set[NodeId]] = None
+        for neighbor, label, outgoing in adjacency[pattern_node]:
+            other = assignment.get(neighbor)
+            if other is None:
+                continue
+            if outgoing:
+                reachable = graph.predecessors(other, label)
+            else:
+                reachable = graph.successors(other, label)
+            pool = reachable if pool is None else (pool & reachable)
+            if not pool:
+                return []
+        if pool is None:
+            return sorted(candidates[pattern_node], key=str)
+        return sorted(pool & candidates[pattern_node], key=str)
+
+    def extend(position: int) -> Iterator[Assignment]:
+        if position == len(order):
+            yield dict(assignment)
+            return
+        pattern_node = order[position]
+        for graph_node in ordered_candidates(pattern_node):
+            if graph_node in used:
+                continue
+            counter.extensions += 1
+            if not _consistent(pattern, graph, adjacency, assignment, pattern_node, graph_node):
+                continue
+            assignment[pattern_node] = graph_node
+            used.add(graph_node)
+            yield from extend(position + 1)
+            del assignment[pattern_node]
+            used.discard(graph_node)
+
+    yield from extend(0)
 
 
 def evaluate_positive_by_enumeration(
@@ -65,15 +133,13 @@ def evaluate_positive_by_enumeration(
         candidates[focus].intersection_update(focus_restriction)
 
     # Step 1: enumerate every isomorphism of the stratified pattern, grouped
-    # by the binding of the query focus.  The oracle stays on the dict-backed
-    # enumeration (use_index=False) — and likewise plan-free — on purpose: it
-    # is the independent reference the compiled paths (the index rows of
-    # PR 1/2 and now the repro.plan straight-line plans) are tested against,
-    # so it must share none of their machinery.  The label_candidates pools
-    # it mutates below are defensively copied, never graph-owned views.
+    # by the binding of the query focus.  The oracle runs its own plain
+    # search on purpose: it is the independent reference the compiled
+    # engine (index rows, plans, dense runs) is tested against, so it must
+    # share none of that machinery.  The label_candidates pools it mutates
+    # above are defensively copied, never graph-owned views.
     by_focus: Dict[NodeId, list] = {}
-    for assignment in find_isomorphisms(pattern.stratified(), graph, candidates=candidates,
-                                        counter=counter, use_index=False):
+    for assignment in _plain_isomorphisms(pattern.stratified(), graph, candidates, counter):
         by_focus.setdefault(assignment[focus], []).append(assignment)
 
     edges = pattern.edges()

@@ -150,9 +150,15 @@ class MatchContext:
     candidate pools — and exposes :meth:`isomorphisms`, which performs one
     anchored enumeration without re-paying that setup cost.
 
-    Candidate sets are captured at construction time (the indexed path caches
-    dense-id mirrors of them on first use); callers must not mutate them
-    afterwards.
+    Candidate sets are captured at construction time (dense-id mirrors of
+    them are cached on first use); callers must not mutate them afterwards.
+
+    Dynamic candidate pools are derived by intersecting the compiled
+    per-label row stores of the :class:`repro.index.GraphIndex` snapshot
+    (:meth:`~repro.index.GraphIndex.compiled_rows`, immutable frozenset views
+    derived from the CSR rows) and ordered by ``str`` — the same assignments
+    in the same order, with the same work counts, as the plain adjacency
+    search of the ``Enum`` oracle (:mod:`repro.matching.enumerate`).
 
     Parameters
     ----------
@@ -160,21 +166,12 @@ class MatchContext:
         The pattern nodes that :meth:`isomorphisms` will receive bindings for
         (typically just the query focus).  They are placed first in the
         matching order.
-    use_index:
-        Derive dynamic candidate pools by intersecting the compiled per-label
-        row stores of the :class:`repro.index.GraphIndex` snapshot
-        (:meth:`~repro.index.GraphIndex.compiled_rows`, immutable frozenset
-        views derived from the CSR rows) instead of copying
-        ``graph.predecessors/successors`` sets per probe.  The two paths
-        enumerate byte-identically (same assignments, same order, same work
-        counts); only the speed differs.
     plan, plan_binding:
         An optional :class:`repro.plan.CompiledPlan` for this pattern's
         fingerprint plus the pattern-node → canonical-position binding.
-        When given (and ``use_index`` is on), snapshot resolution reuses the
-        plan's pre-resolved row stores and ``str``-order ranks instead of
-        re-deriving them — a pure setup/ordering-cost shortcut with the same
-        byte-identical enumeration contract as ``use_index`` itself.
+        When given, snapshot resolution reuses the plan's pre-resolved row
+        stores and ``str``-order ranks instead of re-deriving them — a pure
+        setup/ordering-cost shortcut that enumerates byte-identically.
     vectorized:
         Enumerate over dense interned ids: candidate pools become sorted
         ``array('i')`` runs intersected with the merge kernels of
@@ -185,7 +182,7 @@ class MatchContext:
         the dense state silently declines — leaving the frozenset path to
         serve — whenever identity cannot be proven (ghost or mislabeled
         candidates, non-injective ``str`` ranks, per-node candidate
-        orderings, multi-node anchors).  Requires ``use_index``.
+        orderings, multi-node anchors).
     """
 
     def __init__(
@@ -195,7 +192,6 @@ class MatchContext:
         candidates: Optional[Dict[NodeId, Set[NodeId]]] = None,
         candidate_order: Optional[Dict[NodeId, List[NodeId]]] = None,
         anchored_nodes: Optional[Set[NodeId]] = None,
-        use_index: bool = True,
         plan=None,
         plan_binding: Optional[Dict[NodeId, int]] = None,
         vectorized: bool = False,
@@ -212,7 +208,7 @@ class MatchContext:
         # position binding: pre-resolved row stores and str-order ranks for
         # this exact fingerprint.  Purely an interpretation-cost shortcut —
         # the enumeration below stays byte-identical with or without it.
-        self._plan = plan if use_index else None
+        self._plan = plan
         self._plan_binding = plan_binding if plan is not None else None
         # Rank maps let the hot loop order a (small) dynamic pool without
         # scanning the full preference list of a pattern node.
@@ -257,16 +253,14 @@ class MatchContext:
         self.order = _search_order(
             pattern, self.candidates, self.anchored_nodes, adjacency=self.adjacency
         )
-        self.use_index = use_index
-        self._vectorized = vectorized and use_index
+        self._vectorized = vectorized
         self._dense = None
         self._plan_resolution = None
         self._str_ranks: Optional[Dict[NodeId, int]] = None
         self._snapshot = None
         self._compiled_adjacency: Dict[NodeId, List[tuple]] = {}
         self._active_plan: Optional[tuple] = None
-        if use_index:
-            self._refresh_snapshot()
+        self._refresh_snapshot()
 
     def _refresh_snapshot(self) -> None:
         """(Re)compile the graph snapshot and the dense-id pattern adjacency.
@@ -420,20 +414,18 @@ class MatchContext:
         tallies (``order position -> probes``) — the observed-cardinality side
         of ``EXPLAIN ANALYZE``.  Profiling runs on the frozenset path (the
         dense kernels batch probes and cannot attribute them per depth), which
-        enumerates byte-identically, and swaps in a separate extension closure
-        so the unprofiled hot loop carries no extra conditional.
+        enumerates byte-identically, and wraps the extension test in a
+        tallying closure so the unprofiled hot loop carries no extra
+        conditional.
         """
         pattern, graph = self.pattern, self.graph
         adjacency, candidates = self.adjacency, self.candidates
-        candidate_order = self.candidate_order
-        snapshot = self._snapshot
-        if snapshot is not None and snapshot.version != graph._version:
+        if self._snapshot.version != graph._version:
             # The graph mutated since the context was built; recompile rather
             # than answer from outdated arrays (mirrors GraphIndex.for_graph).
             # ``_version`` is read directly: the ``version`` property would
             # cost a Python frame on every enumeration call.
             self._refresh_snapshot()
-            snapshot = self._snapshot
         anchor = dict(anchor or {})
         for pattern_node, graph_node in anchor.items():
             if pattern_node not in candidates:
@@ -487,15 +479,16 @@ class MatchContext:
             """Order a pool of original ids: rank first, ``str`` tie-break.
 
             The deterministic tie-break makes the emission order independent
-            of set iteration order, so the indexed and dict-backed paths
-            enumerate identically — which keeps work counts byte-identical
-            even under early exit and ``limit``.  A compiled plan supplies
-            the snapshot's precomputed ``str``-order rank map, replacing the
-            per-element stringification with an integer lookup; nodes with
-            equal ``str`` forms share a rank, so the stable sort leaves them
-            exactly where ``key=str`` would — same emission order, same work
-            counts.  Candidates unknown to the snapshot (legitimately
-            possible in static pools) fall back to string keys.
+            of set iteration order, so this search and the oracle's plain
+            search enumerate identically — which keeps work counts
+            byte-identical even under early exit and ``limit``.  A compiled
+            plan supplies the snapshot's precomputed ``str``-order rank map,
+            replacing the per-element stringification with an integer
+            lookup; nodes with equal ``str`` forms share a rank, so the
+            stable sort leaves them exactly where ``key=str`` would — same
+            emission order, same work counts.  Candidates unknown to the
+            snapshot (legitimately possible in static pools) fall back to
+            string keys.
             """
             rank = ranks.get(pattern_node)
             if str_ranks is not None:
@@ -524,155 +517,105 @@ class MatchContext:
                 static_ordered[pattern_node] = cached
             return cached
 
-        if snapshot is None:
+        # C-level bound methods: the pool loop below runs per extension
+        # probe, so even a Python-frame dict lookup per constraint counts.
+        plan, plan_single = (
+            self._active_plan
+            if order is self.order
+            else self._build_active_plan(order)
+        )
+        single_get = plan_single.get
+        graph_label_of = graph.node_label
+        pattern_labels = self._pattern_labels
 
-            def is_extendable(pattern_node: NodeId, graph_node: NodeId) -> bool:
-                return _consistent(
-                    pattern, graph, adjacency, assignment, pattern_node, graph_node
-                )
+        def is_extendable(pattern_node: NodeId, graph_node: NodeId) -> bool:
+            """Label check only: the plan-derived pools already enforce every
+            pattern edge to an assigned neighbour (the exact edges
+            ``_consistent`` would re-probe with ``has_edge``), and a
+            constraint-free pool has no assigned neighbours to check.  Ghost
+            candidates raise ``NodeNotFoundError`` here exactly as they do in
+            ``_consistent``."""
+            return graph_label_of(graph_node) == pattern_labels[pattern_node]
 
-            def ordered_candidates(pattern_node: NodeId) -> List[NodeId]:
-                """Dict fallback: intersect copied adjacency sets, then order.
+        def ordered_candidates(pattern_node: NodeId) -> List[NodeId]:
+            """Intersect compiled CSR rows, no copies.
 
-                Intersecting the adjacency lists of the matched neighbours
-                keeps the pool tiny even on large graphs; the static
-                candidate set is only scanned for constraint-free nodes.
-                """
-                pool: Optional[Set[NodeId]] = None
-                for neighbor, label, outgoing in adjacency[pattern_node]:
-                    other = assignment.get(neighbor)
-                    if other is None:
-                        continue
-                    if outgoing:
-                        reachable = graph.predecessors(other, label)
-                    else:
-                        reachable = graph.successors(other, label)
-                    pool = reachable if pool is None else (pool & reachable)
-                    if not pool:
-                        return []
-                if pool is None:
-                    return ordered_static(pattern_node)
-                return order_pool(pattern_node, pool & candidates[pattern_node])
-
-        else:
-            # C-level bound methods: the pool loop below runs per extension
-            # probe, so even a Python-frame dict lookup per constraint counts.
-            plan, plan_single = (
-                self._active_plan
-                if order is self.order
-                else self._build_active_plan(order)
-            )
-            single_get = plan_single.get
-            graph_label_of = graph.node_label
-            pattern_labels = self._pattern_labels
-
-            def is_extendable(pattern_node: NodeId, graph_node: NodeId) -> bool:
-                """Label check only: the plan-derived pools already enforce
-                every pattern edge to an assigned neighbour (the exact edges
-                ``_consistent`` would re-probe with ``has_edge``), and a
-                constraint-free pool has no assigned neighbours to check.
-                Ghost candidates raise ``NodeNotFoundError`` here exactly as
-                they do on the dict path's ``_consistent``."""
-                return graph_label_of(graph_node) == pattern_labels[pattern_node]
-
-            def ordered_candidates(pattern_node: NodeId) -> List[NodeId]:
-                """Indexed path: intersect compiled CSR rows, no copies.
-
-                The active-constraint plan already names the row stores to
-                probe, so the common single-constraint case is one dict
-                lookup plus one C-level ``&`` of the static candidate set
-                with a shared immutable row — CPython iterates the smaller
-                operand, so hub rows cost ``O(min)`` where the dict fallback
-                pays ``O(|row|)`` to copy them.  With several active
-                constraints, rows are intersected smallest-first.  The result
-                feeds the shared ordering rule, so the enumeration visits the
-                same candidates in the same order as the dict fallback.
-                """
-                entry = single_get(pattern_node)
-                if entry is not None:
-                    row = entry[1].get(assignment[entry[0]])
-                    if row is None:  # empty row: the pool is already empty
-                        return []
-                    pool = candidates[pattern_node] & row
-                    if not pool:
-                        return []
-                    return order_pool(pattern_node, pool)
-                actives = plan[pattern_node]
-                if actives is None:  # an active edge label is absent from the graph
+            The active-constraint plan already names the row stores to probe,
+            so the common single-constraint case is one dict lookup plus one
+            C-level ``&`` of the static candidate set with a shared immutable
+            row — CPython iterates the smaller operand, so hub rows cost
+            ``O(min)`` instead of ``O(|row|)`` for a copy.  With several
+            active constraints, rows are intersected smallest-first.  The
+            result feeds the shared ordering rule, so the enumeration visits
+            the same candidates in the same order as the oracle's plain
+            adjacency search.
+            """
+            entry = single_get(pattern_node)
+            if entry is not None:
+                row = entry[1].get(assignment[entry[0]])
+                if row is None:  # empty row: the pool is already empty
                     return []
-                if not actives:
-                    # Constraint-free node: serve the static candidate set
-                    # (it may legitimately contain nodes unknown to the
-                    # snapshot, which the dict path would also surface here).
-                    return ordered_static(pattern_node)
-                rows = []
-                for neighbor, row_sets in actives:
-                    row = row_sets.get(assignment[neighbor])
-                    if row is None:
-                        return []
-                    rows.append(row)
-                rows.sort(key=len)
-                pool = candidates[pattern_node] & rows[0]
-                for row in rows[1:]:
-                    if not pool:
-                        return []
-                    pool &= row
+                pool = candidates[pattern_node] & row
                 if not pool:
                     return []
                 return order_pool(pattern_node, pool)
+            actives = plan[pattern_node]
+            if actives is None:  # an active edge label is absent from the graph
+                return []
+            if not actives:
+                # Constraint-free node: serve the static candidate set (it may
+                # legitimately contain nodes unknown to the snapshot).
+                return ordered_static(pattern_node)
+            rows = []
+            for neighbor, row_sets in actives:
+                row = row_sets.get(assignment[neighbor])
+                if row is None:
+                    return []
+                rows.append(row)
+            rows.sort(key=len)
+            pool = candidates[pattern_node] & rows[0]
+            for row in rows[1:]:
+                if not pool:
+                    return []
+                pool &= row
+            if not pool:
+                return []
+            return order_pool(pattern_node, pool)
 
-        if probe_profile is None:
-
-            def extend(position: int) -> Iterator[Assignment]:
-                nonlocal yielded
-                if position == len(order):
-                    yielded += 1
-                    yield dict(assignment)
-                    return
-                pattern_node = order[position]
-                for graph_node in ordered_candidates(pattern_node):
-                    if graph_node in used:
-                        continue
-                    if counter is not None:
-                        counter.extensions += 1
-                    if not is_extendable(pattern_node, graph_node):
-                        continue
-                    assignment[pattern_node] = graph_node
-                    used.add(graph_node)
-                    yield from extend(position + 1)
-                    del assignment[pattern_node]
-                    used.discard(graph_node)
-                    if limit is not None and yielded >= limit:
-                        return
-
-        else:
-            # EXPLAIN ANALYZE variant: identical control flow plus a
-            # per-depth probe tally.  Duplicated rather than branched so the
-            # production closure above stays conditional-free per probe.
+        if probe_profile is not None:
+            # EXPLAIN ANALYZE: tally each probe at its order position.  The
+            # extension test runs exactly once per counted probe, so the
+            # tallies sum to ``counter.extensions``.
+            position_of = {node: position for position, node in enumerate(order)}
+            label_check = is_extendable
             profile_get = probe_profile.get
 
-            def extend(position: int) -> Iterator[Assignment]:
-                nonlocal yielded
-                if position == len(order):
-                    yielded += 1
-                    yield dict(assignment)
+            def is_extendable(pattern_node: NodeId, graph_node: NodeId) -> bool:
+                position = position_of[pattern_node]
+                probe_profile[position] = profile_get(position, 0) + 1
+                return label_check(pattern_node, graph_node)
+
+        def extend(position: int) -> Iterator[Assignment]:
+            nonlocal yielded
+            if position == len(order):
+                yielded += 1
+                yield dict(assignment)
+                return
+            pattern_node = order[position]
+            for graph_node in ordered_candidates(pattern_node):
+                if graph_node in used:
+                    continue
+                if counter is not None:
+                    counter.extensions += 1
+                if not is_extendable(pattern_node, graph_node):
+                    continue
+                assignment[pattern_node] = graph_node
+                used.add(graph_node)
+                yield from extend(position + 1)
+                del assignment[pattern_node]
+                used.discard(graph_node)
+                if limit is not None and yielded >= limit:
                     return
-                pattern_node = order[position]
-                for graph_node in ordered_candidates(pattern_node):
-                    if graph_node in used:
-                        continue
-                    probe_profile[position] = profile_get(position, 0) + 1
-                    if counter is not None:
-                        counter.extensions += 1
-                    if not is_extendable(pattern_node, graph_node):
-                        continue
-                    assignment[pattern_node] = graph_node
-                    used.add(graph_node)
-                    yield from extend(position + 1)
-                    del assignment[pattern_node]
-                    used.discard(graph_node)
-                    if limit is not None and yielded >= limit:
-                        return
 
         yield from extend(len(anchor))
 
@@ -685,7 +628,6 @@ def find_isomorphisms(
     counter: Optional[WorkCounter] = None,
     limit: Optional[int] = None,
     candidate_order: Optional[Dict[NodeId, List[NodeId]]] = None,
-    use_index: bool = True,
     vectorized: bool = False,
 ) -> Iterator[Assignment]:
     """Enumerate isomorphisms of the (stratified) *pattern* in *graph*.
@@ -710,10 +652,6 @@ def find_isomorphisms(
     candidate_order:
         Optional per-pattern-node candidate orderings (e.g. the potential
         ordering of DMatch); nodes missing from a list are appended after it.
-    use_index:
-        Compute dynamic candidate pools from the compiled row stores of the
-        graph snapshot (see :class:`MatchContext`); the dict fallback
-        enumerates identically.
     vectorized:
         Enumerate over dense interned ids with the sorted-run merge kernels
         (see :class:`MatchContext`); falls back to the frozenset path —
@@ -725,7 +663,6 @@ def find_isomorphisms(
         candidates=candidates,
         candidate_order=candidate_order,
         anchored_nodes=set(anchor or ()),
-        use_index=use_index,
         vectorized=vectorized,
     )
     yield from context.isomorphisms(anchor=anchor, counter=counter, limit=limit)

@@ -16,11 +16,11 @@ a change in the graph):
   candidate sets instead of the whole graph;
 * pattern nodes introduced by the positified edge get fresh label candidates,
   restricted to the neighbourhood of the cached matches;
-* with ``options.use_index`` (the default) both the seeded refinement and the
-  re-verification enumeration run over the compiled
-  :class:`repro.index.GraphIndex` snapshot — the :class:`MatchContext` built
-  inside :func:`repro.matching.dmatch.dmatch` intersects the compiled
-  per-label row stores instead of copying adjacency sets per probe.
+* both the seeded refinement and the re-verification enumeration run over the
+  compiled :class:`repro.index.GraphIndex` snapshot — the
+  :class:`MatchContext` built inside :func:`repro.matching.dmatch.dmatch`
+  intersects the compiled per-label row stores instead of copying adjacency
+  sets per probe.
 
 The *affected area* ``AFF`` of the paper is tracked explicitly, and the number
 of verifications performed is guaranteed (and asserted in tests) to be at most
@@ -48,27 +48,24 @@ def _incremental_candidate_index(
     positified: QuantifiedGraphPattern,
     graph: PropertyGraph,
     cached: DMatchOutcome,
-    use_index: bool = True,
 ) -> Tuple[CandidateIndex, Set[NodeId], int]:
     """Candidate index for ``Π(Q⁺ᵉ)`` seeded from the cached ``Π(Q)`` run.
 
     Returns ``(index, new_pattern_nodes, reused)`` where *reused* counts how
     many candidate entries were taken from the cache rather than recomputed.
 
-    With *use_index* the seeded refinement and the upper-bound probes run
-    over the compiled :class:`repro.index.GraphIndex` snapshot.
-    ``GraphIndex.for_graph`` consults the graph's mutation counter, so a
-    snapshot left over from the ``Π(Q)`` evaluation is reused when the graph
-    is unchanged and rebuilt (never silently trusted) when it is stale.
+    The seeded refinement and the upper-bound probes run over the compiled
+    :class:`repro.index.GraphIndex` snapshot.  ``GraphIndex.for_graph``
+    consults the graph's mutation counter, so a snapshot left over from the
+    ``Π(Q)`` evaluation is reused when the graph is unchanged and rebuilt
+    (never silently trusted) when it is stale.
     """
+    from repro.index.snapshot import GraphIndex
+
     assert cached.index is not None
     cached_candidates = cached.index.candidates
     index = CandidateIndex(pattern=positified, graph=graph)
-    graph_index = None
-    if use_index:
-        from repro.index.snapshot import GraphIndex
-
-        graph_index = GraphIndex.for_graph(graph)
+    graph_index = GraphIndex.for_graph(graph)
     new_nodes: Set[NodeId] = set()
     reused = 0
     for pattern_node in positified.nodes():
@@ -79,11 +76,8 @@ def _incremental_candidate_index(
             reused += len(cached_candidates[pattern_node])
         else:
             new_nodes.add(pattern_node)
-            label = positified.node_label(pattern_node)
-            index.candidates[pattern_node] = (
-                graph_index.nodes_with_label(label)
-                if graph_index is not None
-                else graph.nodes_with_label(label)
+            index.candidates[pattern_node] = graph_index.nodes_with_label(
+                positified.node_label(pattern_node)
             )
 
     # Refine the seeded pools against the structure of the positified pattern
@@ -91,8 +85,7 @@ def _incremental_candidate_index(
     # whole graph).  This is the incremental analogue of the FilterCandidate
     # step and is what keeps the number of re-verified candidates small.
     index.candidates = refine_candidates(
-        positified.stratified().graph, graph, index.candidates, dual=True,
-        use_index=use_index,
+        positified.stratified().graph, graph, index.candidates, dual=True
     )
 
     # Re-apply the quantifier upper-bound filter only around the new edges
@@ -102,7 +95,7 @@ def _incremental_candidate_index(
         if edge.source not in new_nodes and edge.target not in new_nodes:
             if edge.key in old_keys:
                 continue
-        apply_quantifier_bound_filter(index, edge, graph, graph_index)
+        apply_quantifier_bound_filter(index, edge, graph_index)
     return index, new_nodes, reused
 
 
@@ -142,9 +135,7 @@ def inc_qmatch(
         # Π(Q) had no match, so neither does the more constrained Π(Q⁺ᵉ).
         return set(), stats
 
-    index, new_nodes, reused = _incremental_candidate_index(
-        positified_pi, graph, cached, use_index=options.use_index
-    )
+    index, new_nodes, reused = _incremental_candidate_index(positified_pi, graph, cached)
     stats.reused_candidates = reused
 
     # The affected area: cached matches of the focus (they must be

@@ -63,20 +63,23 @@ def candidate_potential(
     return (1.0 + parent_bonus) * headroom
 
 
-def _potential_ordering_indexed(
+def potential_ordering(
     pattern: QuantifiedGraphPattern,
     graph: PropertyGraph,
     index: CandidateIndex,
     restrict_to: Optional[Dict[NodeId, Set[NodeId]]] = None,
 ) -> Dict[NodeId, List[NodeId]]:
-    """The compiled twin of :func:`potential_ordering`.
+    """Per-pattern-node candidate lists sorted by decreasing potential.
 
-    Computes *exactly* the same scores (same float operations in the same
-    order), but hoists the per-candidate work the dict path repeats: pattern
-    in/out edge lists are built once per pattern node instead of once per
-    candidate, parent candidate pools are interned once, and the
-    parent-overlap / degree probes walk CSR rows and degree arrays instead of
-    copying adjacency sets per probe.
+    ``restrict_to`` optionally narrows the candidate pools (e.g. to the d-hop
+    neighbourhood of the focus candidate currently being verified).
+
+    Computes exactly :func:`candidate_potential`'s score (same float
+    operations in the same order), with the per-candidate work hoisted:
+    pattern in/out edge lists are built once per pattern node, parent
+    candidate pools are interned once, and the parent-overlap / degree probes
+    walk the CSR rows and degree arrays of the compiled
+    :class:`repro.index.GraphIndex` instead of copying adjacency sets.
     """
     from repro.index.snapshot import GraphIndex
 
@@ -139,32 +142,3 @@ def _potential_ordering_indexed(
         ordering[pattern_node] = [candidate for _, candidate in scored]
     return ordering
 
-
-def potential_ordering(
-    pattern: QuantifiedGraphPattern,
-    graph: PropertyGraph,
-    index: CandidateIndex,
-    restrict_to: Optional[Dict[NodeId, Set[NodeId]]] = None,
-    use_index: bool = False,
-) -> Dict[NodeId, List[NodeId]]:
-    """Per-pattern-node candidate lists sorted by decreasing potential.
-
-    ``restrict_to`` optionally narrows the candidate pools (e.g. to the d-hop
-    neighbourhood of the focus candidate currently being verified).
-    ``use_index`` computes the same scores through the compiled
-    :class:`repro.index.GraphIndex` (identical ordering, fewer dict probes).
-    """
-    if use_index:
-        return _potential_ordering_indexed(pattern, graph, index, restrict_to)
-    ordering: Dict[NodeId, List[NodeId]] = {}
-    for pattern_node in pattern.nodes():
-        pool: Iterable[NodeId] = index.candidate_set(pattern_node)
-        if restrict_to is not None and pattern_node in restrict_to:
-            pool = [v for v in pool if v in restrict_to[pattern_node]]
-        scored = [
-            (candidate_potential(pattern, graph, index, pattern_node, candidate), candidate)
-            for candidate in pool
-        ]
-        scored.sort(key=lambda pair: (-pair[0], str(pair[1])))
-        ordering[pattern_node] = [candidate for _, candidate in scored]
-    return ordering

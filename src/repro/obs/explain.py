@@ -407,7 +407,6 @@ def build_report(
     traffic: Optional[Dict[str, object]] = None,
     analyze: bool = False,
     analyze_limit: Optional[int] = None,
-    use_index: bool = True,
 ) -> ExplainReport:
     """Assemble an :class:`ExplainReport` for *plan* against *graph*.
 
@@ -433,7 +432,7 @@ def build_report(
     if analyze and pattern is not None:
         from repro.matching.generic import MatchContext
 
-        context = MatchContext(pattern, graph, use_index=use_index)
+        context = MatchContext(pattern, graph)
         profile: Dict[int, int] = {}
         matches = 0
         for _ in context.isomorphisms(probe_profile=profile, limit=analyze_limit):

@@ -98,11 +98,6 @@ class PQMatch:
     strategy:
         Base partition strategy handed to :class:`DPar` (``"random"``,
         ``"bfs"`` or the degree-array-driven ``"degree"``).
-    use_index:
-        Let the partitioner run its per-node d-hop expansions over the merged
-        undirected CSR of the compiled :class:`repro.index.GraphIndex` (and,
-        for the ``"degree"`` strategy, read degrees from its arrays).  The
-        partition is identical either way; only the build time differs.
     """
 
     def __init__(
@@ -116,7 +111,6 @@ class PQMatch:
         seed: SeedLike = 0,
         name: Optional[str] = None,
         strategy: str = "random",
-        use_index: bool = True,
     ) -> None:
         if num_workers <= 0:
             raise PartitionError("num_workers must be positive")
@@ -126,8 +120,7 @@ class PQMatch:
         self.engine = engine if engine is not None else QMatch()
         self.threads = max(1, threads)
         self.partitioner = DPar(
-            d=d, capacity_factor=capacity_factor, seed=seed,
-            strategy=strategy, use_index=use_index,
+            d=d, capacity_factor=capacity_factor, seed=seed, strategy=strategy
         )
         self.name = name or f"PQMatch(n={num_workers})"
         self._partition: Optional[HopPreservingPartition] = None

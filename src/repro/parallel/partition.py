@@ -132,8 +132,8 @@ class HopPreservingPartition:
     def is_covering(self) -> bool:
         """Every owned node's Nd must be inside its fragment.
 
-        Deliberately runs the dict-backed BFS even when the partition was
-        built over the compiled CSR: a validity check should not share the
+        Deliberately runs the plain adjacency BFS, not the compiled CSR the
+        partition was built over: a validity check should not share the
         machinery of the thing it validates.
         """
         for fragment in self.fragments:
@@ -227,7 +227,6 @@ def base_partition(
     num_fragments: int,
     seed: SeedLike = None,
     strategy: str = "random",
-    use_index: bool = True,
 ) -> List[Set[NodeId]]:
     """A balanced *base* partition of the node set into ``num_fragments`` blocks.
 
@@ -247,9 +246,9 @@ def base_partition(
       tracks its degree, so hub nodes are the expensive ones.  Nodes are
       placed in decreasing total-degree order (an LPT greedy) onto the block
       with the least accumulated degree weight; degrees come from the
-      compiled :class:`repro.index.GraphIndex` degree arrays (``use_index``
-      falls back to per-node dict scans).  Equal block *weight* with nearly
-      equal counts — the right base partition for skewed social graphs.
+      compiled :class:`repro.index.GraphIndex` degree arrays.  Equal block
+      *weight* with nearly equal counts — the right base partition for
+      skewed social graphs.
     """
     if num_fragments <= 0:
         raise PartitionError("num_fragments must be positive")
@@ -266,22 +265,16 @@ def base_partition(
         return blocks
 
     if strategy == "degree":
-        if use_index:
-            from repro.index.snapshot import GraphIndex
+        from repro.index.snapshot import GraphIndex
 
-            graph_index = GraphIndex.for_graph(graph)
-            out_total = graph_index.out.total_degree
-            in_total = graph_index.inc.total_degree
-            node_id = graph_index.node_id
+        graph_index = GraphIndex.for_graph(graph)
+        out_total = graph_index.out.total_degree
+        in_total = graph_index.inc.total_degree
+        node_id = graph_index.node_id
 
-            def weight(node: NodeId) -> int:
-                dense = node_id(node)
-                return 1 + out_total[dense] + in_total[dense]
-
-        else:
-
-            def weight(node: NodeId) -> int:
-                return 1 + graph.out_degree(node) + graph.in_degree(node)
+        def weight(node: NodeId) -> int:
+            dense = node_id(node)
+            return 1 + out_total[dense] + in_total[dense]
 
         # LPT greedy: heaviest nodes first (the rng shuffle above breaks ties
         # between equal-degree nodes), each onto the lightest block so far.
@@ -320,8 +313,8 @@ def base_partition(
     return blocks
 
 
-def _neighborhood_space(graph: PropertyGraph, d: int, use_index: bool):
-    """The node-set algebra the partition build runs in, compiled or dict-backed.
+def _neighborhood_space(graph: PropertyGraph, d: int):
+    """The dense-id node-set algebra the partition build runs in.
 
     Returns ``(within_hops, to_internal, to_public)``:
 
@@ -329,45 +322,41 @@ def _neighborhood_space(graph: PropertyGraph, d: int, use_index: bool):
     * ``to_internal(nodes)`` — a fresh internal-space set from original ids;
     * ``to_public(internal)`` — back to original ids (for the final fragments).
 
-    With *use_index* the internal space is **dense ids**: d-hop expansion is
-    the frontier-array BFS of :class:`repro.index.NeighborhoodCSR` over the
+    The internal space is **dense ids**: d-hop expansion is the
+    frontier-array BFS of :class:`repro.index.NeighborhoodCSR` over the
     merged undirected CSR (one shared visited scratch across all calls,
     ``set(array)`` materialisation in C), and every subset/union/size the
     phases compute stays on small ints until the fragments are finalised.
-    The dict fallback keeps original ids throughout; both spaces decode to
-    identical partitions, which the equivalence suite asserts.
     """
-    if use_index and graph.num_nodes:
-        from repro.index.snapshot import GraphIndex
-        from repro.utils.errors import NodeNotFoundError
+    from repro.index.snapshot import GraphIndex
+    from repro.utils.errors import NodeNotFoundError
 
-        snapshot = GraphIndex.for_graph(graph)
-        merged = snapshot.neighborhoods()
-        scratch = bytearray(snapshot.num_nodes)
-        dense_of = snapshot.nodes.encode
-        value_of = snapshot.nodes.decode
+    snapshot = GraphIndex.for_graph(graph)
+    merged = snapshot.neighborhoods()
+    scratch = bytearray(snapshot.num_nodes)
+    dense_of = snapshot.nodes.encode
+    value_of = snapshot.nodes.decode
 
-        def within_hops(node: NodeId) -> Set[int]:
-            node_id = dense_of(node)
-            if node_id is None:
-                # Same error the dict path's nodes_within_hops raises; the
-                # snapshot is fresh, so this only fires for genuinely unknown
-                # nodes (e.g. a stale partition naming removed nodes).
-                raise NodeNotFoundError(node)
-            return set(merged.nodes_within_hops_ids(node_id, d, visited=scratch))
+    def within_hops(node: NodeId) -> Set[int]:
+        node_id = dense_of(node)
+        if node_id is None:
+            # Same error ``nodes_within_hops`` raises; the snapshot is fresh,
+            # so this only fires for genuinely unknown nodes (e.g. a stale
+            # partition naming removed nodes).
+            raise NodeNotFoundError(node)
+        return set(merged.nodes_within_hops_ids(node_id, d, visited=scratch))
 
-        def to_internal(nodes) -> Set[int]:
-            encoded = set(map(dense_of, nodes))
-            if None in encoded:
-                missing = next(node for node in nodes if dense_of(node) is None)
-                raise NodeNotFoundError(missing)
-            return encoded
+    def to_internal(nodes) -> Set[int]:
+        encoded = set(map(dense_of, nodes))
+        if None in encoded:
+            missing = next(node for node in nodes if dense_of(node) is None)
+            raise NodeNotFoundError(missing)
+        return encoded
 
-        def to_public(internal) -> Set[NodeId]:
-            return set(map(value_of, internal))
+    def to_public(internal) -> Set[NodeId]:
+        return set(map(value_of, internal))
 
-        return within_hops, to_internal, to_public
-    return (lambda node: nodes_within_hops(graph, node, d)), set, (lambda internal: internal)
+    return within_hops, to_internal, to_public
 
 
 class DPar:
@@ -386,12 +375,10 @@ class DPar:
     strategy:
         Base partition strategy (``"random"``, ``"bfs"`` or ``"degree"``;
         see :func:`base_partition`).
-    use_index:
-        Resolve the per-node d-hop expansions (phases 1 and the incremental
-        :meth:`extend`) through the merged undirected CSR of the compiled
-        :class:`repro.index.GraphIndex`, and let the ``"degree"`` strategy
-        read degrees from its degree arrays.  The dict fallback builds an
-        identical partition; only the build time differs.
+
+    The per-node d-hop expansions (phase 1 and the incremental
+    :meth:`extend`) run over the merged undirected CSR of the compiled
+    :class:`repro.index.GraphIndex`.
     """
 
     def __init__(
@@ -400,7 +387,6 @@ class DPar:
         capacity_factor: float = 1.6,
         seed: SeedLike = None,
         strategy: str = "random",
-        use_index: bool = True,
     ) -> None:
         if d < 0:
             raise PartitionError("d must be non-negative")
@@ -410,7 +396,6 @@ class DPar:
         self.capacity_factor = capacity_factor
         self.seed = seed
         self.strategy = strategy
-        self.use_index = use_index
 
     # ----------------------------------------------------------------- main
 
@@ -425,17 +410,12 @@ class DPar:
 
     def _partition_inner(self, graph: PropertyGraph, num_fragments: int) -> HopPreservingPartition:
         rng = ensure_rng(self.seed)
-        blocks = base_partition(
-            graph, num_fragments, seed=rng, strategy=self.strategy,
-            use_index=self.use_index,
-        )
+        blocks = base_partition(graph, num_fragments, seed=rng, strategy=self.strategy)
         # Phase 1 runs one d-hop BFS per graph node — the partitioner's hot
         # loop — and phases 2–4 are pure set algebra over the neighbourhoods.
-        # With the index enabled, all of it happens on dense ids (the
-        # "internal" space) and fragments are decoded once at the end.
-        within_hops, to_internal, to_public = _neighborhood_space(
-            graph, self.d, self.use_index
-        )
+        # All of it happens on dense ids (the "internal" space) and fragments
+        # are decoded once at the end.
+        within_hops, to_internal, to_public = _neighborhood_space(graph, self.d)
         fragments = [
             Fragment(fragment_id=i, node_set=to_internal(block))
             for i, block in enumerate(blocks)
@@ -496,9 +476,8 @@ class DPar:
         # the owned node's neighbourhood along so covering is preserved).
         self._rebalance_ownership(fragments, neighborhoods, rng)
 
-        # Decode the replicated node sets back to original ids (a no-op on
-        # the dict path); ownership and border sets carried original ids all
-        # along, so the two paths produce identical partitions.
+        # Decode the replicated node sets back to original ids; ownership and
+        # border sets carried original ids all along.
         for fragment in fragments:
             fragment.node_set = to_public(fragment.node_set)
 
@@ -541,7 +520,7 @@ class DPar:
             return partition
         with Timer() as timer:
             within_hops, to_internal, to_public = _neighborhood_space(
-                partition.source, new_d, self.use_index
+                partition.source, new_d
             )
             fragments = []
             for old in partition.fragments:

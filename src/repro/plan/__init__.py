@@ -7,7 +7,7 @@ compiles each fingerprint **once per process** into a :class:`CompiledPlan`
 bounded :class:`PlanCache` keyed ``(fingerprint, engine options, index stats
 epoch)`` — beside the result cache in the service, per-process inside pool
 workers.  The interpreted path stays the asserted-byte-identical fallback
-(answers and work counters), same contract as ``use_index=False``.
+(answers and work counters).
 """
 
 from repro.plan.cache import (

@@ -22,8 +22,8 @@ Byte-identity contract
 ----------------------
 A plan removes *uncounted* constant-factor interpretation only.  Answers and
 every :class:`~repro.utils.counters.WorkCounter` field are asserted equal to
-the interpreted fallback (same contract as ``use_index=False``), which is why
-the **live matching order stays per-query**: the greedy most-constrained
+the interpreted fallback, which is why the **live matching order stays
+per-query**: the greedy most-constrained
 order depends on the actual candidate sets, and freezing it per fingerprint
 would change ``extensions`` counts.  The stats-derived order here is surfaced
 as plan info, not imposed on the search.

@@ -66,6 +66,31 @@ class TestYagoLike:
         config = YagoConfig(num_persons=100, seed=9)
         assert yago_like_graph(config) == yago_like_graph(config)
 
+    def test_determinism_across_hash_seeds(self):
+        """The graph must not depend on set iteration order (PYTHONHASHSEED)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "from repro.datasets import benchmark_graph\n"
+            "graph = benchmark_graph('yago2', scale=0.4, seed=5)\n"
+            "print(sorted(map(repr, graph.edges())))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        edge_lists = []
+        for hash_seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = hash_seed
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            )
+            edge_lists.append(completed.stdout)
+        assert edge_lists[0] == edge_lists[1]
+
     def test_planted_q4_cohort_matches(self, small_yago):
         answer = QMatch().evaluate_answer(paper_pattern("Q4", p=2), small_yago)
         assert answer, "the planted UK professors without a PhD should match Q4"

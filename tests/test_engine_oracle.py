@@ -1,0 +1,595 @@
+"""The matching engine against independent oracles.
+
+There is one matching path in ``repro``: every candidate filter, simulation
+fixpoint, potential ordering and enumeration runs over the compiled
+:class:`repro.index.GraphIndex` snapshot.  What keeps it honest is checked
+here, on the paper's example graphs and on seeded generator graphs:
+
+* answers equal the ``Enum`` oracle (:class:`repro.matching.EnumMatcher`,
+  the enumerate-then-verify transcription of the semantics, which runs its
+  own plain search over :class:`PropertyGraph` adjacency) under every
+  combination of the engine switches;
+* every :class:`WorkCounter` field equals golden values.  They were recorded
+  while a dict-backed twin of every stage still existed and was asserted
+  equal to the compiled path, so they carry that proof forward;
+* the ``find_isomorphisms`` stream replays the oracle's plain search — same
+  assignments, same order, same extension count;
+* simulation relations and candidate indexes equal the textbook
+  constructions below (a worklist fixpoint and upper-bound scans over plain
+  adjacency), which share nothing with the compiled code.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from itertools import islice
+
+import pytest
+
+from repro.datasets import benchmark_graph, paper_pattern, workload_patterns
+from repro.graph import PropertyGraph, nodes_within_hops
+from repro.graph.simulation import (
+    dual_simulation_relation,
+    refine_candidates,
+    simulation_relation,
+)
+from repro.index import GraphIndex
+from repro.matching import (
+    DMatchOptions,
+    EnumMatcher,
+    QMatch,
+    build_candidate_index,
+    dmatch,
+)
+from repro.matching.enumerate import _plain_isomorphisms
+from repro.matching.generic import MatchContext, find_isomorphisms, label_candidates
+from repro.patterns import PatternBuilder
+from repro.parallel.partition import DPar, base_partition
+from repro.utils import WorkCounter
+from repro.utils.rng import ensure_rng
+
+from fixtures import build_paper_g1, build_paper_g2, build_q2, build_q3, build_q4
+
+
+# --------------------------------------------------------------------------
+# Test-only references over plain PropertyGraph adjacency.
+# --------------------------------------------------------------------------
+
+
+def reference_refine(pattern_graph, graph, candidates, dual):
+    """The (dual) simulation worklist fixpoint, probing graph adjacency sets.
+
+    Mutates and returns *candidates*: remove every candidate that lost
+    support for some pattern edge, re-schedule the pattern neighbours of a
+    shrunk pool, stop when nothing changes.
+    """
+    pattern_nodes = list(pattern_graph.nodes())
+    worklist = deque(pattern_nodes)
+    in_worklist = set(pattern_nodes)
+    while worklist:
+        u = worklist.popleft()
+        in_worklist.discard(u)
+        out_requirements = [
+            (label, child)
+            for label in pattern_graph.out_edge_labels(u)
+            for child in pattern_graph.successors(u, label)
+        ]
+        in_requirements = []
+        if dual:
+            in_requirements = [
+                (label, parent)
+                for parent in pattern_graph.predecessors(u)
+                for label in pattern_graph.edge_labels(parent, u)
+            ]
+        survivors = set()
+        for v in candidates[u]:
+            supported = all(
+                not graph.successors(v, label).isdisjoint(candidates[child])
+                for label, child in out_requirements
+            ) and all(
+                not graph.predecessors(v, label).isdisjoint(candidates[parent])
+                for label, parent in in_requirements
+            )
+            if supported:
+                survivors.add(v)
+        if survivors != candidates[u]:
+            candidates[u] = survivors
+            for neighbor in pattern_graph.predecessors(u) | pattern_graph.successors(u):
+                if neighbor not in in_worklist:
+                    worklist.append(neighbor)
+                    in_worklist.add(neighbor)
+    return candidates
+
+
+def reference_simulation(pattern_graph, graph, dual):
+    """The maximal (dual) simulation relation, seeded from label candidates."""
+    seeds = {
+        u: set(graph.nodes_with_label(pattern_graph.node_label(u)))
+        for u in pattern_graph.nodes()
+    }
+    return reference_refine(pattern_graph, graph, seeds, dual)
+
+
+def reference_upper_bound(graph, source, edge_label, target_label):
+    """``U(v, e)``: children of *source* via *edge_label* carrying *target_label*."""
+    return sum(
+        1
+        for child in graph.successors(source, edge_label)
+        if graph.node_label(child) == target_label
+    )
+
+
+def reference_candidate_index(pattern, graph, use_simulation):
+    """``(candidates, upper_bounds, pruned)`` of the QMatch candidate filter."""
+    if use_simulation:
+        candidates = reference_simulation(pattern.stratified().graph, graph, dual=True)
+    else:
+        candidates = {
+            u: set(graph.nodes_with_label(pattern.node_label(u)))
+            for u in pattern.nodes()
+        }
+    upper_bounds = {}
+    pruned = 0
+    for edge in pattern.edges():
+        quantifier = edge.quantifier
+        if quantifier.is_negation:
+            continue
+        target_label = pattern.node_label(edge.target)
+        survivors = set()
+        for candidate in candidates.get(edge.source, ()):
+            bound = reference_upper_bound(graph, candidate, edge.label, target_label)
+            upper_bounds[(edge.key, candidate)] = bound
+            if quantifier.may_still_hold(bound, graph.out_degree(candidate, edge.label)):
+                survivors.add(candidate)
+            else:
+                pruned += 1
+        candidates[edge.source] = survivors
+    return candidates, upper_bounds, pruned
+
+
+def oracle_stream(pattern, graph, limit):
+    """The first *limit* isomorphisms of the oracle's plain search, plus probes."""
+    counter = WorkCounter()
+    search = _plain_isomorphisms(pattern, graph, label_candidates(pattern, graph), counter)
+    return list(islice(search, limit)), counter.extensions
+
+
+# --------------------------------------------------------------------------
+# Cases, option combinations and golden work counters.
+# --------------------------------------------------------------------------
+
+
+def _cases():
+    """(name, graph, pattern) triples covering paper examples and generators."""
+    g1, g2 = build_paper_g1(), build_paper_g2()
+    cases = [
+        ("g1-q2", g1, build_q2()),
+        ("g1-q3p2", g1, build_q3(p=2)),
+        ("g1-q3p4", g1, build_q3(p=4)),
+        ("g2-q4", g2, build_q4(p=2)),
+    ]
+    for dataset, queries in (("pokec", ("Q1", "Q2", "Q3")), ("yago2", ("Q4", "Q5"))):
+        graph = benchmark_graph(dataset, scale=0.4, seed=5)
+        for query in queries:
+            pattern = paper_pattern(query, p=2) if query in ("Q3", "Q4") else paper_pattern(query)
+            cases.append((f"{dataset}-{query}", graph, pattern))
+    generated = benchmark_graph("synthetic", scale=0.3, seed=7)
+    for position, pattern in enumerate(
+        workload_patterns(generated, count=3, num_nodes=4, num_edges=5,
+                          ratio_percent=30.0, num_negated=1, seed=13)
+    ):
+        cases.append((f"synthetic-w{position}", generated, pattern))
+    return cases
+
+
+CASES = _cases()
+CASE_IDS = [name for name, _, _ in CASES]
+
+SWITCHES = ("use_simulation", "use_potential", "early_exit", "use_locality", "vectorized")
+OPTION_COMBOS = [
+    DMatchOptions(**dict(zip(SWITCHES, bits)))
+    for bits in itertools.product((True, False), repeat=len(SWITCHES))
+]
+
+GOLDEN_OPTIONS = {
+    "default": dict(),
+    "no-simulation": dict(use_simulation=False),
+    "no-potential": dict(use_potential=False),
+    "no-early-exit": dict(early_exit=False),
+    "locality": dict(use_locality=True),
+    "all-off": dict(use_simulation=False, use_potential=False, early_exit=False),
+}
+
+# (verifications, extensions, quantifier_checks, candidates_pruned) per case:
+# the Enum oracle's, then QMatch's under each GOLDEN_OPTIONS entry.
+GOLDEN = {
+    "g1-q2": {
+        "enum": (3, 19, 8, 0),
+        "default": (3, 10, 8, 0),
+        "no-simulation": (8, 10, 8, 4),
+        "no-potential": (3, 10, 8, 0),
+        "no-early-exit": (3, 10, 8, 0),
+        "locality": (3, 10, 8, 0),
+        "all-off": (8, 10, 8, 4),
+    },
+    "g1-q3p2": {
+        "enum": (4, 40, 17, 0),
+        "default": (3, 12, 11, 1),
+        "no-simulation": (3, 12, 11, 10),
+        "no-potential": (3, 12, 11, 1),
+        "no-early-exit": (3, 12, 16, 1),
+        "locality": (3, 12, 11, 1),
+        "all-off": (3, 12, 16, 10),
+    },
+    "g1-q3p4": {
+        "enum": (4, 40, 7, 0),
+        "default": (0, 0, 0, 3),
+        "no-simulation": (0, 0, 0, 12),
+        "no-potential": (0, 0, 0, 3),
+        "no-early-exit": (0, 0, 0, 3),
+        "locality": (0, 0, 0, 3),
+        "all-off": (0, 0, 0, 12),
+    },
+    "g2-q4": {
+        "enum": (4, 46, 42, 0),
+        "default": (4, 17, 34, 0),
+        "no-simulation": (4, 17, 34, 5),
+        "no-potential": (4, 17, 34, 0),
+        "no-early-exit": (4, 17, 42, 0),
+        "locality": (4, 17, 34, 0),
+        "all-off": (4, 17, 42, 5),
+    },
+    "pokec-Q1": {
+        "enum": (31, 378, 540, 0),
+        "default": (37, 196, 501, 0),
+        "no-simulation": (37, 196, 501, 134),
+        "no-potential": (37, 196, 501, 0),
+        "no-early-exit": (37, 236, 540, 0),
+        "locality": (37, 196, 501, 0),
+        "all-off": (37, 236, 540, 134),
+    },
+    "pokec-Q2": {
+        "enum": (120, 1401, 766, 0),
+        "default": (120, 1104, 766, 0),
+        "no-simulation": (120, 1104, 766, 36),
+        "no-potential": (120, 1104, 766, 0),
+        "no-early-exit": (120, 1104, 766, 0),
+        "locality": (120, 1104, 766, 0),
+        "all-off": (120, 1104, 766, 36),
+    },
+    "pokec-Q3": {
+        "enum": (159, 3013, 1940, 0),
+        "default": (158, 627, 545, 0),
+        "no-simulation": (158, 627, 545, 36),
+        "no-potential": (158, 627, 545, 0),
+        "no-early-exit": (158, 1406, 1939, 0),
+        "locality": (158, 627, 545, 0),
+        "all-off": (158, 1406, 1939, 36),
+    },
+    "yago2-Q4": {
+        "enum": (22, 378, 239, 0),
+        "default": (20, 79, 158, 0),
+        "no-simulation": (26, 91, 158, 164),
+        "no-potential": (20, 79, 158, 0),
+        "no-early-exit": (20, 90, 231, 0),
+        "locality": (20, 79, 158, 0),
+        "all-off": (26, 102, 231, 164),
+    },
+    "yago2-Q5": {
+        "enum": (66, 749, 680, 0),
+        "default": (66, 166, 232, 0),
+        "no-simulation": (66, 166, 232, 136),
+        "no-potential": (66, 166, 232, 0),
+        "no-early-exit": (66, 304, 680, 0),
+        "locality": (66, 166, 232, 0),
+        "all-off": (66, 304, 680, 136),
+    },
+    "synthetic-w0": {
+        "enum": (0, 24, 0, 0),
+        "default": (3, 3, 0, 0),
+        "no-simulation": (3, 3, 0, 6),
+        "no-potential": (3, 3, 0, 0),
+        "no-early-exit": (3, 3, 0, 0),
+        "locality": (3, 3, 0, 0),
+        "all-off": (3, 3, 0, 6),
+    },
+    "synthetic-w1": {
+        "enum": (0, 24, 0, 0),
+        "default": (3, 3, 0, 0),
+        "no-simulation": (3, 3, 0, 6),
+        "no-potential": (3, 3, 0, 0),
+        "no-early-exit": (3, 3, 0, 0),
+        "locality": (3, 3, 0, 0),
+        "all-off": (3, 3, 0, 6),
+    },
+    "synthetic-w2": {
+        "enum": (0, 24, 0, 0),
+        "default": (3, 3, 0, 0),
+        "no-simulation": (3, 3, 0, 6),
+        "no-potential": (3, 3, 0, 0),
+        "no-early-exit": (3, 3, 0, 0),
+        "locality": (3, 3, 0, 0),
+        "all-off": (3, 3, 0, 6),
+    },
+}
+
+
+def counter_tuple(counter: WorkCounter) -> tuple:
+    assert not counter.extras, counter.extras
+    return (
+        counter.verifications,
+        counter.extensions,
+        counter.quantifier_checks,
+        counter.candidates_pruned,
+    )
+
+
+@pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
+class TestEngineAgainstOracle:
+    def test_answers_equal_enum_under_every_option_combination(self, name, graph, pattern):
+        expected = EnumMatcher().evaluate(pattern, graph)
+        for options in OPTION_COMBOS:
+            result = QMatch(options=options).evaluate(pattern, graph)
+            assert result.answer == expected.answer, options
+            assert result.positive_answer == expected.positive_answer, options
+
+    def test_qmatch_prune_counts_equal_reference_filter(self, name, graph, pattern):
+        # QMatch reports exactly the prunes of the candidate filter on Π(Q),
+        # with and without the simulation pre-filter.
+        for use_simulation in (True, False):
+            options = DMatchOptions(use_simulation=use_simulation)
+            result = QMatch(options=options).evaluate(pattern, graph)
+            _, _, pruned = reference_candidate_index(pattern.pi(), graph, use_simulation)
+            assert result.counter.candidates_pruned == pruned, use_simulation
+
+    def test_work_counters_equal_golden(self, name, graph, pattern):
+        golden = GOLDEN[name]
+        enum = EnumMatcher().evaluate(pattern, graph)
+        assert counter_tuple(enum.counter) == golden["enum"]
+        for label, switches in GOLDEN_OPTIONS.items():
+            for vectorized in (False, True):
+                options = DMatchOptions(vectorized=vectorized, **switches)
+                result = QMatch(options=options).evaluate(pattern, graph)
+                assert counter_tuple(result.counter) == golden[label], (label, vectorized)
+
+    def test_isomorphism_stream_replays_the_oracle_search(self, name, graph, pattern):
+        skeleton = pattern.pi().stratified()
+        counter = WorkCounter()
+        stream = list(find_isomorphisms(skeleton, graph, limit=200, counter=counter))
+        assert (stream, counter.extensions) == oracle_stream(skeleton, graph, 200)
+
+    def test_dmatch_on_positive_part_equals_enum(self, name, graph, pattern):
+        positive = pattern.pi()
+        expected = EnumMatcher().evaluate(positive, graph).answer
+        assert dmatch(positive, graph).answer == expected
+
+    def test_candidate_index_equals_reference(self, name, graph, pattern):
+        positive = pattern.pi()
+        for use_simulation in (True, False):
+            counter = WorkCounter()
+            index = build_candidate_index(
+                positive, graph, use_simulation=use_simulation, counter=counter
+            )
+            candidates, upper_bounds, pruned = reference_candidate_index(
+                positive, graph, use_simulation
+            )
+            assert index.candidates == candidates
+            assert index.upper_bounds == upper_bounds
+            assert index.pruned == pruned == counter.candidates_pruned
+
+    def test_simulation_relations_equal_reference(self, name, graph, pattern):
+        skeleton = pattern.pi().stratified().graph
+        assert simulation_relation(skeleton, graph) == reference_simulation(
+            skeleton, graph, dual=False
+        )
+        assert dual_simulation_relation(skeleton, graph) == reference_simulation(
+            skeleton, graph, dual=True
+        )
+
+    def test_refine_candidates_from_seeded_pools_equals_reference(self, name, graph, pattern):
+        # Seeded with the full label pools, the refinement must reach the
+        # maximal relation on its own (no signature pre-filter runs here).
+        skeleton = pattern.pi().stratified().graph
+        pools = {
+            u: set(graph.nodes_with_label(skeleton.node_label(u)))
+            for u in skeleton.nodes()
+        }
+        for dual in (False, True):
+            assert refine_candidates(skeleton, graph, pools, dual=dual) == (
+                reference_simulation(skeleton, graph, dual)
+            )
+
+
+def reference_degree_blocks(graph, num_fragments, seed):
+    """The ``"degree"`` base partition with weights read from graph adjacency."""
+    nodes = list(graph.nodes())
+    ensure_rng(seed).shuffle(nodes)
+    weighted = sorted(
+        ((1 + graph.out_degree(node) + graph.in_degree(node), node) for node in nodes),
+        key=lambda pair: pair[0],
+        reverse=True,
+    )
+    blocks = [set() for _ in range(num_fragments)]
+    loads = [0] * num_fragments
+    for weight, node in weighted:
+        lightest = min(range(num_fragments), key=lambda i: (loads[i], i))
+        blocks[lightest].add(node)
+        loads[lightest] += weight
+    return blocks
+
+
+class TestPartitionDegreeStrategy:
+    def test_degree_blocks_cover_all_nodes_once(self, small_pokec):
+        blocks = base_partition(small_pokec, 4, seed=3, strategy="degree")
+        seen = set()
+        for block in blocks:
+            assert seen.isdisjoint(block)
+            seen |= block
+        assert seen == set(small_pokec.nodes())
+
+    def test_degree_strategy_balances_degree_weight(self, small_pokec):
+        blocks = base_partition(small_pokec, 4, seed=3, strategy="degree")
+
+        def load(block):
+            return sum(
+                1 + small_pokec.out_degree(n) + small_pokec.in_degree(n) for n in block
+            )
+
+        loads = sorted(load(block) for block in blocks)
+        assert loads[0] > 0
+        # LPT keeps the spread tight: max load within 25% of min load.
+        assert loads[-1] <= loads[0] * 1.25
+
+    def test_degree_strategy_equals_reference(self, small_pokec):
+        blocks = base_partition(small_pokec, 3, seed=11, strategy="degree")
+        assert blocks == reference_degree_blocks(small_pokec, 3, seed=11)
+
+    def test_dpar_with_degree_strategy_is_complete_and_covering(self, small_pokec):
+        partition = DPar(d=1, seed=2, strategy="degree").partition(small_pokec, 3)
+        assert partition.is_complete()
+        assert partition.is_covering()
+
+    def test_parallel_answer_unchanged_by_degree_strategy(self):
+        from repro.parallel import PQMatch
+
+        graph = build_paper_g1()
+        pattern = build_q3(p=2)
+        sequential = QMatch().evaluate_answer(pattern, graph)
+        parallel = PQMatch(num_workers=2, d=2, seed=0, strategy="degree")
+        assert parallel.evaluate_answer(pattern, graph) == sequential
+
+
+class TestPartitionBfs:
+    """The CSR d-hop BFS must build complete, covering partitions.
+
+    ``is_covering`` re-expands every owned node with the plain adjacency BFS
+    (``nodes_within_hops``), so it checks the compiled expansion
+    independently.
+    """
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_dpar_is_complete_and_covering(self, small_pokec, d):
+        partition = DPar(d=d, seed=9).partition(small_pokec, 3)
+        assert partition.is_complete()
+        assert partition.is_covering()
+        owned = [fragment.owned_nodes for fragment in partition.fragments]
+        assert sum(map(len, owned)) == small_pokec.num_nodes
+
+    def test_extend_keeps_ownership_and_covers_the_larger_radius(self, small_pokec):
+        partitioner = DPar(d=1, seed=4)
+        base = partitioner.partition(small_pokec, 3)
+        extended = partitioner.extend(base, 2)
+        for before, after in zip(base.fragments, extended.fragments):
+            assert after.owned_nodes == before.owned_nodes
+            assert before.node_set <= after.node_set
+            for node in after.owned_nodes:
+                assert nodes_within_hops(small_pokec, node, 2) <= after.node_set
+        assert extended.is_covering() and extended.is_complete()
+
+    def test_csr_bfs_matches_dict_bfs_on_benchmark_graph(self, small_pokec):
+        snapshot = GraphIndex.for_graph(small_pokec)
+        merged = snapshot.neighborhoods()
+        scratch = bytearray(snapshot.num_nodes)
+        for node in small_pokec.nodes():
+            for hops in (0, 1, 2):
+                reached = merged.nodes_within_hops_ids(
+                    snapshot.node_id(node), hops, visited=scratch
+                )
+                assert snapshot.to_nodes(reached) == nodes_within_hops(
+                    small_pokec, node, hops
+                )
+
+
+class TestStaleGraphSafety:
+    def test_mutating_the_graph_between_queries_stays_correct(self):
+        """for_graph must transparently rebuild after mutations."""
+        graph = build_paper_g1()
+        pattern = build_q3(p=2)
+        first = QMatch().evaluate_answer(pattern, graph)
+        assert first == {"x2"}  # Example 3 of the paper: x3 is negated away.
+        # x3's follow-edge to the bad-rating reviewer disappears, so x3 no
+        # longer touches the negated branch and joins the answer.
+        graph.remove_edge("x3", "v4", "follow")
+        second = QMatch().evaluate_answer(pattern, graph)
+        assert second == EnumMatcher().evaluate_answer(pattern, graph) == {"x2", "x3"}
+
+    def test_match_context_recompiles_after_mutation(self):
+        """A context must not enumerate from stale rows."""
+        graph = build_paper_g1()
+        pattern = build_q3(p=2).pi().stratified()
+        context = MatchContext(pattern, graph)
+        before = list(context.isomorphisms())
+        assert before  # sanity: the pattern matches the example graph
+        graph.remove_edge("x3", "v4", "follow")
+        after = list(context.isomorphisms())
+        fresh, _ = oracle_stream(pattern, graph, limit=None)
+        assert after == fresh
+
+    def test_empty_label_pattern(self):
+        graph = build_paper_g1()
+        pattern = (
+            PatternBuilder()
+            .focus("x", "person")
+            .node("m", "missing_label")
+            .edge("x", "m", "follow")
+            .build()
+        )
+        index = build_candidate_index(pattern, graph, use_simulation=False)
+        assert index.is_empty()
+
+
+class TestRefineCandidatesSeededPools:
+    """`refine_candidates` must honour caller-supplied pools verbatim.
+
+    Unlike the label-derived seeds of the full simulation entry points, the
+    pools here may disagree with the pattern's node labels or contain nodes
+    the graph has never seen.
+    """
+
+    def test_label_inconsistent_pools_are_refined_by_membership(self):
+        graph = PropertyGraph("g")
+        graph.add_node("a", "A")
+        graph.add_node("b", "B")
+        graph.add_edge("a", "b", "e")
+        pattern = PropertyGraph("p")
+        pattern.add_node("u", "A")
+        pattern.add_node("w", "C")  # label absent from the graph
+        pattern.add_edge("u", "w", "e")
+        pools = {"u": {"a"}, "w": {"b"}}
+        for dual in (False, True):
+            refined = refine_candidates(
+                pattern, graph, {k: set(v) for k, v in pools.items()}, dual=dual
+            )
+            # Support is membership in the supplied pool, not label agreement:
+            # "b" supports "a" even though its label B is not the pattern's C.
+            assert refined == {"u": {"a"}, "w": {"b"}}
+
+    def test_unknown_members_of_requirement_free_nodes_survive(self):
+        graph = PropertyGraph("g")
+        graph.add_node("a", "A")
+        pattern = PropertyGraph("p")
+        pattern.add_node("u", "A")  # no pattern edges: never probed
+        pools = {"u": {"a", "ghost"}}
+        for dual in (False, True):
+            refined = refine_candidates(
+                pattern, graph, {k: set(v) for k, v in pools.items()}, dual=dual
+            )
+            assert refined == {"u": {"a", "ghost"}}
+
+    def test_unknown_members_of_constrained_nodes_raise(self):
+        from repro.utils.errors import NodeNotFoundError
+
+        graph = PropertyGraph("g")
+        graph.add_node("a", "A")
+        graph.add_node("b", "B")
+        graph.add_edge("a", "b", "e")
+        pattern = PropertyGraph("p")
+        pattern.add_node("u", "A")
+        pattern.add_node("w", "B")
+        pattern.add_edge("u", "w", "e")
+        pools = {"u": {"a", "ghost"}, "w": {"b"}}
+        with pytest.raises(NodeNotFoundError):
+            refine_candidates(
+                pattern, graph, {k: set(v) for k, v in pools.items()}, dual=True
+            )

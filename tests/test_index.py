@@ -73,9 +73,9 @@ class TestSignatures:
         graph = build_paper_g1()
         index = GraphIndex.build(graph)
         positive = pattern_q3.pi().stratified().graph
-        from repro.graph.simulation import dual_simulation_relation
+        from test_engine_oracle import reference_simulation
 
-        relation = dual_simulation_relation(positive, graph, use_index=False)
+        relation = reference_simulation(positive, graph, dual=True)
         filtered = index.label_candidates_ids(positive, dual=True)
         for pattern_node, members in relation.items():
             kept = index.to_nodes(filtered[pattern_node])

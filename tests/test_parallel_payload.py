@@ -45,7 +45,7 @@ class TestEngineSpec:
     def test_qmatch_round_trip(self):
         engine = QMatch(
             use_incremental=False,
-            options=DMatchOptions(use_index=False, early_exit=False),
+            options=DMatchOptions(early_exit=False, use_locality=True),
             name="custom",
         )
         spec = engine_to_spec(engine)

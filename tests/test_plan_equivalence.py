@@ -3,8 +3,7 @@
 A :class:`~repro.plan.CompiledPlan` removes *uncounted* interpretation
 overhead only, so on every (graph, pattern, options) triple the planned
 evaluation must return the same answer **and** the same
-:class:`~repro.utils.WorkCounter` field-for-field — the same contract the
-index layer honours under ``use_index=False``.  The hypothesis property here
+:class:`~repro.utils.WorkCounter` field-for-field.  The hypothesis property here
 drives that over random graphs and random quantified patterns (negated edges
 and every quantifier spelling included), pinned across the engine option
 combinations the rest of the suite exercises.
@@ -29,7 +28,6 @@ OPTION_COMBOS = [
     DMatchOptions(use_simulation=False, use_potential=False),
     DMatchOptions(use_simulation=False, use_potential=False, early_exit=False,
                   use_locality=False),
-    DMatchOptions(use_index=False, use_index_enumeration=False),
 ]
 
 

@@ -129,33 +129,39 @@ def test_parallel_matching_agrees_with_sequential(graph, pattern):
 
 @given(graph=labeled_graphs(), pattern=quantified_patterns())
 @settings(**SETTINGS)
-def test_compiled_index_path_is_a_pure_accelerator(graph, pattern):
-    """use_index=True must change nothing observable: same answers, same
-    positive part, same prune counts as the dict-backed fallback."""
-    indexed = QMatch(options=DMatchOptions(use_index=True)).evaluate(pattern, graph)
-    fallback = QMatch(options=DMatchOptions(use_index=False)).evaluate(pattern, graph)
-    assert indexed.answer == fallback.answer
-    assert indexed.positive_answer == fallback.positive_answer
-    assert indexed.counter.candidates_pruned == fallback.counter.candidates_pruned
+def test_qmatch_positive_part_agrees_with_reference_semantics(graph, pattern):
+    """Both the answer and the positive part Π(Q) equal the Enum oracle's,
+    on the frozenset path and on the dense sorted-run path."""
+    expected = EnumMatcher().evaluate(pattern, graph)
+    for options in (DMatchOptions(), DMatchOptions(use_potential=False, vectorized=True)):
+        result = QMatch(options=options).evaluate(pattern, graph)
+        assert result.answer == expected.answer
+        assert result.positive_answer == expected.positive_answer
 
 
 @given(graph=labeled_graphs(), pattern=quantified_patterns())
 @settings(**SETTINGS)
-def test_indexed_enumeration_is_byte_identical(graph, pattern):
-    """The CSR-row enumeration must replay the dict fallback exactly:
-    same assignments in the same order, and same work counters even with
-    the early-exit optimisation live."""
+def test_enumeration_stream_replays_the_oracle_search(graph, pattern):
+    """The CSR-row enumeration must replay the oracle's plain adjacency
+    search exactly: same assignments in the same order, same probes."""
+    from itertools import islice
+
     from repro.matching import find_isomorphisms
+    from repro.matching.enumerate import _plain_isomorphisms
+    from repro.matching.generic import label_candidates
+    from repro.utils import WorkCounter
 
     skeleton = pattern.pi().stratified()
-    assert list(find_isomorphisms(skeleton, graph, limit=100, use_index=True)) == list(
-        find_isomorphisms(skeleton, graph, limit=100, use_index=False)
-    )
-    indexed = QMatch(options=DMatchOptions(use_index_enumeration=True)).evaluate(pattern, graph)
-    fallback = QMatch(options=DMatchOptions(use_index_enumeration=False)).evaluate(pattern, graph)
-    assert indexed.answer == fallback.answer
-    assert indexed.counter.extensions == fallback.counter.extensions
-    assert indexed.counter.verifications == fallback.counter.verifications
+    engine_counter, oracle_counter = WorkCounter(), WorkCounter()
+    engine = list(find_isomorphisms(skeleton, graph, limit=100, counter=engine_counter))
+    oracle = list(islice(
+        _plain_isomorphisms(
+            skeleton, graph, label_candidates(skeleton, graph), oracle_counter
+        ),
+        100,
+    ))
+    assert engine == oracle
+    assert engine_counter.extensions == oracle_counter.extensions
 
 
 @given(graph=labeled_graphs())
@@ -180,18 +186,16 @@ def test_csr_bfs_matches_dict_bfs(graph):
 @given(graph=labeled_graphs())
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_dpar_partition_identical_with_and_without_index(graph):
-    """The compiled d-hop expansion must not change the partition at all."""
+def test_dpar_partition_is_complete_and_covering(graph):
+    """The compiled d-hop expansion builds a valid partition: every node owned
+    exactly once, and every owned node's Nd (re-expanded by the plain
+    adjacency BFS) inside its fragment."""
     from repro.parallel import DPar
 
-    indexed = DPar(d=1, seed=2, use_index=True).partition(graph, 2)
-    fallback = DPar(d=1, seed=2, use_index=False).partition(graph, 2)
-    assert [f.owned_nodes for f in indexed.fragments] == [
-        f.owned_nodes for f in fallback.fragments
-    ]
-    assert [f.node_set for f in indexed.fragments] == [
-        f.node_set for f in fallback.fragments
-    ]
+    partition = DPar(d=1, seed=2).partition(graph, 2)
+    assert partition.is_complete()
+    assert partition.is_covering()
+    assert sum(len(f.owned_nodes) for f in partition.fragments) == graph.num_nodes
 
 
 @given(graph=labeled_graphs(), pattern=quantified_patterns())

@@ -95,17 +95,22 @@ def test_interleaved_submit_evaluate_delta_never_tears_an_epoch():
     def mutator():
         for _ in range(12):
             inverse = fleet.apply_delta(EPOCH_DELTA)
+            # Only this thread mutates, so between the delta and its inverse
+            # the fleet is in the POST epoch.
+            record(fleet.evaluate(pattern).answer)
             fleet.apply_delta(inverse)
             fleet.check_invariants()
 
     try:
+        # Nothing has mutated yet: the fleet is in the PRE epoch.
+        record(fleet.evaluate(pattern).answer)
         # 6 submitters + 1 direct evaluator + 1 mutator = 8 threads.
         run_threads([submitter] * 6 + [evaluator, mutator], timeout=120.0)
     finally:
         fleet.close()
-    # Both epochs were actually observed (the interleaving did something),
-    # and the cache/vector machinery never served a third answer.
-    assert PRE in observed
+    # Both epochs were observed, and the cache/vector machinery never served
+    # a third answer (``record`` rejects any torn read as it happens).
+    assert observed == {PRE, POST}
     fleet.check_invariants()
 
 
