@@ -10,11 +10,7 @@ serving one stream three ways through :class:`~repro.service.QueryService`:
 * ``interpreted``    — ``use_plans=False``: every request re-interprets the
   pattern (quantifier dispatch, label encoding, per-candidate setup);
 * ``compiled-cold``  — a fresh plan cache: the sweep pays every compile;
-* ``compiled-warm``  — the same service again: pure plan-cache hits;
-* ``compiled-vectorized`` — warm plans plus ``vectorized=True``: candidate
-  pools as sorted dense-id runs intersected with the merge kernels of
-  :mod:`repro.plan.vectorized`, the locality ball as a dense frontier BFS,
-  ids decoded only at yield.
+* ``compiled-warm``  — the same service again: pure plan-cache hits.
 
 The result cache is cleared after every request, so **all** arms compute all
 requests — the figure isolates the matching-layer effect of plans from the
@@ -31,18 +27,13 @@ Assertions (the acceptance bar of the plan layer):
 
 * every arm returns byte-identical answers, request by request;
 * ``compiled-warm`` clears **≥ 1.3×** the interpreted throughput;
-* ``compiled-vectorized`` clears **≥ 1.3×** the compiled-warm throughput;
 * each unique fingerprint compiles at most once: the cold sweep's
   process-wide compile delta is bounded by the unique-pattern count and the
   warm sweep compiles **zero** plans while still hitting the plan cache;
-* the measured warm and vectorized sweeps trigger zero ``GraphIndex.build``
-  calls (workers derive dense runs from cached snapshots — the pool
-  boundary ships nothing new).
+* the measured warm sweep triggers zero ``GraphIndex.build`` calls.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -129,10 +120,10 @@ def _request_stream(uniques):
     ]
 
 
-def _make_service(graph, uniques, use_plans, name, options=ENGINE_OPTIONS):
+def _make_service(graph, uniques, use_plans, name):
     service = QueryService(
         graph,
-        PQMatch(num_workers=1, d=2, engine=QMatch(options=options)),
+        PQMatch(num_workers=1, d=2, engine=QMatch(options=ENGINE_OPTIONS)),
         name=name,
         use_plans=use_plans,
     )
@@ -209,42 +200,16 @@ def test_plans_zipf_stream(benchmark, pokec_graph, record_figure):
     assert build_call_count() == builds_before
     assert compiled.plans.stats.hits > warm_hits_before
 
-    # ----------------------------------------------- compiled-vectorized arm
-    vectorized = _make_service(
-        graph,
-        uniques,
-        True,
-        "plans-vectorized",
-        options=replace(ENGINE_OPTIONS, vectorized=True),
-    )
-    _sweep(vectorized, stream)  # warm the plan cache / dense-run tables
-    vec_builds_before = build_call_count()
-    vec_compiles_before = plan_compile_count()
-    if _OBS_ENABLED:
-        obs_probes_before = get_registry().counter("plan.vectorized.probes").value
-    vectorized_answers, vectorized_elapsed = _sweep(vectorized, stream)
-    # Same zero-build / zero-compile bar as the warm arm: the dense runs are
-    # derived from cached snapshots, never from a rebuild.
-    assert plan_compile_count() == vec_compiles_before
-    assert build_call_count() == vec_builds_before
-    if _OBS_ENABLED:
-        # The kernels actually ran (and flushed their per-query counters).
-        assert (
-            get_registry().counter("plan.vectorized.probes").value
-            > obs_probes_before
-        )
-
-    # Byte-identical answers, request by request, across all four arms.
+    # Byte-identical answers, request by request, across all three arms.
     assert interpreted_answers == cold_answers == warm_answers
-    assert warm_answers == vectorized_answers
 
     if _OBS_ENABLED:
         registry = get_registry()
         assert registry.counter("plan.cache.hits").value > obs_hits_before
         obs_compiles = registry.counter("plan.compile").value - obs_compiles_before
-        # One compile per (fingerprint, options) pair: the vectorized arm runs
-        # under its own options key, so each unique may compile twice total.
-        assert obs_compiles <= 2 * len(uniques)
+        # One compile per (fingerprint, options) pair, and every arm runs
+        # under the same options key.
+        assert obs_compiles <= len(uniques)
 
     rows = [
         ["interpreted", len(stream), round(interpreted_elapsed, 4),
@@ -256,8 +221,6 @@ def test_plans_zipf_stream(benchmark, pokec_graph, record_figure):
          cold_stats["hits"], cold_stats["misses"], cold_stats["compiles"]],
         _row("compiled-warm", compiled, warm_elapsed, interpreted_elapsed,
              len(stream)),
-        _row("compiled-vectorized", vectorized, vectorized_elapsed,
-             interpreted_elapsed, len(stream)),
     ]
 
     phases = {
@@ -267,7 +230,6 @@ def test_plans_zipf_stream(benchmark, pokec_graph, record_figure):
         "cold-sweep-compiles": cold_compiles,
         "interpreted-seconds-per-query": round(interpreted_elapsed / len(stream), 6),
         "warm-seconds-per-query": round(warm_elapsed / len(stream), 6),
-        "vectorized-seconds-per-query": round(vectorized_elapsed / len(stream), 6),
         "compile-seconds-total": round(
             sum(
                 info["compile_seconds"]
@@ -289,13 +251,4 @@ def test_plans_zipf_stream(benchmark, pokec_graph, record_figure):
     assert speedup >= SPEEDUP_FLOOR, (
         f"compiled-warm speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor "
         f"(interpreted {interpreted_elapsed:.3f}s vs warm {warm_elapsed:.3f}s)"
-    )
-
-    vector_speedup = (
-        warm_elapsed / vectorized_elapsed if vectorized_elapsed else float("inf")
-    )
-    assert vector_speedup >= SPEEDUP_FLOOR, (
-        f"compiled-vectorized speedup {vector_speedup:.2f}x over compiled-warm "
-        f"below the {SPEEDUP_FLOOR}x floor "
-        f"(warm {warm_elapsed:.3f}s vs vectorized {vectorized_elapsed:.3f}s)"
     )

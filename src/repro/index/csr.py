@@ -78,16 +78,6 @@ class LabeledCSR:
         ptr = self.indptr[label_id]
         return self.indices[label_id], ptr[node_id], ptr[node_id + 1]
 
-    def sorted_runs(self, label_id: int) -> Tuple[array, array]:
-        """The full ``(indptr, indices)`` pair for one edge label.
-
-        Because every row is sorted ascending at build time, each
-        ``indices[indptr[v]:indptr[v + 1]]`` window is a ready-made sorted
-        run of dense neighbour ids — the vectorized enumeration intersects
-        these windows in place (no slice, no decode) with its merge kernels.
-        """
-        return self.indptr[label_id], self.indices[label_id]
-
     def neighbors(self, label_id: int, node_id: int) -> array:
         """A copy of the neighbour ids (convenience; hot paths use :meth:`row`)."""
         indices, start, end = self.row(label_id, node_id)

@@ -80,8 +80,6 @@ class GraphIndex:
         "_neighborhoods",
         "_compiled_rows",
         "_str_ranks",
-        "_str_rank_array",
-        "_label_frozensets",
     )
 
     def __init__(
@@ -118,12 +116,6 @@ class GraphIndex:
         # node -> dense ``str``-order rank, materialised on first use by the
         # plan-driven enumeration (see :meth:`str_ranks`).
         self._str_ranks: Optional[Dict[NodeId, int]] = None
-        # (dense id -> str rank as array('i'), injective flag), materialised
-        # on first use by the vectorized enumeration (see :meth:`str_rank_array`).
-        self._str_rank_array: Optional[Tuple[array, bool]] = None
-        # label id -> frozenset of original member ids, materialised on first
-        # use by the vectorized pool verification (see :meth:`members_frozenset`).
-        self._label_frozensets: Dict[int, frozenset] = {}
 
     # ------------------------------------------------------------------ build
 
@@ -258,21 +250,6 @@ class GraphIndex:
     def nodes_with_label(self, label: str) -> Set[NodeId]:
         """Original ids of nodes carrying *label* (mirrors the graph API)."""
         return self.to_nodes(self.members_ids(self.node_labels.get(label)))
-
-    def members_frozenset(self, node_label_id: int) -> frozenset:
-        """Original member ids of a node label as a shared frozenset.
-
-        Materialised once per label per snapshot and reused by the vectorized
-        pool verification (:mod:`repro.plan.vectorized`): candidate pools are
-        checked ghost-free and label-pure with one C-level subset test
-        against this set instead of a per-element encode loop.
-        """
-        cached = self._label_frozensets.get(node_label_id)
-        if cached is None:
-            decode = self.nodes.decode
-            cached = frozenset(map(decode, self.members_ids(node_label_id)))
-            self._label_frozensets[node_label_id] = cached
-        return cached
 
     def label_count(self, node_label_id: int) -> int:
         if 0 <= node_label_id < len(self._label_members):
@@ -411,34 +388,6 @@ class GraphIndex:
                 ranks[value_of(index)] = rank
             self._str_ranks = ranks
         return ranks
-
-    def str_rank_array(self) -> Tuple[array, bool]:
-        """``(dense id -> str rank as array('i'), injective flag)``, cached.
-
-        The vectorized enumeration keeps candidates as dense interned ids, so
-        its rank lookups index an ``array('i')`` instead of hashing node ids
-        into the :meth:`str_ranks` map.  The flag reports whether the ranks
-        are *injective* (no two distinct nodes share a ``str`` form): only
-        then is rank-sorting dense pools guaranteed to reproduce the
-        frozenset path's emission order, so the vectorized path refuses to
-        build when it is ``False``.  Ranks are dense (``0..k``), hence the
-        flag is exactly ``max rank + 1 == num_nodes``.  The lazy build is
-        idempotent, preserving the snapshot's share-freely contract.
-        """
-        cached = self._str_rank_array
-        if cached is None:
-            ranks = self.str_ranks()
-            value_of = self.nodes.value_of
-            srank = array("i", bytes(self.num_nodes * array("i").itemsize))
-            top = -1
-            for index in range(self.num_nodes):
-                rank = ranks[value_of(index)]
-                srank[index] = rank
-                if rank > top:
-                    top = rank
-            cached = (srank, top + 1 == self.num_nodes)
-            self._str_rank_array = cached
-        return cached
 
     # ---------------------------------------------------- d-hop neighbourhoods
 

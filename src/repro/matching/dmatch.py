@@ -38,7 +38,6 @@ from repro.matching.generic import MatchContext
 from repro.matching.pruning import potential_ordering
 from repro.matching.result import MatchResult
 from repro.patterns.qgp import QuantifiedGraphPattern
-from repro.plan.vectorized import EMPTY_LOCALITY, DenseLocality
 from repro.utils.counters import WorkCounter
 from repro.utils.errors import MatchingError
 from repro.utils.timing import Timer
@@ -66,16 +65,6 @@ class DMatchOptions:
                            connected to the focus candidate, so this is off by
                            default; it pays off on patterns whose candidate
                            sets are huge and poorly connected.
-    ``vectorized``       — enumerate over dense interned ids with the
-                           sorted-run merge kernels of
-                           :mod:`repro.plan.vectorized`: candidate pools
-                           become sorted ``array('i')`` runs intersected
-                           against raw CSR rows, the locality ball becomes a
-                           dense frontier BFS, and ids decode back only when
-                           a match is yielded.  Answers and work counters
-                           are byte-identical to the frozenset path, which
-                           keeps serving whenever the dense state declines
-                           to build (e.g. under the potential ordering).
 
     Candidate filtering, the dual-simulation fixpoint and the backtracking
     enumeration always run over the compiled :class:`repro.index.GraphIndex`
@@ -86,7 +75,6 @@ class DMatchOptions:
     use_potential: bool = True
     early_exit: bool = True
     use_locality: bool = False
-    vectorized: bool = False
 
 
 @dataclass
@@ -169,7 +157,6 @@ def _verify_focus_candidate(
     stratified_pattern=None,
     plan_resolution=None,
     label_members=None,
-    dense_locality=None,
 ) -> Tuple[bool, Dict[NodeId, Set[NodeId]]]:
     """Decide whether *focus_candidate* belongs to ``Π(Q)(xo, G)``.
 
@@ -180,49 +167,35 @@ def _verify_focus_candidate(
     counter.verifications += 1
 
     if options.use_locality:
-        context = None
-        if dense_locality is not None:
-            # Vectorized sweep: ball, pool restriction and per-candidate
-            # ordering all in dense-id space (one kernel intersection per
-            # pool, no per-candidate MatchContext).  Emptiness of any local
-            # pool is a definite non-match, exactly like the frozenset check
-            # below; ``None`` means this candidate cannot be served densely
-            # and falls through to the generic restriction.
-            context = dense_locality.context_for(focus_candidate)
-            if context is EMPTY_LOCALITY:
-                return False, {}
-        if context is None:
-            # Restrict every candidate set to the focus candidate's
-            # radius-hop neighbourhood (costs one BFS per candidate) and
-            # search with a per-candidate context.
-            if plan_resolution is not None:
-                # Same ball, same membership — swept over the plan
-                # resolution's flat per-epoch neighbour table instead of
-                # per-node set unions.
-                local_nodes = plan_resolution.ball(focus_candidate, radius)
-            else:
-                local_nodes = nodes_within_hops(graph, focus_candidate, radius)
-            local_candidates = _local_candidate_pools(
-                pattern, index, local_nodes, label_members
-            )
-            local_candidates[focus] = (
-                {focus_candidate} if focus_candidate in index.candidate_set(focus) else set()
-            )
-            if any(not members for members in local_candidates.values()):
-                return False, {}
-            context = MatchContext(
-                # The compiled path reuses the query's one stratified pattern
-                # so the plan's per-pattern memos hold across focus
-                # candidates; the interpreted path keeps its per-candidate
-                # construction.
-                stratified_pattern if stratified_pattern is not None else pattern.stratified(),
-                graph,
-                candidates=local_candidates,
-                candidate_order=ordering if isinstance(ordering, dict) else None,
-                anchored_nodes={focus},
-                plan=plan,
-                plan_binding=plan_binding,
-            )
+        # Restrict every candidate set to the focus candidate's radius-hop
+        # neighbourhood (costs one BFS per candidate) and search with a
+        # per-candidate context.
+        if plan_resolution is not None:
+            # Same ball, same membership — swept over the plan resolution's
+            # flat per-epoch neighbour table instead of per-node set unions.
+            local_nodes = plan_resolution.ball(focus_candidate, radius)
+        else:
+            local_nodes = nodes_within_hops(graph, focus_candidate, radius)
+        local_candidates = _local_candidate_pools(
+            pattern, index, local_nodes, label_members
+        )
+        local_candidates[focus] = (
+            {focus_candidate} if focus_candidate in index.candidate_set(focus) else set()
+        )
+        if any(not members for members in local_candidates.values()):
+            return False, {}
+        context = MatchContext(
+            # The compiled path reuses the query's one stratified pattern so
+            # the plan's per-pattern memos hold across focus candidates; the
+            # interpreted path keeps its per-candidate construction.
+            stratified_pattern if stratified_pattern is not None else pattern.stratified(),
+            graph,
+            candidates=local_candidates,
+            candidate_order=ordering if isinstance(ordering, dict) else None,
+            anchored_nodes={focus},
+            plan=plan,
+            plan_binding=plan_binding,
+        )
     else:
         # The shared context already carries the filtered candidate pools.
         context = shared_context
@@ -377,10 +350,8 @@ def dmatch(
             anchored_nodes={pattern.focus},
             plan=plan,
             plan_binding=plan_binding,
-            vectorized=options.vectorized,
         )
         label_members = None
-        dense_locality = None
         if options.use_locality:
             # Per-query label -> (members, size) table for the hoisted local
             # pool restriction (one ``nodes_with_label`` copy per label per
@@ -392,11 +363,6 @@ def dmatch(
                 if label not in label_members:
                     members = graph.nodes_with_label(label)
                     label_members[label] = (members, len(members))
-            dense_state = shared_context._dense
-            if dense_state is not None:
-                # Vectorized locality sweep over the shared dense runs: one
-                # instance serves every focus candidate of this query.
-                dense_locality = DenseLocality(dense_state, focus, radius)
         pattern_edges = pattern.edges()
         edge_specs = None
         focus_order = None
@@ -442,16 +408,10 @@ def dmatch(
                 stratified_pattern=stratified if plan is not None else None,
                 plan_resolution=resolution,
                 label_members=label_members,
-                dense_locality=dense_locality,
             )
             if matched:
                 outcome.answer.add(focus_candidate)
                 for pattern_node, graph_nodes in bindings.items():
                     outcome.node_matches[pattern_node].update(graph_nodes)
-        dense_state = shared_context._dense
-        if dense_state is not None:
-            # Kernel counters are accumulated in-query and flushed once here
-            # (query grain — never inside the probe loop).
-            dense_state.flush_stats()
     outcome.elapsed = timer.elapsed
     return outcome

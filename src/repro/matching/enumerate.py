@@ -135,7 +135,7 @@ def evaluate_positive_by_enumeration(
     # Step 1: enumerate every isomorphism of the stratified pattern, grouped
     # by the binding of the query focus.  The oracle runs its own plain
     # search on purpose: it is the independent reference the compiled
-    # engine (index rows, plans, dense runs) is tested against, so it must
+    # engine (index rows, plans) is tested against, so it must
     # share none of that machinery.  The label_candidates pools it mutates
     # above are defensively copied, never graph-owned views.
     by_focus: Dict[NodeId, list] = {}

@@ -81,9 +81,9 @@ def _search_order(
     Starting from the anchored nodes (or the focus when nothing is anchored),
     repeatedly pick the unmatched pattern node adjacent to the matched region
     with the smallest candidate set.  This is the ``SelectNext`` policy shared
-    by all engines.  *candidates* only needs ``len``-able values (sets, dense
-    runs or sized views all work); callers that already hold the pattern
-    adjacency pass it in to skip rebuilding it.
+    by all engines.  *candidates* only needs ``len``-able values (sets or
+    sized views both work); callers that already hold the pattern adjacency
+    pass it in to skip rebuilding it.
     """
     if adjacency is None:
         adjacency = _build_adjacency(pattern)
@@ -150,8 +150,8 @@ class MatchContext:
     candidate pools — and exposes :meth:`isomorphisms`, which performs one
     anchored enumeration without re-paying that setup cost.
 
-    Candidate sets are captured at construction time (dense-id mirrors of
-    them are cached on first use); callers must not mutate them afterwards.
+    Candidate sets are captured at construction time; callers must not
+    mutate them afterwards.
 
     Dynamic candidate pools are derived by intersecting the compiled
     per-label row stores of the :class:`repro.index.GraphIndex` snapshot
@@ -172,17 +172,6 @@ class MatchContext:
         When given, snapshot resolution reuses the plan's pre-resolved row
         stores and ``str``-order ranks instead of re-deriving them — a pure
         setup/ordering-cost shortcut that enumerates byte-identically.
-    vectorized:
-        Enumerate over dense interned ids: candidate pools become sorted
-        ``array('i')`` runs intersected with the merge kernels of
-        :mod:`repro.plan.vectorized` against the raw CSR rows, ordered by the
-        snapshot's precomputed dense rank array, decoded back to node ids
-        only when a match is yielded.  Byte-identical to the frozenset path
-        (same answers, same emission order, same ``WorkCounter`` fields);
-        the dense state silently declines — leaving the frozenset path to
-        serve — whenever identity cannot be proven (ghost or mislabeled
-        candidates, non-injective ``str`` ranks, per-node candidate
-        orderings, multi-node anchors).
     """
 
     def __init__(
@@ -194,7 +183,6 @@ class MatchContext:
         anchored_nodes: Optional[Set[NodeId]] = None,
         plan=None,
         plan_binding: Optional[Dict[NodeId, int]] = None,
-        vectorized: bool = False,
     ) -> None:
         if pattern.num_nodes == 0:
             raise MatchingError("cannot match an empty pattern")
@@ -253,9 +241,6 @@ class MatchContext:
         self.order = _search_order(
             pattern, self.candidates, self.anchored_nodes, adjacency=self.adjacency
         )
-        self._vectorized = vectorized
-        self._dense = None
-        self._plan_resolution = None
         self._str_ranks: Optional[Dict[NodeId, int]] = None
         self._snapshot = None
         self._compiled_adjacency: Dict[NodeId, List[tuple]] = {}
@@ -263,7 +248,7 @@ class MatchContext:
         self._refresh_snapshot()
 
     def _refresh_snapshot(self) -> None:
-        """(Re)compile the graph snapshot and the dense-id pattern adjacency.
+        """(Re)compile the graph snapshot and the compiled pattern adjacency.
 
         ``_compiled_adjacency`` mirrors ``adjacency`` with, per constraint,
         the compiled row store of the right direction × edge label resolved
@@ -277,10 +262,8 @@ class MatchContext:
         self._snapshot = GraphIndex.for_graph(self.graph)
         snapshot = self._snapshot
         self._str_ranks = None
-        self._plan_resolution = None
         if self._plan is not None and self._plan_from_resolution(snapshot):
             self._active_plan = self._build_active_plan(self.order)
-            self._build_dense_state(snapshot)
             return
         encode_label = snapshot.edge_labels.encode
         self._compiled_adjacency = {}
@@ -299,43 +282,6 @@ class MatchContext:
                 )
             self._compiled_adjacency[pattern_node] = compiled
         self._active_plan = self._build_active_plan(self.order)
-        self._build_dense_state(snapshot)
-
-    def _build_dense_state(self, snapshot) -> None:
-        """Build (or decline) the dense-id enumeration state.
-
-        Per-node candidate orderings disqualify the dense path outright —
-        ``order_pool`` would consult the rank maps first, and dense pools
-        only carry the ``str``-rank order.  Every other disqualifier lives in
-        :func:`repro.plan.vectorized.build_dense_state`; a ``None`` simply
-        leaves the frozenset path serving, byte-identically.
-        """
-        self._dense = None
-        if not self._vectorized or self._ranks:
-            return
-        from repro.plan.vectorized import build_dense_state
-
-        rank_table = None
-        resolution = self._plan_resolution
-        if resolution is not None and resolution.snapshot is snapshot:
-            # Plan-driven contexts source the dense tables from the plan's
-            # per-(graph, version) resolution — same memoised snapshot
-            # arrays, threaded through the plan layer.
-            _, srank, unique = resolution.dense_runs()
-            rank_table = (srank, unique)
-            run_cache = resolution.dense_cache()
-        else:
-            run_cache = None
-        self._dense = build_dense_state(
-            snapshot,
-            self.pattern,
-            self.adjacency,
-            self._pattern_labels,
-            self.candidates,
-            self.order,
-            rank_table=rank_table,
-            cache=run_cache,
-        )
 
     def _plan_from_resolution(self, snapshot) -> bool:
         """Adopt the plan's pre-resolved row stores for *snapshot*, if valid.
@@ -354,7 +300,6 @@ class MatchContext:
         resolution = plan.resolution_for(self.graph)
         if resolution.snapshot is not snapshot:
             return False
-        self._plan_resolution = resolution
         self._str_ranks = resolution.str_ranks
         binding = self._plan_binding
         if binding is None:
@@ -412,11 +357,9 @@ class MatchContext:
 
         *probe_profile*, when given, is filled with per-depth extension-probe
         tallies (``order position -> probes``) — the observed-cardinality side
-        of ``EXPLAIN ANALYZE``.  Profiling runs on the frozenset path (the
-        dense kernels batch probes and cannot attribute them per depth), which
-        enumerates byte-identically, and wraps the extension test in a
-        tallying closure so the unprofiled hot loop carries no extra
-        conditional.
+        of ``EXPLAIN ANALYZE``.  Profiling wraps the extension test in a
+        tallying closure, so the unprofiled hot loop carries no extra
+        conditional and the profiled run enumerates byte-identically.
         """
         pattern, graph = self.pattern, self.graph
         adjacency, candidates = self.adjacency, self.candidates
@@ -440,19 +383,6 @@ class MatchContext:
             # The caller anchored a different node set than the context was
             # built for: fall back to a per-call matching order.
             order = _search_order(pattern, candidates, set(anchor), adjacency=adjacency)
-
-        dense = self._dense
-        if probe_profile is not None:
-            dense = None  # per-depth attribution needs the frozenset path
-        if dense is not None and order is self.order and len(anchor) <= 1:
-            # Dense-id path: anchor membership above already implies the
-            # anchor encodes and is label-pure (dense pools are ghost-free by
-            # construction), so the single-pair ``_consistent`` validation is
-            # a proven tautology and the enumeration runs entirely on sorted
-            # runs.  Multi-node anchors keep the frozenset path: their pairs
-            # need the mutual-edge validation below.
-            yield from dense.enumerate(anchor, counter, limit)
-            return
 
         assignment: Assignment = {}
         used: Set[NodeId] = set()
@@ -628,7 +558,6 @@ def find_isomorphisms(
     counter: Optional[WorkCounter] = None,
     limit: Optional[int] = None,
     candidate_order: Optional[Dict[NodeId, List[NodeId]]] = None,
-    vectorized: bool = False,
 ) -> Iterator[Assignment]:
     """Enumerate isomorphisms of the (stratified) *pattern* in *graph*.
 
@@ -652,10 +581,6 @@ def find_isomorphisms(
     candidate_order:
         Optional per-pattern-node candidate orderings (e.g. the potential
         ordering of DMatch); nodes missing from a list are appended after it.
-    vectorized:
-        Enumerate over dense interned ids with the sorted-run merge kernels
-        (see :class:`MatchContext`); falls back to the frozenset path —
-        byte-identically — whenever the dense state declines to build.
     """
     context = MatchContext(
         pattern,
@@ -663,7 +588,6 @@ def find_isomorphisms(
         candidates=candidates,
         candidate_order=candidate_order,
         anchored_nodes=set(anchor or ()),
-        vectorized=vectorized,
     )
     yield from context.isomorphisms(anchor=anchor, counter=counter, limit=limit)
 

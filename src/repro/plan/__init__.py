@@ -23,29 +23,13 @@ from repro.plan.compile import (
     lower_quantifier,
     plan_compile_count,
 )
-from repro.plan.vectorized import (
-    GALLOP_FACTOR,
-    VectorizedStats,
-    build_dense_state,
-    intersect2,
-    intersect_into,
-    intersect_k,
-    intersect_reference,
-)
 
 __all__ = [
     "CompiledPlan",
-    "GALLOP_FACTOR",
     "PlanCache",
     "PlanCacheStats",
     "PlanResolution",
-    "VectorizedStats",
-    "build_dense_state",
     "compile_plan",
-    "intersect2",
-    "intersect_into",
-    "intersect_k",
-    "intersect_reference",
     "lower_quantifier",
     "plan_compile_count",
     "reset_worker_plan_cache",

@@ -39,10 +39,9 @@ NodeId = Hashable
 # (fingerprint, options_key, id(graph), graph.version)
 #
 # options_key carries the full engine options (a frozen dataclass), so any
-# switch that changes execution strategy — including the ``vectorized``
-# sorted-run mode — partitions cache entries automatically: a vectorized and
-# a frozenset service never share a plan entry, even though their answers are
-# byte-identical by contract.
+# switch that changes execution strategy partitions cache entries
+# automatically: two services with different options never share a plan
+# entry, even where their answers are equal by contract.
 PlanKey = Tuple[str, object, int, int]
 ProgramKey = Tuple[str, object]
 

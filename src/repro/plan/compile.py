@@ -127,7 +127,6 @@ class PlanResolution:
         "order_preview",
         "_neighbors",
         "_translated",
-        "_dense_cache",
     )
 
     def __init__(self, program: "CompiledPlan", graph: PropertyGraph) -> None:
@@ -168,7 +167,6 @@ class PlanResolution:
         self.order_preview = self._stats_order(program, snapshot)
         self._neighbors: Optional[Dict[NodeId, tuple]] = None
         self._translated: Optional[tuple] = None
-        self._dense_cache = None
 
     def ball(self, source: NodeId, radius: int) -> set:
         """``nodes_within_hops`` over a flat per-epoch neighbour table.
@@ -206,39 +204,6 @@ class PlanResolution:
                 break
             frontier = next_frontier
         return visited
-
-    def dense_runs(self) -> Tuple["GraphIndex", "array", bool]:
-        """The per-epoch dense-run tables of the vectorized execution mode.
-
-        ``(snapshot, str-rank array, ranks-injective flag)`` — the CSR rows
-        of the pinned snapshot are the sorted runs themselves (sorted
-        ascending at build, exposed without copying via
-        :meth:`~repro.index.csr.LabeledCSR.sorted_runs`), and the rank array
-        is the dense ordering key.  Both are memoised per ``(graph,
-        version)`` exactly like the frozenset row stores: the resolution is
-        pinned to one snapshot, and the snapshot caches the array, so every
-        context of an epoch — coordinator or pool worker — shares one table
-        and nothing ships across the pool boundary.
-        """
-        snapshot = self.snapshot
-        srank, unique = snapshot.str_rank_array()
-        return snapshot, srank, unique
-
-    def dense_cache(self):
-        """The per-epoch :class:`~repro.plan.vectorized.DenseRunCache`.
-
-        Memoises radius balls and label-local candidate runs against the
-        pinned snapshot — pure per-epoch derivations, so every vectorized
-        query of the epoch shares one cache and a Zipf-hot focus candidate
-        pays its ball BFS once per epoch rather than once per request.
-        """
-        cache = self._dense_cache
-        if cache is None:
-            from repro.plan.vectorized import DenseRunCache
-
-            cache = DenseRunCache(self.snapshot)
-            self._dense_cache = cache
-        return cache
 
     def translated_adjacency(
         self, adjacency: Dict, binding: Dict[NodeId, int]

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from repro.graph.digraph import PropertyGraph
 from repro.matching import (
     DMatchOptions,
     EnumMatcher,
     QMatch,
+    build_candidate_index,
     dmatch,
     qmatch_engine,
     qmatch_n_engine,
 )
-from repro.patterns import PatternBuilder
+from repro.matching.dmatch import _local_candidate_pools
+from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
 from repro.utils import MatchingError, WorkCounter
 
 from fixtures import build_q3
@@ -63,6 +67,67 @@ class TestDMatch:
         result = dmatch(pattern_q2, paper_g1).as_match_result(engine="DMatch")
         assert result.answer == {"x1", "x2"}
         assert result.engine == "DMatch"
+
+    def test_focus_restriction_shapes_identical(self):
+        """The no-copy ``intersection_update`` accepts any iterable
+        restriction — set, frozenset, tuple, list — with identical results."""
+        graph = _random_graph(11)
+        pattern = _chain_pattern()
+        unrestricted = dmatch(pattern, graph).answer
+        some = sorted(unrestricted)[: max(1, len(unrestricted) // 2)]
+        expected = unrestricted & set(some)
+        for shape in (set(some), frozenset(some), tuple(some), list(some)):
+            outcome = dmatch(pattern, graph, focus_restriction=shape)
+            assert outcome.answer == expected
+
+
+def _random_graph(seed: int, nodes: int = 60, edges: int = 900) -> PropertyGraph:
+    """A dense random person/product graph over three edge labels."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    for index in range(nodes):
+        graph.add_node(f"n{index}", label="person" if index % 3 else "product")
+    for _ in range(edges):
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if a != b:
+            graph.add_edge(f"n{a}", f"n{b}", label=rng.choice(["follow", "like", "recom"]))
+    return graph
+
+
+def _chain_pattern() -> QuantifiedGraphPattern:
+    chain = QuantifiedGraphPattern(name="chain")
+    chain.add_node("x", "person")
+    chain.add_node("y", "person")
+    chain.add_node("p", "product")
+    chain.add_edge("x", "y", "follow", CountingQuantifier.at_least(2))
+    chain.add_edge("y", "p", "like", CountingQuantifier.existential())
+    chain.set_focus("x")
+    return chain
+
+
+class TestLocalCandidatePools:
+    def test_hoisted_pools_equal_naive_restriction(self):
+        """The per-label hoist of the locality restriction equals intersecting
+        every pattern node's candidate set with the ball directly."""
+        graph = _random_graph(13)
+        pattern = _chain_pattern().stratified()
+        index = build_candidate_index(pattern, graph)
+        rng = random.Random(0)
+        all_nodes = list(graph.nodes())
+        label_members = {}
+        for node in pattern.nodes():
+            label = pattern.node_label(node)
+            if label not in label_members:
+                members = graph.nodes_with_label(label)
+                label_members[label] = (members, len(members))
+        for _ in range(20):
+            local_nodes = set(rng.sample(all_nodes, rng.randrange(1, len(all_nodes))))
+            hoisted = _local_candidate_pools(pattern, index, local_nodes, label_members)
+            naive = {
+                node: index.candidate_set(node) & local_nodes
+                for node in pattern.nodes()
+            }
+            assert hoisted == naive
 
 
 class TestOptionCombinations:

@@ -186,7 +186,7 @@ def _cases():
 CASES = _cases()
 CASE_IDS = [name for name, _, _ in CASES]
 
-SWITCHES = ("use_simulation", "use_potential", "early_exit", "use_locality", "vectorized")
+SWITCHES = ("use_simulation", "use_potential", "early_exit", "use_locality")
 OPTION_COMBOS = [
     DMatchOptions(**dict(zip(SWITCHES, bits)))
     for bits in itertools.product((True, False), repeat=len(SWITCHES))
@@ -348,10 +348,8 @@ class TestEngineAgainstOracle:
         enum = EnumMatcher().evaluate(pattern, graph)
         assert counter_tuple(enum.counter) == golden["enum"]
         for label, switches in GOLDEN_OPTIONS.items():
-            for vectorized in (False, True):
-                options = DMatchOptions(vectorized=vectorized, **switches)
-                result = QMatch(options=options).evaluate(pattern, graph)
-                assert counter_tuple(result.counter) == golden[label], (label, vectorized)
+            result = QMatch(options=DMatchOptions(**switches)).evaluate(pattern, graph)
+            assert counter_tuple(result.counter) == golden[label], label
 
     def test_isomorphism_stream_replays_the_oracle_search(self, name, graph, pattern):
         skeleton = pattern.pi().stratified()

@@ -131,9 +131,9 @@ def test_parallel_matching_agrees_with_sequential(graph, pattern):
 @settings(**SETTINGS)
 def test_qmatch_positive_part_agrees_with_reference_semantics(graph, pattern):
     """Both the answer and the positive part Π(Q) equal the Enum oracle's,
-    on the frozenset path and on the dense sorted-run path."""
+    with and without the potential ordering."""
     expected = EnumMatcher().evaluate(pattern, graph)
-    for options in (DMatchOptions(), DMatchOptions(use_potential=False, vectorized=True)):
+    for options in (DMatchOptions(), DMatchOptions(use_potential=False)):
         result = QMatch(options=options).evaluate(pattern, graph)
         assert result.answer == expected.answer
         assert result.positive_answer == expected.positive_answer

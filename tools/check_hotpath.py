@@ -3,17 +3,15 @@
 
 The enumeration and plan layers sit inside per-candidate and per-probe loops,
 where ``pool & set(restriction)`` or ``candidates.copy()`` quietly
-materialise a full copy on every call — the exact regressions the vectorized
-sorted-run kernels exist to avoid (and that the no-copy satellite fixes
-removed from :mod:`repro.matching.enumerate` and
-:mod:`repro.matching.dmatch`).  This check keeps them from creeping back.
+materialise a full copy on every call — the exact cost the compiled frozenset
+row stores exist to avoid.  This check keeps such copies from creeping back.
 
 Flagged in ``src/repro/matching/`` and ``src/repro/plan/``:
 
 * a binary set operator applied to a fresh materialisation —
   ``& set(…)``, ``|= frozenset(…)``, ``- set(…)`` and friends
-  (use ``intersection_update(iterable)`` / ``intersection(iterable)`` or the
-  sorted-run kernels instead);
+  (use ``intersection_update(iterable)`` / ``intersection(iterable)``
+  instead);
 * ``.copy()`` calls (hot-path structures are reused or rebuilt per epoch,
   never defensively copied per probe).
 
