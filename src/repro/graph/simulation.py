@@ -16,8 +16,9 @@ is what the candidate filter uses by default.
 
 The fixpoint runs over a compiled :class:`repro.index.GraphIndex` snapshot:
 candidate pools are seeded from the compiled label index intersected with
-the O(1) neighbourhood-signature pre-filter, and support checks walk the
-interned CSR rows.  The maximal (dual) simulation relation contained in a
+the O(1) neighbourhood-signature pre-filter, and a support check is one
+C-level ``isdisjoint`` of a compiled frozenset row against the neighbour's
+pool.  The maximal (dual) simulation relation contained in a
 given seed is *unique*, and the signature filter only removes nodes the first
 refinement round would remove anyway, so the result is exactly the relation
 the textbook worklist over plain adjacency computes — a property the oracle
@@ -42,35 +43,38 @@ NodeId = Hashable
 def _refine(
     pattern_graph: PropertyGraph,
     graph_index,
-    candidates: Dict[NodeId, Set[int]],
+    candidates: Dict[NodeId, Set[NodeId]],
     dual: bool,
-) -> Dict[NodeId, Set[int]]:
+) -> Dict[NodeId, Set[NodeId]]:
     """Iteratively remove unsupported candidates until a fixpoint is reached.
 
-    *candidates* maps pattern nodes to sets of **dense node ids**; support
-    checks walk contiguous ``array('i')`` neighbour rows of the compiled
-    *graph_index* instead of building per-probe set copies.  Removing
-    candidates of ``u`` can invalidate candidates of its pattern neighbours,
-    so those are re-scheduled.
+    *candidates* maps pattern nodes to sets of original node ids and is
+    refined in place.  A support check is one C-level ``isdisjoint`` of the
+    candidate's compiled neighbour row
+    (:meth:`~repro.index.GraphIndex.compiled_rows`) against the neighbour's
+    pool.  Removing candidates of ``u`` can invalidate candidates of its
+    pattern neighbours, so those are re-scheduled.
     """
     pattern_nodes = list(pattern_graph.nodes())
     worklist = deque(pattern_nodes)
     in_worklist = set(pattern_nodes)
-    out_csr, in_csr = graph_index.out, graph_index.inc
-    edge_label_id = graph_index.edge_label_id
 
-    out_requirements = {
+    def rows(incoming: bool, label) -> Dict[NodeId, frozenset]:
+        label_id = graph_index.edge_label_id(label)
+        return graph_index.compiled_rows(incoming, label_id) if label_id >= 0 else {}
+
+    # Per pattern node: (row store, pattern neighbour) for every edge whose
+    # other end must be supported — children via outgoing rows and, when
+    # *dual*, parents via incoming rows.
+    requirements = {
         u: [
-            (edge_label_id(label), u_child)
+            (rows(False, label), u_child)
             for label in pattern_graph.out_edge_labels(u)
             for u_child in pattern_graph.successors(u, label)
         ]
-        for u in pattern_nodes
-    }
-    in_requirements = {
-        u: (
+        + (
             [
-                (edge_label_id(label), u_parent)
+                (rows(True, label), u_parent)
                 for u_parent in pattern_graph.predecessors(u)
                 for label in pattern_graph.edge_labels(u_parent, u)
             ]
@@ -80,42 +84,26 @@ def _refine(
         for u in pattern_nodes
     }
 
-    def schedule(u: NodeId) -> None:
-        if u not in in_worklist:
-            worklist.append(u)
-            in_worklist.add(u)
-
-    def supported(csr, label_id: int, node_id: int, pool: Set[int]) -> bool:
-        if label_id < 0 or not pool:
-            return False
-        indices, start, end = csr.row(label_id, node_id)
-        for position in range(start, end):
-            if indices[position] in pool:
-                return True
-        return False
-
     while worklist:
         u = worklist.popleft()
         in_worklist.discard(u)
-        u_out, u_in = out_requirements[u], in_requirements[u]
-        survivors: Set[int] = set()
-        for v in candidates[u]:
-            ok = True
-            for label_id, u_child in u_out:
-                if not supported(out_csr, label_id, v, candidates[u_child]):
-                    ok = False
-                    break
-            if ok:
-                for label_id, u_parent in u_in:
-                    if not supported(in_csr, label_id, v, candidates[u_parent]):
-                        ok = False
-                        break
-            if ok:
-                survivors.add(v)
-        if survivors != candidates[u]:
+        pool = survivors = candidates[u]
+        for row_store, neighbor in requirements[u]:
+            if not survivors:
+                break
+            support = candidates[neighbor]
+            get = row_store.get
+            survivors = {
+                v
+                for v in survivors
+                if (row := get(v)) is not None and not row.isdisjoint(support)
+            }
+        if len(survivors) != len(pool):
             candidates[u] = survivors
             for neighbor in pattern_graph.predecessors(u) | pattern_graph.successors(u):
-                schedule(neighbor)
+                if neighbor not in in_worklist:
+                    worklist.append(neighbor)
+                    in_worklist.add(neighbor)
     return candidates
 
 
@@ -125,9 +113,9 @@ def _relation(
     from repro.index.snapshot import GraphIndex
 
     graph_index = GraphIndex.for_graph(graph)
-    candidates = graph_index.label_candidates_ids(pattern_graph, dual=dual)
-    refined = _refine(pattern_graph, graph_index, candidates, dual=dual)
-    return {u: graph_index.to_nodes(ids) for u, ids in refined.items()}
+    seeds = graph_index.label_candidates_ids(pattern_graph, dual=dual)
+    candidates = {u: graph_index.to_nodes(ids) for u, ids in seeds.items()}
+    return _refine(pattern_graph, graph_index, candidates, dual=dual)
 
 
 def simulation_relation(
@@ -165,7 +153,8 @@ def refine_candidates(
     ``Π(Q)`` are refined against the structure of the positified pattern
     ``Π(Q⁺ᵉ)`` without rebuilding them from the whole graph.  The result is
     always a subset of the input pools, and still a superset of every true
-    isomorphic image (the filter is sound).
+    isomorphic image (the filter is sound).  The input pools are not
+    modified.
     """
     from repro.index.snapshot import GraphIndex
     from repro.utils.errors import NodeNotFoundError
@@ -174,14 +163,12 @@ def refine_candidates(
     # here are caller-supplied and may contain nodes whose labels differ
     # from the pattern's, so the signature pre-filter (which also checks
     # neighbour *labels*) would prune candidates the fixpoint keeps.  Only
-    # the CSR worklist runs here; support is membership in the supplied
-    # pools, not label agreement.
+    # the row-store worklist runs here, on copies of the supplied pools;
+    # support is membership in those pools, not label agreement.
     graph_index = GraphIndex.for_graph(graph)
-    node_id = graph_index.node_id
     pattern_nodes = set(pattern_graph.nodes())
-    working_ids: Dict[NodeId, Set[int]] = {}
+    working: Dict[NodeId, Set[NodeId]] = {}
     passthrough: Dict[NodeId, Set[NodeId]] = {}
-    unknown: Dict[NodeId, Set[NodeId]] = {}
     for pattern_node, members in candidates.items():
         if pattern_node not in pattern_nodes:
             # Keys outside the pattern graph carry no requirements; the
@@ -189,32 +176,22 @@ def refine_candidates(
             # (including members unknown to the graph).
             passthrough[pattern_node] = set(members)
             continue
+        pool = set(members)
         constrained = bool(pattern_graph.successors(pattern_node)) or (
             dual and bool(pattern_graph.predecessors(pattern_node))
         )
-        ids: Set[int] = set()
-        ghosts: Set[NodeId] = set()
-        for member in members:
-            dense = node_id(member)
-            if dense >= 0:
-                ids.add(dense)
-            elif constrained:
+        if constrained:
+            ghosts = graph_index.nodes.missing(pool)
+            if ghosts:
                 # Every candidate of a constrained pattern node is probed,
                 # so a member missing from the graph is an error.
-                raise NodeNotFoundError(member)
-            else:
-                # Requirement-free pools are never probed: unknown members
-                # survive verbatim (and, having no graph edges, they can
-                # never support a neighbour either way).
-                ghosts.add(member)
-        working_ids[pattern_node] = ids
-        if ghosts:
-            unknown[pattern_node] = ghosts
-    for pattern_node in pattern_graph.nodes():
-        working_ids.setdefault(pattern_node, set())
-    refined = _refine(pattern_graph, graph_index, working_ids, dual=dual)
-    result = {u: graph_index.to_nodes(ids) for u, ids in refined.items()}
-    for pattern_node, ghosts in unknown.items():
-        result[pattern_node] |= ghosts
+                raise NodeNotFoundError(min(ghosts, key=str))
+        # Requirement-free pools are never probed: unknown members survive
+        # verbatim (and, being in no compiled row, they can never support a
+        # neighbour either way).
+        working[pattern_node] = pool
+    for pattern_node in pattern_nodes:
+        working.setdefault(pattern_node, set())
+    result = _refine(pattern_graph, graph_index, working, dual=dual)
     result.update(passthrough)
     return result

@@ -15,7 +15,7 @@ is what makes an index safely shareable across threads.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set
 
 __all__ = ["Interner"]
 
@@ -86,6 +86,14 @@ class Interner:
         ``set(map(interner.decode, ids))``.
         """
         return self._values.__getitem__
+
+    def missing(self, values: Set[Hashable]) -> Set[Hashable]:
+        """The members of the set *values* that were never interned.
+
+        One C-level ``set.difference`` against the id map, so checking a
+        whole candidate pool costs no per-member Python call.
+        """
+        return values.difference(self._ids)
 
     def values(self) -> List[Hashable]:
         """All interned values, ordered by id (a fresh list)."""

@@ -80,6 +80,9 @@ class GraphIndex:
         "_neighborhoods",
         "_compiled_rows",
         "_str_ranks",
+        # Weakly referenceable, so tests can prove a superseded snapshot is
+        # released rather than pinned by some cache.
+        "__weakref__",
     )
 
     def __init__(

@@ -148,13 +148,9 @@ def _verify_focus_candidate(
     options: DMatchOptions,
     counter: WorkCounter,
     monotone: bool,
-    ordering: Optional[Dict[NodeId, List[NodeId]]] = None,
-    shared_context: Optional[MatchContext] = None,
+    shared_context: MatchContext,
     pattern_edges=None,
-    plan=None,
-    plan_binding=None,
     edge_specs=None,
-    stratified_pattern=None,
     plan_resolution=None,
     label_members=None,
 ) -> Tuple[bool, Dict[NodeId, Set[NodeId]]]:
@@ -184,18 +180,9 @@ def _verify_focus_candidate(
         )
         if any(not members for members in local_candidates.values()):
             return False, {}
-        context = MatchContext(
-            # The compiled path reuses the query's one stratified pattern so
-            # the plan's per-pattern memos hold across focus candidates; the
-            # interpreted path keeps its per-candidate construction.
-            stratified_pattern if stratified_pattern is not None else pattern.stratified(),
-            graph,
-            candidates=local_candidates,
-            candidate_order=ordering if isinstance(ordering, dict) else None,
-            anchored_nodes={focus},
-            plan=plan,
-            plan_binding=plan_binding,
-        )
+        # Everything but the pools (rank maps, pattern adjacency, compiled
+        # rows) is the query's shared context's, built once per query.
+        context = shared_context.with_candidates(local_candidates)
     else:
         # The shared context already carries the filtered candidate pools.
         context = shared_context
@@ -341,9 +328,8 @@ def dmatch(
         # One shared search context per query: pattern adjacency, matching
         # order and candidate pools are computed once and reused for every
         # focus candidate (only the anchor binding changes).
-        stratified = pattern.stratified()
         shared_context = MatchContext(
-            stratified,
+            pattern.stratified(),
             graph,
             candidates={u: index.candidate_set(u) for u in pattern.nodes()},
             candidate_order=ordering,
@@ -399,13 +385,9 @@ def dmatch(
                 options,
                 counter,
                 monotone,
-                ordering=ordering,
                 shared_context=shared_context,
                 pattern_edges=pattern_edges,
-                plan=plan,
-                plan_binding=plan_binding,
                 edge_specs=edge_specs,
-                stratified_pattern=stratified if plan is not None else None,
                 plan_resolution=resolution,
                 label_members=label_members,
             )

@@ -23,6 +23,7 @@ same code path.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Hashable, Iterator, List, Optional, Set
 
 from repro.graph.digraph import PropertyGraph
@@ -202,42 +203,19 @@ class MatchContext:
         # scanning the full preference list of a pattern node.
         self._ranks: Dict[NodeId, Dict[NodeId, int]] = {}
         if candidate_order:
-            if self._plan is not None:
-                # The preference lists span full candidate pools; building the
-                # rank maps per focus-candidate context would dominate the
-                # locality sweep, so the plan memoises them per ordering
-                # object (one ordering is computed per query).
-                self._ranks = self._plan.ordering_ranks(candidate_order)
-            else:
-                for pattern_node, preferred in candidate_order.items():
-                    self._ranks[pattern_node] = {
-                        node: rank for rank, node in enumerate(preferred)
-                    }
+            for pattern_node, preferred in candidate_order.items():
+                self._ranks[pattern_node] = {
+                    node: rank for rank, node in enumerate(preferred)
+                }
         self.anchored_nodes = set(anchored_nodes or ())
         for anchored in self.anchored_nodes:
             if anchored not in self.candidates:
                 raise MatchingError(f"anchored node {anchored!r} is not a pattern node")
-        if self._plan is not None:
-            # The locality search builds one context per focus candidate over
-            # the same pattern object; the adjacency and label map are
-            # read-only and graph-independent, so the plan memoises them per
-            # live pattern and every context after the first just borrows.
-            self.adjacency, self._pattern_labels = self._plan.pattern_view(
-                pattern,
-                lambda: (
-                    _build_adjacency(pattern),
-                    {
-                        pattern_node: pattern.node_label(pattern_node)
-                        for pattern_node in pattern.nodes()
-                    },
-                ),
-            )
-        else:
-            self.adjacency = _build_adjacency(pattern)
-            self._pattern_labels = {
-                pattern_node: pattern.node_label(pattern_node)
-                for pattern_node in pattern.nodes()
-            }
+        self.adjacency = _build_adjacency(pattern)
+        self._pattern_labels = {
+            pattern_node: pattern.node_label(pattern_node)
+            for pattern_node in pattern.nodes()
+        }
         self.order = _search_order(
             pattern, self.candidates, self.anchored_nodes, adjacency=self.adjacency
         )
@@ -246,6 +224,28 @@ class MatchContext:
         self._compiled_adjacency: Dict[NodeId, List[tuple]] = {}
         self._active_plan: Optional[tuple] = None
         self._refresh_snapshot()
+
+    def with_candidates(self, candidates: Dict[NodeId, Set[NodeId]]) -> "MatchContext":
+        """A context over other candidate pools, sharing everything else.
+
+        The locality search verifies each focus candidate over pools
+        restricted to its neighbourhood.  Rank maps, pattern adjacency and
+        labels and the compiled row-store adjacency do not depend on the
+        pools, so the derived context borrows them from this one (built once
+        per query) and only recomputes the matching order and its
+        active-constraint plan — exactly what a fresh construction over
+        *candidates* would hold.  Nothing outlives the query that built
+        this context.
+        """
+        derived = copy.copy(self)
+        derived.candidates = candidates
+        for pattern_node in self.pattern.nodes():
+            candidates.setdefault(pattern_node, set())
+        derived.order = _search_order(
+            self.pattern, candidates, self.anchored_nodes, adjacency=self.adjacency
+        )
+        derived._active_plan = derived._build_active_plan(derived.order)
+        return derived
 
     def _refresh_snapshot(self) -> None:
         """(Re)compile the graph snapshot and the compiled pattern adjacency.
@@ -304,9 +304,6 @@ class MatchContext:
         binding = self._plan_binding
         if binding is None:
             return False
-        # The translation loop is memoised on the resolution (pinned on this
-        # adjacency/binding pair), so the per-focus-candidate contexts of one
-        # locality sweep translate once and share the result.
         compiled_adjacency = resolution.translated_adjacency(self.adjacency, binding)
         if compiled_adjacency is None:
             return False

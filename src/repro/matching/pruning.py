@@ -26,6 +26,9 @@ __all__ = ["candidate_potential", "potential_ordering"]
 
 NodeId = Hashable
 
+# Row lookup for an edge label absent from the snapshot: every probe misses.
+_NO_ROWS: Dict[NodeId, frozenset] = {}
+
 
 def candidate_potential(
     pattern: QuantifiedGraphPattern,
@@ -76,63 +79,59 @@ def potential_ordering(
 
     Computes exactly :func:`candidate_potential`'s score (same float
     operations in the same order), with the per-candidate work hoisted:
-    pattern in/out edge lists are built once per pattern node, parent
-    candidate pools are interned once, and the parent-overlap / degree probes
-    walk the CSR rows and degree arrays of the compiled
-    :class:`repro.index.GraphIndex` instead of copying adjacency sets.
+    pattern in/out edge lists and their compiled row stores
+    (:meth:`repro.index.GraphIndex.compiled_rows`) are resolved once per
+    pattern node, the parent overlap is one C-level ``len(row & parents)``
+    and the out-degree is the length of the candidate's outgoing row.
     """
     from repro.index.snapshot import GraphIndex
 
     graph_index = GraphIndex.for_graph(graph)
-    node_id = graph_index.node_id
-    in_csr = graph_index.inc
+
+    def row_getter(incoming: bool, label: str):
+        label_id = graph_index.edge_label_id(label)
+        if label_id < 0:
+            return _NO_ROWS.get
+        return graph_index.compiled_rows(incoming, label_id).get
+
     ordering: Dict[NodeId, List[NodeId]] = {}
+    upper_bounds = index.upper_bounds
     for pattern_node in pattern.nodes():
         pool: Iterable[NodeId] = index.candidate_set(pattern_node)
         if restrict_to is not None and pattern_node in restrict_to:
             pool = [v for v in pool if v in restrict_to[pattern_node]]
-        # Hoisted per-pattern-node state: (edge label id, interned parent
-        # pool, pool size) per incoming edge; quantifier rows per outgoing.
+        # Hoisted per-pattern-node state: (parent-row lookup, parent pool,
+        # pool size) per incoming edge; quantifier rows per outgoing edge.
         in_specs = []
         for edge in pattern.in_edges(pattern_node):
             parent_candidates = index.candidate_set(edge.source)
             if not parent_candidates:
                 continue
-            parent_ids = {node_id(parent) for parent in parent_candidates}
             in_specs.append(
-                (graph_index.edge_label_id(edge.label), parent_ids, len(parent_candidates))
+                (row_getter(True, edge.label), parent_candidates, len(parent_candidates))
             )
         out_specs = [
-            (edge.key, edge.quantifier, graph_index.edge_label_id(edge.label))
+            (edge.key, edge.quantifier, row_getter(False, edge.label))
             for edge in pattern.out_edges(pattern_node)
         ]
-        upper_bounds = index.upper_bounds
         scored = []
         for candidate in pool:
-            candidate_id = node_id(candidate)
             parent_bonus = 0.0
-            for edge_label_id, parent_ids, parent_count in in_specs:
-                if edge_label_id < 0 or candidate_id < 0:
+            for parent_row, parent_candidates, parent_count in in_specs:
+                row = parent_row(candidate)
+                if row is None:
                     continue
-                indices, start, end = in_csr.row(edge_label_id, candidate_id)
-                overlap = 0
-                for position in range(start, end):
-                    if indices[position] in parent_ids:
-                        overlap += 1
-                bonus = overlap / parent_count
+                bonus = len(row & parent_candidates) / parent_count
                 if bonus > parent_bonus:
                     parent_bonus = bonus
             headroom = 0.0
             if out_specs:
-                for edge_key, quantifier, edge_label_id in out_specs:
+                for edge_key, quantifier, child_row in out_specs:
                     if quantifier.is_negation:
                         continue
                     bound = upper_bounds.get((edge_key, candidate), 0)
-                    total = (
-                        graph_index.out_degree_ids(candidate_id, edge_label_id)
-                        if candidate_id >= 0 and edge_label_id >= 0
-                        else 0
-                    )
+                    row = child_row(candidate)
+                    total = len(row) if row is not None else 0
                     threshold = max(quantifier.numeric_threshold(total), 1)
                     headroom += bound / threshold
             else:
@@ -141,4 +140,3 @@ def potential_ordering(
         scored.sort(key=lambda pair: (-pair[0], str(pair[1])))
         ordering[pattern_node] = [candidate for _, candidate in scored]
     return ordering
-

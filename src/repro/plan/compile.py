@@ -62,9 +62,10 @@ QuantifierCheck = Callable[[int, int], bool]
 # Canonical edge of a plan: (source position, target position, label, quantifier).
 PlanEdge = Tuple[int, int, str, CountingQuantifier]
 
-# How many per-graph-epoch resolutions one plan keeps alive (LRU).  A service
-# resolves the full graph plus one fragment graph per pool worker, so the
-# bound comfortably covers a partitioned deployment; eviction only costs a
+# How many distinct graphs one plan keeps a resolution for (LRU; one
+# resolution per graph, replaced when its version moves).  A service resolves
+# the full graph plus one fragment graph per pool worker, so the bound
+# comfortably covers a partitioned deployment; eviction only costs a
 # re-resolution, never a recompile.
 _MAX_RESOLUTIONS = 32
 
@@ -126,7 +127,6 @@ class PlanResolution:
         "str_ranks",
         "order_preview",
         "_neighbors",
-        "_translated",
     )
 
     def __init__(self, program: "CompiledPlan", graph: PropertyGraph) -> None:
@@ -166,7 +166,6 @@ class PlanResolution:
         self.str_ranks = snapshot.str_ranks()
         self.order_preview = self._stats_order(program, snapshot)
         self._neighbors: Optional[Dict[NodeId, tuple]] = None
-        self._translated: Optional[tuple] = None
 
     def ball(self, source: NodeId, radius: int) -> set:
         """``nodes_within_hops`` over a flat per-epoch neighbour table.
@@ -210,17 +209,12 @@ class PlanResolution:
     ) -> Optional[Dict[NodeId, List[tuple]]]:
         """Pattern adjacency translated onto this resolution's row stores.
 
-        One-slot memo pinned on the identity of (*adjacency*, *binding*): the
-        engine passes the same adjacency object for every focus candidate of
-        a query and the same binding object for the fingerprint's lifetime,
-        so the translation — a loop the locality search would otherwise pay
-        per candidate — runs once per (query, epoch).  Returns ``None`` when
-        an edge falls outside the canonical shape (caller resolves
-        generically).
+        Runs once per query: the locality search derives its per-focus-
+        candidate contexts from the query's shared one
+        (:meth:`repro.matching.generic.MatchContext.with_candidates`), which
+        carries the translation along.  Returns ``None`` when an edge falls
+        outside the canonical shape (caller resolves generically).
         """
-        memo = self._translated
-        if memo is not None and memo[0] is adjacency and memo[1] is binding:
-            return memo[2]
         edge_rows = self.edge_rows
         compiled_adjacency: Dict[NodeId, List[tuple]] = {}
         try:
@@ -236,7 +230,6 @@ class PlanResolution:
                 compiled_adjacency[pattern_node] = compiled
         except KeyError:
             return None
-        self._translated = (adjacency, binding, compiled_adjacency)
         return compiled_adjacency
 
     @staticmethod
@@ -297,8 +290,6 @@ class CompiledPlan:
         "_checks",
         "_edge_specs",
         "_resolutions",
-        "_pattern_view",
-        "_ordering_ranks",
         "_lock",
     )
 
@@ -331,9 +322,7 @@ class CompiledPlan:
         # identity of the edge list the engine passes: dmatch builds one edge
         # tuple per evaluation, so this stays a one-entry memo in practice.
         self._edge_specs: Dict[Tuple[Tuple[NodeId, str, CountingQuantifier], ...], tuple] = {}
-        self._resolutions: "OrderedDict[Tuple[int, int], PlanResolution]" = OrderedDict()
-        self._pattern_view: Optional[tuple] = None
-        self._ordering_ranks: Optional[tuple] = None
+        self._resolutions: "OrderedDict[int, PlanResolution]" = OrderedDict()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- lowering
@@ -346,43 +335,6 @@ class CompiledPlan:
             check = lower_quantifier(quantifier)
             self._checks[quantifier] = check
         return check
-
-    def pattern_view(self, pattern: QuantifiedGraphPattern, build: Callable[[], tuple]) -> tuple:
-        """One-slot memo for read-only derivatives of one live pattern object.
-
-        The locality search constructs one :class:`MatchContext` per focus
-        candidate over the *same* stratified pattern object; its adjacency
-        and label map are graph-independent and never mutated, so they are
-        built once (via *build*) and pinned on the pattern's identity.  A new
-        pattern object — the next query's :meth:`QGP.pi` product — simply
-        replaces the slot.
-        """
-        view = self._pattern_view
-        if view is not None and view[0] is pattern:
-            return view[1]
-        value = build()
-        self._pattern_view = (pattern, value)
-        return value
-
-    def ordering_ranks(
-        self, ordering: Dict[NodeId, Sequence[NodeId]]
-    ) -> Dict[NodeId, Dict[NodeId, int]]:
-        """Rank maps of a potential-ordering, memoised per ordering object.
-
-        An ordering's preference lists span entire candidate pools, and the
-        locality search would otherwise rebuild the rank dictionaries for
-        every focus-candidate context.  One ordering object is computed per
-        query, so a one-slot identity-pinned memo collapses that to once.
-        """
-        memo = self._ordering_ranks
-        if memo is not None and memo[0] is ordering:
-            return memo[1]
-        ranks = {
-            pattern_node: {node: rank for rank, node in enumerate(preferred)}
-            for pattern_node, preferred in ordering.items()
-        }
-        self._ordering_ranks = (ordering, ranks)
-        return ranks
 
     def edge_specs(self, edges: Sequence) -> Tuple[Tuple[NodeId, str, QuantifierCheck], ...]:
         """Lowered ``(source node, edge label, check)`` specs for live edges.
@@ -409,17 +361,22 @@ class CompiledPlan:
     def resolution_for(self, graph: PropertyGraph) -> PlanResolution:
         """The :class:`PlanResolution` of *graph* at its current version.
 
-        Keyed ``(id(graph), graph.version)`` with the graph pinned by the
-        entry (mirrors :class:`repro.service.cache.ResultCache`), so an id
-        can never be recycled while its key is live.  A version bump makes a
-        fresh key — the stale resolution ages out of the LRU — and only the
-        resolution is redone: the compiled program (closures, canonical
-        shape) is reused as-is.
+        One resolution per live graph, keyed ``id(graph)`` with the graph
+        pinned by the entry (mirrors :class:`repro.service.cache.ResultCache`),
+        so an id can never be recycled while its key is live.  The graph
+        version only moves forward, so a version bump *replaces* the graph's
+        resolution — the superseded snapshot is released at once instead of
+        waiting for LRU eviction — and only the resolution is redone: the
+        compiled program (closures, canonical shape) is reused as-is.
         """
-        key = (id(graph), graph.version)
+        key = id(graph)
         with self._lock:
             resolution = self._resolutions.get(key)
-            if resolution is not None and resolution.graph is graph:
+            if (
+                resolution is not None
+                and resolution.graph is graph
+                and resolution.snapshot.version == graph.version
+            ):
                 self._resolutions.move_to_end(key)
                 return resolution
         resolution = PlanResolution(self, graph)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint the matching/plan hot paths for throwaway set-copy idioms.
+"""Lint the matching/plan hot paths for throwaway set copies and row walks.
 
 The enumeration and plan layers sit inside per-candidate and per-probe loops,
 where ``pool & set(restriction)`` or ``candidates.copy()`` quietly
@@ -14,6 +14,14 @@ Flagged in ``src/repro/matching/`` and ``src/repro/plan/``:
   instead);
 * ``.copy()`` calls (hot-path structures are reused or rebuilt per epoch,
   never defensively copied per probe).
+
+Flagged in the per-query filters — ``src/repro/graph/simulation.py``,
+``src/repro/matching/candidates.py`` and ``src/repro/matching/pruning.py``:
+
+* ``csr.row(…)`` calls and ``range(start, end)`` loops, i.e. stepping
+  through a CSR neighbour slice one Python iteration at a time.  These
+  filters run as C-level set algebra over the compiled frozenset rows
+  (``row.isdisjoint(pool)``, ``len(row & pool)``) instead.
 
 A line that is genuinely cold (a reference oracle, a one-off builder) opts
 out with a trailing ``# hotpath: ok`` comment.  Comments and docstrings are
@@ -36,6 +44,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 HOT_DIRS = ("src/repro/matching", "src/repro/plan")
 
+FILTER_FILES = (
+    "src/repro/graph/simulation.py",
+    "src/repro/matching/candidates.py",
+    "src/repro/matching/pruning.py",
+)
+
 ESCAPE = "hotpath: ok"
 
 # A binary set operator against a fresh set/frozenset materialisation: the
@@ -46,6 +60,16 @@ _COPY_CALL = re.compile(r"\.copy\(\)")
 PATTERNS = (
     (_SET_COPY, "binary set op against a fresh set() — intersect the iterable"),
     (_COPY_CALL, ".copy() on a hot path — reuse or rebuild per epoch"),
+)
+
+# A CSR slice walked in Python: ``csr.row(label, node)`` or a two-bound
+# ``range(start, end)`` loop over its positions.
+_CSR_ROW = re.compile(r"\.row\(")
+_RANGE_WALK = re.compile(r"\brange\([^,()]+,[^,()]+\)")
+
+FILTER_PATTERNS = (
+    (_CSR_ROW, "CSR row walk in a per-query filter — use the compiled frozenset rows"),
+    (_RANGE_WALK, "range(start, end) neighbour loop in a per-query filter — use set algebra"),
 )
 
 
@@ -78,20 +102,29 @@ def code_lines(path: Path) -> dict[int, str]:
     return lines
 
 
+def scan(path: Path, patterns) -> list[str]:
+    """One finding per (line, pattern) match in *path*, honouring the escape."""
+    problems: list[str] = []
+    raw = path.read_text(encoding="utf-8").splitlines()
+    for number, line in code_lines(path).items():
+        if ESCAPE in raw[number - 1]:
+            continue
+        for pattern, message in patterns:
+            if pattern.search(line):
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{number}: "
+                    f"{message} [{raw[number - 1].strip()}]"
+                )
+    return problems
+
+
 def findings() -> list[str]:
     problems: list[str] = []
     for directory in HOT_DIRS:
         for path in sorted((REPO_ROOT / directory).rglob("*.py")):
-            raw = path.read_text(encoding="utf-8").splitlines()
-            for number, line in code_lines(path).items():
-                if ESCAPE in raw[number - 1]:
-                    continue
-                for pattern, message in PATTERNS:
-                    if pattern.search(line):
-                        problems.append(
-                            f"{path.relative_to(REPO_ROOT)}:{number}: "
-                            f"{message} [{raw[number - 1].strip()}]"
-                        )
+            problems.extend(scan(path, PATTERNS))
+    for name in FILTER_FILES:
+        problems.extend(scan(REPO_ROOT / name, FILTER_PATTERNS))
     return problems
 
 
@@ -100,9 +133,12 @@ def main() -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"{len(problems)} hot-path set-copy idiom(s)", file=sys.stderr)
+        print(f"{len(problems)} hot-path idiom(s)", file=sys.stderr)
         return 1
-    print("hot paths clean: no throwaway set copies in matching/ or plan/")
+    print(
+        "hot paths clean: no throwaway set copies in matching/ or plan/, "
+        "no CSR row walks in the per-query filters"
+    )
     return 0
 
 
