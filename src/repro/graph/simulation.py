@@ -59,10 +59,7 @@ def _refine(
     worklist = deque(pattern_nodes)
     in_worklist = set(pattern_nodes)
 
-    def rows(incoming: bool, label) -> Dict[NodeId, frozenset]:
-        label_id = graph_index.edge_label_id(label)
-        return graph_index.compiled_rows(incoming, label_id) if label_id >= 0 else {}
-
+    rows = graph_index.label_rows
     # Per pattern node: (row store, pattern neighbour) for every edge whose
     # other end must be supported — children via outgoing rows and, when
     # *dual*, parents via incoming rows.
@@ -190,7 +187,7 @@ def refine_candidates(
         # verbatim (and, being in no compiled row, they can never support a
         # neighbour either way).
         working[pattern_node] = pool
-    for pattern_node in pattern_nodes:
+    for pattern_node in pattern_graph.nodes():
         working.setdefault(pattern_node, set())
     result = _refine(pattern_graph, graph_index, working, dual=dual)
     result.update(passthrough)

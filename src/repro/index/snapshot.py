@@ -272,20 +272,6 @@ class GraphIndex:
             return self.inc.total_degree[node_id]
         return self.inc.degree(edge_label_id, node_id)
 
-    def count_out_with_label(
-        self, node_id: int, edge_label_id: int, target_label_id: int
-    ) -> int:
-        """``|{w : node -[e]-> w and L(w) = t}|`` — the ``U(v, e)`` upper bound."""
-        if edge_label_id < 0 or target_label_id < 0:
-            return 0
-        indices, start, end = self.out.row(edge_label_id, node_id)
-        labels = self.node_label_ids
-        count = 0
-        for position in range(start, end):
-            if labels[indices[position]] == target_label_id:
-                count += 1
-        return count
-
     def successors(self, node: NodeId, label: str) -> Set[NodeId]:
         """Original-id successors via *label* (parity API with the graph)."""
         node_index = self.nodes.get(node)
@@ -342,6 +328,11 @@ class GraphIndex:
                 start = end
             self._compiled_rows[key] = cached
         return cached
+
+    def label_rows(self, incoming: bool, label: str) -> Dict[NodeId, frozenset]:
+        """:meth:`compiled_rows` by edge *label*; empty for a label the graph lacks."""
+        label_id = self.edge_labels.get(label)
+        return self.compiled_rows(incoming, label_id) if label_id >= 0 else {}
 
     def precompile_rows(self) -> None:
         """Materialise every per-label row store up front.

@@ -3,19 +3,33 @@
 QMatch initialises, for every pattern node ``u``, a candidate set ``C(u)`` and
 the auxiliary structures the paper calls ``X``, ``c`` and ``U`` (Section 4.1):
 
-* ``U(v, e)`` — an upper bound on ``|Me(vx, v, Q)|``, initialised to
-  ``|Me(v)|`` (the number of ``v``'s children via an edge with ``e``'s label)
-  and here immediately sharpened to count only children carrying the right
-  node label;
-* candidates whose upper bound already fails a positive quantifier are removed
-  before the search starts (the paper's Example 5: ``x1`` is dropped because
-  ``U(x1, (xo, z1)) = 1 < 2``);
+* ``U(v, e)`` for ``e = (u, u')`` — an upper bound on ``|Me(vx, v, Q)|``.
+  The paper initialises it to ``|Me(v)|``, the number of ``v``'s children via
+  an edge with ``e``'s label; here it counts only the children *still in*
+  ``C(u')``: ``U(v, e) = |succₑ(v) ∩ C(u')|``, one C-level ``len(row & pool)``
+  over the compiled frozenset rows.  Every member of ``Me(vx, v, Q)`` is a
+  distinct node of ``C(u')``, so it is still an upper bound;
+* a focus candidate whose bound already fails a positive quantifier on one of
+  its edges is removed before the search starts (the paper's Example 5:
+  ``x1`` is dropped because ``U(x1, (xo, z1)) = 1 < 2``).  A candidate of
+  any other pattern node is removed when its bound is 0 — it has no child in
+  ``C(u')``, so no isomorphism uses it.  (Dropping a non-focus node that
+  *does* occur in isomorphisms would shrink the counts ``Me`` of its
+  parents, which the semantics take over every isomorphism of ``Qπ``);
 * optionally, the candidate sets are intersected with the maximal dual
   simulation relation (Lemma 13), a polynomial pre-filter that is sound for
   isomorphism;
+* the bound filter and the simulation worklist alternate until a pass prunes
+  nothing: dropping a node lowers its parents' bounds and support, so one
+  prune can enable the next;
 * finally the global pruning rule of Lemma 12 can conclude that the focus has
   no match at all when some pattern node retains fewer candidates than the
   largest numeric threshold on its incoming edges.
+
+Every step keeps each pool a superset of the nodes that pattern node takes
+in any isomorphism of ``Qπ`` whose focus is still a candidate, so the search
+over the filtered pools sees exactly the isomorphisms the semantics count
+for every surviving focus candidate.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional, Set
 
 from repro.graph.digraph import PropertyGraph
-from repro.graph.simulation import dual_simulation_relation
+from repro.graph.simulation import dual_simulation_relation, refine_candidates
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
 
@@ -80,38 +94,51 @@ class CandidateIndex:
 def apply_quantifier_bound_filter(index: CandidateIndex, edge, graph_index) -> None:
     """Apply the ``U(v, e)`` upper-bound filter of one pattern edge to *index*.
 
-    Records the bound for every candidate of ``edge.source``, keeps the ones
-    whose quantifier may still hold, and counts the rest in ``index.pruned``.
-    The same routine serves the full build (:func:`build_candidate_index`)
-    and the incremental rebuild around positified edges
-    (:mod:`repro.matching.incremental`): the bound walks one CSR row of the
-    compiled *graph_index* and the total comes from its degree arrays.
+    Records ``U(v, e) = |succₑ(v) ∩ C(u')|`` for every candidate ``v`` of
+    ``edge.source``, keeps the ones that may still be matched, and counts the
+    rest in ``index.pruned``: a focus candidate must leave its quantifier
+    satisfiable (``may_still_hold``: the bound reaches the quantifier's
+    ``least_bound`` for its total ``e``-degree), any other candidate must
+    have at least one child in ``C(u')``.  The same routine
+    serves the full build (:func:`build_candidate_index`) and the incremental
+    rebuild around positified edges (:mod:`repro.matching.incremental`): the
+    bound and the total are ``len`` of the candidate's compiled outgoing row
+    of *graph_index* — intersected with the target pool for the bound.
     Negated edges are skipped (they constrain via subtraction, not counting).
     """
     quantifier = edge.quantifier
     if quantifier.is_negation:
         return
     edge_key = edge.key
-    target_label = index.pattern.node_label(edge.target)
+    child_row = graph_index.label_rows(False, edge.label).get
+    targets = index.candidates.get(edge.target, set())
+    focus_edge = edge.source == index.pattern.focus
+    # total -> the quantifier's least bound (a ratio makes it depend on the
+    # degree); computed once per distinct total.
+    least: Dict[int, int] = {}
+    upper_bounds = index.upper_bounds
     survivors: Set[NodeId] = set()
-    edge_label_id = graph_index.edge_label_id(edge.label)
-    target_label_id = graph_index.node_label_id(target_label)
+    pruned = 0
     for candidate in index.candidates.get(edge.source, ()):
-        candidate_id = graph_index.node_id(candidate)
-        if edge_label_id < 0 or candidate_id < 0:
-            bound = 0
-            total = 0
+        row = child_row(candidate)
+        if row is None:
+            bound = total = 0
         else:
-            bound = graph_index.count_out_with_label(
-                candidate_id, edge_label_id, target_label_id
-            )
-            total = graph_index.out_degree_ids(candidate_id, edge_label_id)
-        index.upper_bounds[(edge_key, candidate)] = bound
-        if quantifier.may_still_hold(bound, total):
+            bound = len(row & targets)
+            total = len(row)
+        upper_bounds[(edge_key, candidate)] = bound
+        if focus_edge:
+            needed = least.get(total)
+            if needed is None:
+                needed = least[total] = quantifier.least_bound(total)
+        else:
+            needed = 1
+        if bound >= needed:
             survivors.add(candidate)
         else:
-            index.pruned += 1
+            pruned += 1
     index.candidates[edge.source] = survivors
+    index.pruned += pruned
 
 
 def build_candidate_index(
@@ -126,27 +153,41 @@ def build_candidate_index(
 
     1. node-label candidates,
     2. (optional) dual graph simulation on the stratified pattern,
-    3. per-edge quantifier upper bounds ``U(v, e)``.
+    3. per-edge quantifier upper bounds ``U(v, e)`` over every positive edge,
+       alternating with (2) until a bound pass prunes nothing.
 
-    Every filter is sound for isomorphism, so the filtered sets still contain
-    every true match; tests assert this against the reference engine.  All
-    three resolve through the compiled :class:`repro.index.GraphIndex`
-    snapshot: label index, CSR simulation fixpoint, CSR-row bound walks and
-    degree arrays.
+    ``upper_bounds`` holds the last pass's bounds — ``U`` against the final
+    pools for every final candidate — and ``pruned`` counts the bound
+    filter's removals over all passes (the simulation's are not counted).
+    Every filter is sound for
+    isomorphism, so the filtered sets still contain every true match; tests
+    assert this against the reference engine and against a plain-adjacency
+    transcription of the same fixpoint.  All of it resolves through the
+    compiled :class:`repro.index.GraphIndex` snapshot: label index,
+    signature pre-filter and frozenset row stores.
     """
     from repro.index.snapshot import GraphIndex
 
     index = CandidateIndex(pattern=pattern, graph=graph)
     graph_index = GraphIndex.for_graph(graph)
+    skeleton = pattern.stratified().graph if use_simulation else None
     if use_simulation:
-        index.candidates = dual_simulation_relation(pattern.stratified().graph, graph)
+        index.candidates = dual_simulation_relation(skeleton, graph)
     else:
         index.candidates = {
             u: graph_index.nodes_with_label(pattern.node_label(u))
             for u in pattern.nodes()
         }
-    for edge in pattern.edges():
-        apply_quantifier_bound_filter(index, edge, graph_index)
+    edges = [edge for edge in pattern.edges() if not edge.quantifier.is_negation]
+    while True:
+        pruned_before = index.pruned
+        index.upper_bounds.clear()
+        for edge in edges:
+            apply_quantifier_bound_filter(index, edge, graph_index)
+        if index.pruned == pruned_before:
+            break
+        if use_simulation:
+            index.candidates = refine_candidates(skeleton, graph, index.candidates)
 
     if counter is not None:
         counter.candidates_pruned += index.pruned

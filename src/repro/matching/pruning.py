@@ -26,9 +26,6 @@ __all__ = ["candidate_potential", "potential_ordering"]
 
 NodeId = Hashable
 
-# Row lookup for an edge label absent from the snapshot: every probe misses.
-_NO_ROWS: Dict[NodeId, frozenset] = {}
-
 
 def candidate_potential(
     pattern: QuantifiedGraphPattern,
@@ -86,14 +83,7 @@ def potential_ordering(
     """
     from repro.index.snapshot import GraphIndex
 
-    graph_index = GraphIndex.for_graph(graph)
-
-    def row_getter(incoming: bool, label: str):
-        label_id = graph_index.edge_label_id(label)
-        if label_id < 0:
-            return _NO_ROWS.get
-        return graph_index.compiled_rows(incoming, label_id).get
-
+    label_rows = GraphIndex.for_graph(graph).label_rows
     ordering: Dict[NodeId, List[NodeId]] = {}
     upper_bounds = index.upper_bounds
     for pattern_node in pattern.nodes():
@@ -101,18 +91,22 @@ def potential_ordering(
         if restrict_to is not None and pattern_node in restrict_to:
             pool = [v for v in pool if v in restrict_to[pattern_node]]
         # Hoisted per-pattern-node state: (parent-row lookup, parent pool,
-        # pool size) per incoming edge; quantifier rows per outgoing edge.
+        # pool size) per incoming edge; per positive outgoing edge its
+        # child-row lookup and a total -> max(threshold, 1) memo (a ratio
+        # quantifier's threshold depends on the candidate's degree).
         in_specs = []
         for edge in pattern.in_edges(pattern_node):
             parent_candidates = index.candidate_set(edge.source)
             if not parent_candidates:
                 continue
             in_specs.append(
-                (row_getter(True, edge.label), parent_candidates, len(parent_candidates))
+                (label_rows(True, edge.label).get, parent_candidates, len(parent_candidates))
             )
+        out_edges = pattern.out_edges(pattern_node)
         out_specs = [
-            (edge.key, edge.quantifier, row_getter(False, edge.label))
-            for edge in pattern.out_edges(pattern_node)
+            (edge.key, edge.quantifier.numeric_threshold, label_rows(False, edge.label).get, {})
+            for edge in out_edges
+            if not edge.quantifier.is_negation
         ]
         scored = []
         for candidate in pool:
@@ -125,14 +119,14 @@ def potential_ordering(
                 if bonus > parent_bonus:
                     parent_bonus = bonus
             headroom = 0.0
-            if out_specs:
-                for edge_key, quantifier, child_row in out_specs:
-                    if quantifier.is_negation:
-                        continue
+            if out_edges:
+                for edge_key, numeric_threshold, child_row, thresholds in out_specs:
                     bound = upper_bounds.get((edge_key, candidate), 0)
                     row = child_row(candidate)
                     total = len(row) if row is not None else 0
-                    threshold = max(quantifier.numeric_threshold(total), 1)
+                    threshold = thresholds.get(total)
+                    if threshold is None:
+                        threshold = thresholds[total] = max(numeric_threshold(total), 1)
                     headroom += bound / threshold
             else:
                 headroom = 1.0

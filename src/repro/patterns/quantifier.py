@@ -201,14 +201,18 @@ class CountingQuantifier:
         """
         if self.is_negation:
             return True
-        if self.op == "=":
-            # The count can only decrease as verification proceeds, so an
-            # upper bound below the target is conclusive failure.
-            return upper_bound >= self.numeric_threshold(total)
+        # For ``=`` the count can only decrease as verification proceeds, so
+        # an upper bound below the target is conclusive failure, as for ``≥``.
+        return upper_bound >= self.least_bound(total)
+
+    def least_bound(self, total: int) -> int:
+        """The smallest upper bound for which :meth:`may_still_hold` holds.
+
+        Depends on *total* only for ratio quantifiers, so a filter sweeping
+        many candidates computes it once per distinct total.
+        """
         threshold = self.numeric_threshold(total)
-        if self.op == ">":
-            return upper_bound > threshold
-        return upper_bound >= threshold
+        return threshold + 1 if self.op == ">" else threshold
 
     # --------------------------------------------------------------- utility
 

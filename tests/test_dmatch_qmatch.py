@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -19,9 +22,11 @@ from repro.matching import (
 )
 from repro.matching.dmatch import _local_candidate_pools
 from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
+from repro.plan import compile_plan
+from repro.service.patterns import canonicalize
 from repro.utils import MatchingError, WorkCounter
 
-from fixtures import build_q3
+from fixtures import build_paper_g1, build_q3
 
 
 class TestDMatch:
@@ -237,6 +242,41 @@ class TestQMatchDriver:
         )
         expected = EnumMatcher().evaluate_answer(pattern, paper_g1)
         assert QMatch().evaluate_answer(pattern, paper_g1) == expected == {"x2", "x3"}
+
+
+class _Ordering(dict):
+    """A potential ordering that can be weakly referenced."""
+
+
+class TestPerQueryState:
+    @pytest.mark.parametrize("use_locality", [False, True])
+    def test_the_ordering_dies_with_its_query(self, monkeypatch, use_locality):
+        # The cached plan outlives every query it serves, so nothing derived
+        # from one query (rank maps, its ordering, its pattern adjacency) may
+        # be memoised on it.
+        # The package re-exports the function as ``repro.matching.dmatch``,
+        # so fetch the module itself.
+        dmatch_module = importlib.import_module("repro.matching.dmatch")
+        orderings = []
+        original = dmatch_module.potential_ordering
+
+        def recording(*args, **kwargs):
+            ordering = _Ordering(original(*args, **kwargs))
+            orderings.append(weakref.ref(ordering))
+            return ordering
+
+        monkeypatch.setattr(dmatch_module, "potential_ordering", recording)
+        graph, pattern = build_paper_g1(), build_q3(p=2)
+        form = canonicalize(pattern)
+        plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
+        result = QMatch(options=DMatchOptions(use_locality=use_locality)).evaluate(
+            pattern, graph, plan=plan, plan_binding=form.order
+        )
+        assert result.answer == {"x2"}
+        gc.collect()
+        assert orderings
+        assert all(reference() is None for reference in orderings)
+        assert plan.resolution_for(graph) is not None  # the plan itself lives on
 
 
 class TestWorkAccounting:

@@ -129,25 +129,6 @@ class TestSnapshot:
         assert index.nodes_with_label("person") == graph.nodes_with_label("person")
         assert index.nodes_with_label("Redmi_2A") == {"redmi"}
 
-    def test_count_out_with_label_matches_dict_scan(self):
-        graph = random_labeled_graph(num_nodes=30, edge_probability=0.15, seed=9)
-        index = GraphIndex.build(graph)
-        for node in graph.nodes():
-            node_id = index.node_id(node)
-            for edge_label in index.edge_labels:
-                for target_label in index.node_labels:
-                    expected = sum(
-                        1
-                        for child in graph.successors(node, edge_label)
-                        if graph.node_label(child) == target_label
-                    )
-                    actual = index.count_out_with_label(
-                        node_id,
-                        index.edge_label_id(edge_label),
-                        index.node_label_id(target_label),
-                    )
-                    assert actual == expected
-
     def test_pickling_a_graph_drops_the_cached_snapshot(self):
         graph = build_paper_g1()
         GraphIndex.for_graph(graph)

@@ -9,10 +9,14 @@ other inside the verification loop and the byte-identity contract rides on it.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.delta import GraphDelta, apply_delta
 from repro.graph import PropertyGraph
 from repro.patterns import CountingQuantifier, QuantifiedGraphPattern
 from repro.plan import compile_plan, lower_quantifier, plan_compile_count
@@ -189,6 +193,26 @@ class TestPlanResolution:
         second = plan.resolution_for(graph)
         assert second is not first
         assert second.snapshot is not first.snapshot
+
+    def test_one_resolution_per_graph_and_superseded_snapshots_are_released(self):
+        graph, other = small_graph(), small_graph()
+        plan = compile_plan(sample_pattern())
+        plan.resolution_for(other)
+        superseded = []
+        for step in range(6):
+            superseded.append(weakref.ref(plan.resolution_for(graph).snapshot))
+            edge = [("d", "a", "follow")]
+            if step % 2 == 0:
+                apply_delta(graph, GraphDelta.build(edge_inserts=edge))
+            else:
+                apply_delta(graph, GraphDelta.build(edge_deletes=edge))
+        current = plan.resolution_for(graph)
+        # One live resolution per graph: the plan pins neither an old
+        # version's resolution nor, through it, its snapshot.
+        assert len(plan._resolutions) == 2
+        assert current.snapshot.version == graph.version
+        gc.collect()
+        assert all(reference() is None for reference in superseded)
 
     def test_edge_rows_cover_both_orientations(self):
         graph = small_graph()

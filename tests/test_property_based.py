@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import PropertyGraph
-from repro.matching import DMatchOptions, EnumMatcher, QMatch
+from repro.matching import DMatchOptions, EnumMatcher, QMatch, build_candidate_index
 from repro.parallel import PQMatch
 from repro.patterns import CountingQuantifier, QuantifiedGraphPattern
+from repro.utils.errors import PatternValidationError
+
+from test_engine_oracle import OPTION_COMBOS
 
 NODE_LABELS = ["person", "product"]
 EDGE_LABELS = ["follow", "recom"]
@@ -91,6 +94,45 @@ def quantified_patterns(draw) -> QuantifiedGraphPattern:
         pattern.add_node("neg", "person")
         pattern.add_edge("x", "neg", "follow", CountingQuantifier.negation())
     pattern.validate()
+    return pattern
+
+
+COUNTED = (
+    CountingQuantifier.existential(),
+    CountingQuantifier.at_least(2),
+    CountingQuantifier.at_least(3),
+    CountingQuantifier.exactly(1),
+    CountingQuantifier.exactly(2),
+    CountingQuantifier.ratio_at_least(50.0),
+    CountingQuantifier.universal(),
+)
+
+
+@st.composite
+def counted_patterns(draw) -> QuantifiedGraphPattern:
+    """Chains, forks and triangles whose counting quantifiers may sit on any
+    positive edge — the focus's or a deeper one — plus an optional negated
+    branch.  Shapes the paper's simple-path restriction rejects are skipped."""
+    pattern = QuantifiedGraphPattern(name="hyp-counted")
+    pattern.add_node("x", "person")
+    pattern.set_focus("x")
+    pattern.add_node("y", "person")
+    pattern.add_edge("x", "y", "follow", draw(st.sampled_from(COUNTED)))
+    shape = draw(st.sampled_from(["edge", "chain", "fork", "triangle"]))
+    if shape != "edge":
+        pattern.add_node("z", draw(st.sampled_from(NODE_LABELS)))
+        source = "x" if shape == "fork" else "y"
+        pattern.add_edge(source, "z", draw(st.sampled_from(EDGE_LABELS)),
+                         draw(st.sampled_from(COUNTED)))
+        if shape == "triangle":
+            pattern.add_edge("x", "z", draw(st.sampled_from(EDGE_LABELS)))
+    if draw(st.booleans()):
+        pattern.add_node("n", "product")
+        pattern.add_edge("x", "n", "recom", CountingQuantifier.negation())
+    try:
+        pattern.validate()
+    except PatternValidationError:
+        assume(False)
     return pattern
 
 
@@ -196,6 +238,27 @@ def test_dpar_partition_is_complete_and_covering(graph):
     assert partition.is_complete()
     assert partition.is_covering()
     assert sum(len(f.owned_nodes) for f in partition.fragments) == graph.num_nodes
+
+
+@given(graph=labeled_graphs(), pattern=counted_patterns())
+@settings(**SETTINGS)
+def test_candidate_pools_keep_every_oracle_match(graph, pattern):
+    """The bound filter, counted against the live pools to a fixpoint, keeps
+    every node the oracle binds in a satisfying match, and every switch
+    combination answers (and, without early exit, binds) like the oracle —
+    also when a counting quantifier sits below the focus."""
+    expected = EnumMatcher().evaluate(pattern, graph)
+    positive = pattern.pi()
+    for use_simulation in (True, False):
+        index = build_candidate_index(positive, graph, use_simulation=use_simulation)
+        for node, matches in expected.node_matches.items():
+            assert matches <= index.candidate_set(node), (use_simulation, node)
+    for options in OPTION_COMBOS:
+        result = QMatch(options=options).evaluate(pattern, graph)
+        assert result.answer == expected.answer, options
+        assert result.positive_answer == expected.positive_answer, options
+        if not options.early_exit:
+            assert result.node_matches == expected.node_matches, options
 
 
 @given(graph=labeled_graphs(), pattern=quantified_patterns())
