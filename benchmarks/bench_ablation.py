@@ -1,7 +1,7 @@
 """Ablation study: the individual optimisations of QMatch and DPar.
 
-Not a figure of the paper, but the design choices DESIGN.md calls out deserve
-their own measurements:
+Not a figure of the paper, but the design choices of its QMatch and DPar
+(PAPER.md) deserve their own measurements:
 
 * the dual-simulation candidate pre-filter (Lemma 13),
 * the potential-score candidate ordering (Appendix B),

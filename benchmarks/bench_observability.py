@@ -7,10 +7,10 @@ that promise by serving the same Zipf-skewed stream through three otherwise
 identical ``QueryService`` arms:
 
 * ``obs-off``  — observability compiled out as far as the knobs allow:
-  ``flight_capacity=0`` and ``stats_registry_capacity=0``, metrics and
-  tracing disabled (the floor — nothing records anything);
-* ``obs-noop`` — the **default** construction: flight recorder and stats
-  registry live at their default capacities, metrics and tracing disabled.
+  ``flight_capacity=0``, metrics and tracing disabled (the floor — only the
+  always-on per-fingerprint ledger records);
+* ``obs-noop`` — the **default** construction: the flight recorder lives at
+  its default capacity, metrics and tracing disabled.
   This is what production runs, and the arm the budget applies to;
 * ``obs-on``   — metrics, tracing and the flight recorder all enabled
   (the fully instrumented ceiling, reported but not gated).
@@ -54,7 +54,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 HEADERS = [
     "arm", "queries", "best_wall_seconds", "qps", "tax_vs_off",
-    "flight_events", "explain_fingerprints",
+    "flight_events", "ledger_fingerprints",
 ]
 
 
@@ -79,9 +79,7 @@ def test_observability_noop_overhead(pokec_graph, record_figure):
 
     # The three arms differ ONLY in observability configuration.
     arms = {
-        "obs-off": QueryService(
-            graph, name="obs-off", flight_capacity=0, stats_registry_capacity=0
-        ),
+        "obs-off": QueryService(graph, name="obs-off", flight_capacity=0),
         "obs-noop": QueryService(graph, name="obs-noop"),
         "obs-on": QueryService(graph, name="obs-on"),
     }
@@ -141,7 +139,7 @@ def test_observability_noop_overhead(pokec_graph, record_figure):
                 round(len(stream) / elapsed, 1) if elapsed else 0.0,
                 round(elapsed / best["obs-off"], 3) if best["obs-off"] else 0.0,
                 len(service.flight),
-                len(service.introspect()["explain"]),
+                len(service.introspection),
             ])
 
         record_figure(

@@ -4,8 +4,9 @@ Every benchmark module reproduces one table/figure of the paper's Section 7.
 The fixtures here build the benchmark graphs once per session (at a scale that
 keeps the whole suite in the minutes range on a laptop) and provide
 ``record_figure``, which renders the rows of a figure as an ASCII table,
-prints it, and archives it under ``benchmarks/results/`` so the numbers quoted
-in ``EXPERIMENTS.md`` can be regenerated with a single pytest invocation.
+prints it, and archives it under ``benchmarks/results/`` so every figure
+can be regenerated with a single pytest invocation (README.md, "Tests and
+benchmarks").
 
 The shared paper-example builders are imported **explicitly** from
 ``tests/fixtures.py`` (never via the ambiguous ``conftest`` module name —
@@ -43,8 +44,9 @@ from fixtures import build_paper_g1, build_paper_g2, build_q3, build_q4  # noqa:
 RESULTS_DIR = Path(__file__).parent / "results"
 
 # Scales are chosen so that the full benchmark suite stays in the minutes
-# range in pure Python; see EXPERIMENTS.md for the mapping to the paper's
-# dataset sizes.  REPRO_BENCH_SCALE overrides both (used by the CI smoke run).
+# range in pure Python; ``repro.datasets.benchmark_graph`` documents what a
+# scale builds (hundreds of nodes at 1.0, far below the paper's graphs).
+# REPRO_BENCH_SCALE overrides both (used by the CI smoke run).
 _SCALE_OVERRIDE = os.environ.get("REPRO_BENCH_SCALE")
 POKEC_SCALE = float(_SCALE_OVERRIDE) if _SCALE_OVERRIDE else 3.0
 YAGO_SCALE = float(_SCALE_OVERRIDE) if _SCALE_OVERRIDE else 3.0

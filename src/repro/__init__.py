@@ -81,7 +81,6 @@ from repro.core import (
     build_shards,
     MetricsRegistry,
     ServiceIntrospection,
-    SlowQueryLog,
     enable_metrics,
     disable_metrics,
     active_metrics,
@@ -141,7 +140,6 @@ __all__ = [
     "build_shards",
     "MetricsRegistry",
     "ServiceIntrospection",
-    "SlowQueryLog",
     "enable_metrics",
     "disable_metrics",
     "active_metrics",

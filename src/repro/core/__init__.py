@@ -36,7 +36,6 @@ from repro.patterns import (
 from repro.obs import (
     MetricsRegistry,
     ServiceIntrospection,
-    SlowQueryLog,
     active_metrics,
     active_tracing,
     disable_metrics,
@@ -110,7 +109,6 @@ __all__ = [
     "build_shards",
     "MetricsRegistry",
     "ServiceIntrospection",
-    "SlowQueryLog",
     "enable_metrics",
     "disable_metrics",
     "active_metrics",

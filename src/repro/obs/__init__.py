@@ -21,7 +21,6 @@ from repro.obs.flight import FlightEvent, FlightRecorder
 from repro.obs.introspect import (
     FingerprintStats,
     ServiceIntrospection,
-    SlowQueryLog,
     SlowQueryRecord,
 )
 from repro.obs.metrics import (
@@ -64,7 +63,6 @@ from repro.obs.trace import (
 from repro.obs.explain import (
     ExplainReport,
     ExplainStep,
-    StatsRegistry,
     build_report,
     estimate_steps,
     q_error,
@@ -106,12 +104,10 @@ __all__ = [
     # introspection
     "ServiceIntrospection",
     "FingerprintStats",
-    "SlowQueryLog",
     "SlowQueryRecord",
     # explain
     "ExplainStep",
     "ExplainReport",
-    "StatsRegistry",
     "estimate_steps",
     "build_report",
     "q_error",

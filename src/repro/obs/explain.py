@@ -12,30 +12,24 @@ item 3's adaptive planner) actually needs per step of that order:
 * **observed** cardinality, from the probe counts the matching layer already
   tallies — per-depth when :func:`build_report` re-runs the enumeration
   (``analyze=True``, the EXPLAIN ANALYZE of the title), and as per-query
-  averages from served traffic via the :class:`StatsRegistry` either way.
+  averages from served traffic either way.
 
-The :class:`StatsRegistry` is the **explicit feed for the adaptive planner**
-(querytorque-style Q-Error routing): per fingerprint and per graph epoch it
-accumulates the served work counters and answer sizes, so
-``estimate vs observed`` — :func:`q_error` — is computable for every
-fingerprint the service ever computed.  It is bounded two ways (fingerprints
-LRU, epochs per fingerprint keep-latest) and always on, observing at query
-grain only.
+The traffic averages come from the serving tier's per-fingerprint ledger
+(:class:`repro.obs.introspect.ServiceIntrospection`), the **explicit feed for
+the adaptive planner** (querytorque-style Q-Error routing): per fingerprint
+and per graph epoch it accumulates the computed requests' work counters and
+answer sizes, so ``estimate vs observed`` — :func:`q_error` — is computable
+for every fingerprint the service lists in ``stats()``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
-
-from repro.utils.counters import WorkCounter
 
 __all__ = [
     "ExplainStep",
     "ExplainReport",
-    "StatsRegistry",
     "estimate_steps",
     "build_report",
     "q_error",
@@ -144,153 +138,6 @@ def estimate_steps(
 
 
 # --------------------------------------------------------------------------
-# The per-fingerprint observation registry (the adaptive planner's feed)
-# --------------------------------------------------------------------------
-
-
-class _EpochStats:
-    """Accumulated observations of one fingerprint in one graph epoch."""
-
-    __slots__ = ("queries", "verifications", "extensions", "quantifier_checks",
-                 "answers", "seconds")
-
-    def __init__(self) -> None:
-        self.queries = 0
-        self.verifications = 0
-        self.extensions = 0
-        self.quantifier_checks = 0
-        self.answers = 0
-        self.seconds = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        queries = self.queries or 1
-        return {
-            "queries": self.queries,
-            "verifications_per_query": self.verifications / queries,
-            "extensions_per_query": self.extensions / queries,
-            "quantifier_checks_per_query": self.quantifier_checks / queries,
-            "answers_per_query": self.answers / queries,
-            "mean_seconds": self.seconds / queries,
-        }
-
-
-class _FingerprintEntry:
-    __slots__ = ("pattern_name", "epochs")
-
-    def __init__(self) -> None:
-        self.pattern_name = ""
-        self.epochs: "OrderedDict[Hashable, _EpochStats]" = OrderedDict()
-
-
-class StatsRegistry:
-    """Bounded, epoch-aware estimated-vs-observed accounting per fingerprint.
-
-    ``record`` files the work counters and answer size of one *computed*
-    query (cache hits carry no fresh observations) under the graph epoch it
-    ran against — a scalar version for one service, a version-vector text for
-    a fleet.  Fingerprints are LRU-bounded; each fingerprint keeps its most
-    recent ``epoch_capacity`` epochs, so a delta stream cannot grow the
-    registry and the planner always sees current-epoch behaviour first.
-    ``capacity=0`` disables recording (overhead baselines).
-    """
-
-    def __init__(self, capacity: int = 256, epoch_capacity: int = 4) -> None:
-        if capacity < 0:
-            raise ValueError("stats registry capacity must be non-negative")
-        if epoch_capacity <= 0:
-            raise ValueError("stats registry epoch capacity must be positive")
-        self.capacity = capacity
-        self.epoch_capacity = epoch_capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, _FingerprintEntry]" = OrderedDict()
-
-    def __bool__(self) -> bool:
-        return self.capacity > 0
-
-    def record(
-        self,
-        fingerprint: str,
-        pattern_name: str,
-        epoch: Hashable,
-        counter: Optional[WorkCounter] = None,
-        answer_size: int = 0,
-        elapsed: float = 0.0,
-    ) -> None:
-        """Account one computed query for *fingerprint* at *epoch*."""
-        if not self.capacity:
-            return
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                entry = _FingerprintEntry()
-                self._entries[fingerprint] = entry
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-            else:
-                self._entries.move_to_end(fingerprint)
-            entry.pattern_name = pattern_name
-            stats = entry.epochs.get(epoch)
-            if stats is None:
-                stats = _EpochStats()
-                entry.epochs[epoch] = stats
-                while len(entry.epochs) > self.epoch_capacity:
-                    entry.epochs.popitem(last=False)
-            else:
-                entry.epochs.move_to_end(epoch)
-            stats.queries += 1
-            stats.answers += answer_size
-            stats.seconds += elapsed
-            if counter is not None:
-                stats.verifications += counter.verifications
-                stats.extensions += counter.extensions
-                stats.quantifier_checks += counter.quantifier_checks
-
-    def observed(
-        self, fingerprint: str, epoch: Optional[Hashable] = None
-    ) -> Optional[Dict[str, object]]:
-        """Per-query observation averages (latest epoch unless one is named)."""
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None or not entry.epochs:
-                return None
-            if epoch is None:
-                epoch = next(reversed(entry.epochs))
-            stats = entry.epochs.get(epoch)
-            if stats is None:
-                return None
-            payload = stats.as_dict()
-            payload["epoch"] = epoch
-            payload["pattern"] = entry.pattern_name
-            return payload
-
-    def fingerprints(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._entries)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Every fingerprint's per-epoch averages (introspection payload)."""
-        with self._lock:
-            return {
-                fingerprint: {
-                    "pattern": entry.pattern_name,
-                    "epochs": {
-                        str(epoch): stats.as_dict()
-                        for epoch, stats in entry.epochs.items()
-                    },
-                }
-                for fingerprint, entry in self._entries.items()
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-# --------------------------------------------------------------------------
 # The report
 # --------------------------------------------------------------------------
 
@@ -302,8 +149,8 @@ class ExplainReport:
     ``steps`` follow the matching order the report was built for: the
     per-epoch stats-derived preview for plain EXPLAIN, the live search order
     when ``analyzed`` (the ANALYZE run uses the same per-query ordering rule
-    the real search does).  ``traffic`` carries the :class:`StatsRegistry`
-    per-query averages of served traffic (empty dict when the fingerprint
+    the real search does).  ``traffic`` carries the ledger's per-query
+    averages of served traffic (empty dict when the fingerprint
     was never computed), and the volume/q-error fields compare the model's
     predicted probe volume against whichever observation is available —
     the ANALYZE run's exact probe count, else the traffic average.

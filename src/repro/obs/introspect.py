@@ -3,46 +3,86 @@
 Where :mod:`repro.obs.metrics` aggregates process-wide totals, this module
 answers the operator questions about **one** :class:`~repro.service.server.
 QueryService`: which fingerprints are hot, what their p50/p99 latencies are,
-how full the cache is, which pool epoch is live, and which queries were slow
+what work a fingerprint costs per graph epoch, and which queries were slow
 enough to care about.  It is deliberately **always on** — every instrument
 here observes at request granularity (a handful of arithmetic operations per
 served query, never per probe), so the sequential matching hot path is
 untouched and ``QueryService.stats()`` works without enabling the global
 registry.
 
-Two pieces:
+:class:`ServiceIntrospection` is the service's one **per-fingerprint
+ledger**.  Each :class:`FingerprintStats` record carries the request and
+cache-hit counts and the latency histogram (p50/p99 by bucket interpolation)
+of all traffic, and — for *computed* requests only, cache hits carry no fresh
+observation — the per-epoch work observations (verifications, extensions,
+quantifier checks, answers, seconds) that ``explain()`` compares against the
+planner's estimates.  The ledger is bounded two ways, LRU over fingerprints
+and keep-latest over epochs per fingerprint: introspection must never become
+the memory leak it is meant to find.
 
-* :class:`ServiceIntrospection` — per-fingerprint request counts, cache-hit
-  counts and latency histograms (p50/p99 by bucket interpolation), bounded to
-  ``capacity`` fingerprints (LRU beyond it: introspection must never become
-  the memory leak it is meant to find).
-* :class:`SlowQueryLog` — a bounded log of queries whose service time
-  crossed a configurable threshold, each record carrying the fingerprint,
-  pattern name, elapsed seconds and the matching-layer work counters
-  (verifications / extensions / quantifier checks) plus the affected-area
-  size when the delta layer produced one.  This is the seed data for a
-  future cardinality-estimation planner: a pathological matching order shows
-  up here with exactly the counters a cost model needs.
+The ledger also owns the slow-query threshold: :meth:`ServiceIntrospection.
+slow_query` builds a :class:`SlowQueryRecord` — fingerprint, pattern name,
+elapsed seconds, the matching-layer work counters and the affected-area size
+when the delta layer produced one — for a request that crossed it.  The
+record is stored in one place, the owning service's flight recorder
+(``slow_query`` ring).  A pathological matching order shows up there with
+exactly the counters a cost model needs.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.utils.counters import WorkCounter
 
-__all__ = ["FingerprintStats", "ServiceIntrospection", "SlowQueryLog", "SlowQueryRecord"]
+__all__ = ["FingerprintStats", "ServiceIntrospection", "SlowQueryRecord"]
+
+# Fingerprints the ledger keeps (LRU beyond it), and graph epochs kept per
+# fingerprint (the most recent ones: the planner reads current behaviour).
+DEFAULT_LEDGER_CAPACITY = 512
+DEFAULT_EPOCH_CAPACITY = 4
+
+
+class _EpochStats:
+    """Accumulated observations of one fingerprint in one graph epoch."""
+
+    __slots__ = ("queries", "verifications", "extensions", "quantifier_checks",
+                 "answers", "seconds")
+
+    def __init__(self) -> None:
+        self.queries = 0
+        self.verifications = 0
+        self.extensions = 0
+        self.quantifier_checks = 0
+        self.answers = 0
+        self.seconds = 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        queries = self.queries or 1
+        return {
+            "queries": self.queries,
+            "verifications_per_query": self.verifications / queries,
+            "extensions_per_query": self.extensions / queries,
+            "quantifier_checks_per_query": self.quantifier_checks / queries,
+            "answers_per_query": self.answers / queries,
+            "mean_seconds": self.seconds / queries,
+        }
 
 
 class FingerprintStats:
-    """Latency and traffic accounting for one canonical fingerprint."""
+    """The ledger record of one canonical fingerprint.
+
+    ``epochs`` stays ``None`` until the first computed request, so a
+    fingerprint served only from cache never allocates epoch state.
+    """
 
     __slots__ = ("fingerprint", "pattern_name", "requests", "cache_hits",
-                 "computed", "_histogram", "last_elapsed", "verifications")
+                 "computed", "_histogram", "last_elapsed", "verifications",
+                 "epochs")
 
     def __init__(self, fingerprint: str, lock: threading.Lock) -> None:
         self.fingerprint = fingerprint
@@ -55,6 +95,7 @@ class FingerprintStats:
         self._histogram = Histogram(
             f"fingerprint.{fingerprint[:12]}", lock, DEFAULT_LATENCY_BUCKETS
         )
+        self.epochs: "Optional[OrderedDict[Hashable, _EpochStats]]" = None
 
     @property
     def p50(self) -> float:
@@ -79,24 +120,28 @@ class FingerprintStats:
             "p99_seconds": self.p99,
             "mean_seconds": self.mean,
             "last_seconds": self.last_elapsed,
+            "epochs": {
+                str(epoch): stats.as_dict() for epoch, stats in (self.epochs or {}).items()
+            },
         }
 
 
 @dataclass(frozen=True)
 class SlowQueryRecord:
-    """One logged slow query — fingerprint, timing, and its work counters.
+    """One slow query — fingerprint, timing, and its work counters.
 
     ``plan`` names the compiled plan that served the request (fingerprint
     prefix + the plan's matching-order rendering), empty for cache hits and
     plan-less engines — so a pathological order is diagnosable straight from
     ``QueryService.stats()`` without re-running the query.
 
-    The serve-tier fields make a slow *fleet* query diagnosable from the log
-    alone: ``shard_fanout`` counts the shards the request actually touched
-    (0 for a single service), ``cache_route`` names the level that answered
-    (``"l1"``/``"l2"``/``"fanout"`` at the router, ``"l1"``/``"compute"``
-    inside one service, empty when unknown), and ``admission_wait`` is the
-    seconds the request sat queued before a dispatcher claimed it.
+    The serve-tier fields make a slow *fleet* query diagnosable from the
+    record alone: ``shard_fanout`` counts the shards the request actually
+    touched (0 for a single service), ``cache_route`` names the level that
+    answered (``"l1"``/``"l2"``/``"fanout"`` at the router,
+    ``"l1"``/``"compute"`` inside one service, empty for subscription
+    maintenance), and ``admission_wait`` is the seconds the request sat
+    queued before a dispatcher claimed it.
     """
 
     fingerprint: str
@@ -133,101 +178,28 @@ class SlowQueryRecord:
         }
 
 
-class SlowQueryLog:
-    """A bounded log of requests slower than *threshold* seconds.
-
-    ``threshold=None`` disables logging entirely (the default for services
-    that did not opt in); ``threshold=0.0`` logs everything, which is what
-    regression tests use to capture pathological patterns deterministically.
-    """
-
-    def __init__(self, threshold: Optional[float] = None, capacity: int = 64) -> None:
-        if capacity <= 0:
-            raise ValueError("slow-query log capacity must be positive")
-        self.threshold = threshold
-        self.capacity = capacity
-        self._records: Deque[SlowQueryRecord] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold is not None
-
-    def record(
-        self,
-        fingerprint: str,
-        pattern_name: str,
-        elapsed: float,
-        cached: bool = False,
-        counter: Optional[WorkCounter] = None,
-        aff_size: int = 0,
-        batch_size: int = 1,
-        plan: str = "",
-        shard_fanout: int = 0,
-        cache_route: str = "",
-        admission_wait: float = 0.0,
-    ) -> Optional[SlowQueryRecord]:
-        """File the request if it crossed the threshold; returns the record."""
-        if self.threshold is None or elapsed < self.threshold:
-            return None
-        entry = SlowQueryRecord(
-            fingerprint=fingerprint,
-            pattern_name=pattern_name,
-            elapsed=elapsed,
-            threshold=self.threshold,
-            cached=cached,
-            verifications=counter.verifications if counter else 0,
-            extensions=counter.extensions if counter else 0,
-            quantifier_checks=counter.quantifier_checks if counter else 0,
-            aff_size=aff_size,
-            batch_size=batch_size,
-            plan=plan,
-            shard_fanout=shard_fanout,
-            cache_route=cache_route,
-            admission_wait=admission_wait,
-        )
-        with self._lock:
-            if len(self._records) == self.capacity:
-                self.dropped += 1
-            self._records.append(entry)
-        return entry
-
-    def records(self) -> Tuple[SlowQueryRecord, ...]:
-        with self._lock:
-            return tuple(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __repr__(self) -> str:
-        return (
-            f"SlowQueryLog(threshold={self.threshold}, size={len(self)}/"
-            f"{self.capacity}, dropped={self.dropped})"
-        )
-
-
 class ServiceIntrospection:
-    """Always-on per-service accounting behind ``QueryService.stats()``."""
+    """The per-fingerprint ledger behind ``stats()``, ``explain()`` and the
+    slow-query threshold.
+
+    ``slow_query_threshold=None`` (the default) files no slow queries;
+    ``0.0`` files every request, which is what regression tests use to
+    capture pathological patterns deterministically.
+    """
 
     def __init__(
         self,
-        capacity: int = 512,
+        capacity: int = DEFAULT_LEDGER_CAPACITY,
         slow_query_threshold: Optional[float] = None,
-        slow_query_capacity: int = 64,
+        epoch_capacity: int = DEFAULT_EPOCH_CAPACITY,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("introspection capacity must be positive")
+        if capacity <= 0 or epoch_capacity <= 0:
+            raise ValueError("ledger capacities must be positive")
         self.capacity = capacity
+        self.epoch_capacity = epoch_capacity
+        self.slow_query_threshold = slow_query_threshold
         self._lock = threading.Lock()
         self._fingerprints: "OrderedDict[str, FingerprintStats]" = OrderedDict()
-        self.slow_queries = SlowQueryLog(slow_query_threshold, slow_query_capacity)
 
     # -------------------------------------------------------------- recording
 
@@ -238,18 +210,14 @@ class ServiceIntrospection:
         elapsed: float,
         cached: bool,
         counter: Optional[WorkCounter] = None,
-        aff_size: int = 0,
-        batch_size: int = 1,
-        plan: str = "",
-        shard_fanout: int = 0,
-        cache_route: str = "",
-        admission_wait: float = 0.0,
-    ) -> Optional[SlowQueryRecord]:
+        epoch: Hashable = None,
+        answer_size: int = 0,
+    ) -> None:
         """Account one served request (hit or computed) for *fingerprint*.
 
-        Returns the :class:`SlowQueryRecord` when the request also crossed
-        the slow-query threshold (callers feed it to the flight recorder),
-        else ``None``.
+        A computed request also files its work counters, answer size and
+        seconds under *epoch* — the graph epoch it ran against (a scalar
+        version for one service, a version-vector text for a fleet).
         """
         with self._lock:
             stats = self._fingerprints.get(fingerprint)
@@ -267,18 +235,56 @@ class ServiceIntrospection:
                 stats.cache_hits += 1
             else:
                 stats.computed += 1
-            if counter is not None:
-                stats.verifications += counter.verifications
-        # The per-fingerprint histogram shares this introspection's lock,
-        # and observe() re-acquires it — so file the sample outside the
+                epochs = stats.epochs
+                if epochs is None:
+                    epochs = stats.epochs = OrderedDict()
+                observation = epochs.get(epoch)
+                if observation is None:
+                    observation = epochs[epoch] = _EpochStats()
+                    while len(epochs) > self.epoch_capacity:
+                        epochs.popitem(last=False)
+                else:
+                    epochs.move_to_end(epoch)
+                observation.queries += 1
+                observation.answers += answer_size
+                observation.seconds += elapsed
+                if counter is not None:
+                    stats.verifications += counter.verifications
+                    observation.verifications += counter.verifications
+                    observation.extensions += counter.extensions
+                    observation.quantifier_checks += counter.quantifier_checks
+        # The per-fingerprint histogram shares this ledger's lock, and
+        # observe() re-acquires it — so file the sample outside the
         # with-block above.
         stats._histogram.observe(elapsed)
-        return self.slow_queries.record(
-            fingerprint,
-            pattern_name,
-            elapsed,
+
+    def slow_query(
+        self,
+        fingerprint: str,
+        pattern_name: str,
+        elapsed: float,
+        cached: bool = False,
+        counter: Optional[WorkCounter] = None,
+        aff_size: int = 0,
+        batch_size: int = 1,
+        plan: str = "",
+        shard_fanout: int = 0,
+        cache_route: str = "",
+        admission_wait: float = 0.0,
+    ) -> Optional[SlowQueryRecord]:
+        """The record of a request that crossed the threshold, else ``None``."""
+        threshold = self.slow_query_threshold
+        if threshold is None or elapsed < threshold:
+            return None
+        return SlowQueryRecord(
+            fingerprint=fingerprint,
+            pattern_name=pattern_name,
+            elapsed=elapsed,
+            threshold=threshold,
             cached=cached,
-            counter=counter,
+            verifications=counter.verifications if counter else 0,
+            extensions=counter.extensions if counter else 0,
+            quantifier_checks=counter.quantifier_checks if counter else 0,
             aff_size=aff_size,
             batch_size=batch_size,
             plan=plan,
@@ -293,28 +299,32 @@ class ServiceIntrospection:
         with self._lock:
             return self._fingerprints.get(fingerprint)
 
+    def observed(
+        self, fingerprint: str, epoch: Optional[Hashable] = None
+    ) -> Optional[Dict[str, object]]:
+        """*fingerprint*'s per-query observation averages at *epoch* (the
+        latest one by default); ``None`` when it was never computed there."""
+        with self._lock:
+            stats = self._fingerprints.get(fingerprint)
+            if stats is None or not stats.epochs:
+                return None
+            if epoch is None:
+                epoch = next(reversed(stats.epochs))
+            observation = stats.epochs.get(epoch)
+            if observation is None:
+                return None
+            payload = observation.as_dict()
+            payload["epoch"] = epoch
+            payload["pattern"] = stats.pattern_name
+            return payload
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Per-fingerprint stats, hottest (most recently served) last."""
+        """Per-fingerprint records, hottest (most recently served) last."""
         with self._lock:
             return {
                 fingerprint: stats.as_dict()
                 for fingerprint, stats in self._fingerprints.items()
             }
-
-    def top(self, count: int = 10) -> List[Tuple[str, Dict[str, object]]]:
-        """The *count* fingerprints with the most requests, descending."""
-        with self._lock:
-            ranked = sorted(
-                self._fingerprints.items(),
-                key=lambda item: item[1].requests,
-                reverse=True,
-            )
-        return [(fingerprint, stats.as_dict()) for fingerprint, stats in ranked[:count]]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._fingerprints.clear()
-        self.slow_queries.clear()
 
     def __len__(self) -> int:
         with self._lock:

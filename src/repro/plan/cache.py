@@ -148,18 +148,6 @@ class PlanCache:
         plan.resolution_for(graph)
         return plan
 
-    def purge_stale(self) -> int:
-        """Drop entries whose graph has mutated past their epoch."""
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if entry.graph.version != key[3]
-            ]
-            for key in stale:
-                del self._entries[key]
-        return len(stale)
-
     def clear(self) -> None:
         """Forget entries *and* programs (fingerprints recompile after this)."""
         with self._lock:

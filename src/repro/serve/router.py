@@ -157,8 +157,16 @@ class ShardedService(RequestPipeline):
         A :class:`SharedResultCache`, or a path (str) to open one — opened
         handles are owned (closed by :meth:`close`), passed handles are
         borrowed.  ``None`` disables the L2.
+    cache_capacity:
+        Bound on the router's L1 and on each shard service's result cache.
     admission:
         :class:`AdmissionConfig` for the :meth:`submit` front door.
+    name:
+        Names the fleet; shard services are ``f"{name}-shard{i}"``.
+    slow_query_threshold / flight_capacity:
+        As on :class:`~repro.service.server.QueryService`, for the fleet's
+        own requests (records carry the serve-tier fields).  Shard services
+        run with the defaults.
 
     >>> from repro.graph.generators import small_world_social_graph
     >>> from repro.datasets.workloads import workload_patterns
@@ -182,28 +190,23 @@ class ShardedService(RequestPipeline):
         admission: Optional[AdmissionConfig] = None,
         shared_cache: Optional[object] = None,
         name: str = "ShardedService",
-        service_kwargs: Optional[Dict[str, object]] = None,
         slow_query_threshold: Optional[float] = None,
         flight_capacity: int = 256,
-        stats_registry_capacity: int = 256,
     ) -> None:
         # Fleet-level request introspection: slow fleet queries carry the
         # serve-tier fields (fan-out count, cache route, admission wait); the
-        # small plan cache is there so explain never recompiles per call.
+        # plan cache is there so explain never recompiles per call.
         super().__init__(
             name,
             RouterStats(),
             cache_capacity=cache_capacity,
-            plan_cache_capacity=64,
             introspection=ServiceIntrospection(slow_query_threshold=slow_query_threshold),
             flight_capacity=flight_capacity,
-            stats_registry_capacity=stats_registry_capacity,
         )
         self.graph = graph
         self.d = d
         self.shards, self._assign = build_shards(graph, num_shards, d, partition)
         self.services: List[QueryService] = []
-        kwargs = dict(service_kwargs or {})
         for shard in self.shards:
             if coordinator_factory is not None:
                 coordinator = coordinator_factory(shard)
@@ -215,7 +218,6 @@ class ShardedService(RequestPipeline):
                     coordinator=coordinator,
                     cache_capacity=cache_capacity,
                     name=f"{name}-shard{shard.shard_id}",
-                    **kwargs,
                 )
             )
         options_keys = {service._options_key for service in self.services}

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.obs.explain import ExplainReport, StatsRegistry, build_report
+from repro.obs.explain import ExplainReport, build_report
 from repro.obs.flight import FlightRecorder
 from repro.obs.introspect import ServiceIntrospection
 from repro.obs.metrics import get_registry
@@ -68,7 +68,7 @@ __all__ = ["RequestPipeline", "ServiceResult"]
 Unique = Tuple[str, QuantifiedGraphPattern, CanonicalPattern]
 # What ``_compute`` returns, each keyed by fingerprint: the answer, the
 # seconds of compute attributed to it, its merged work counters, and the
-# serving plan's compact label for the slow-query log (may be empty).
+# serving plan's compact label for the slow-query records (may be empty).
 Computed = Tuple[
     Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter], Dict[str, str]
 ]
@@ -142,23 +142,20 @@ class RequestPipeline:
         name: str,
         stats: object,
         cache_capacity: int,
-        plan_cache_capacity: int,
         introspection: ServiceIntrospection,
         flight_capacity: int,
-        stats_registry_capacity: int,
     ) -> None:
         self.name = name
         self.stats = stats
         self.cache = ResultCache(cache_capacity)
-        self.plans = PlanCache(plan_cache_capacity)
-        # Request-level accounting: per-fingerprint traffic + latency
-        # histograms and the (opt-in via slow_query_threshold) slow-query log.
+        self.plans = PlanCache()
+        # The per-fingerprint ledger: traffic, latency histograms and the
+        # per-epoch work observations explain() reads, plus the (opt-in via
+        # slow_query_threshold) slow-query threshold.
         self.introspection = introspection
-        # Always-on, bounded post-mortem ring buffers (capacity 0 disables).
+        # Always-on, bounded post-mortem ring buffers (capacity 0 disables);
+        # its slow_query ring is the one store of slow-query records.
         self.flight = FlightRecorder(flight_capacity)
-        # The per-fingerprint estimated-vs-observed feed behind explain(),
-        # keyed by the epoch each computed answer ran against.
-        self.stats_registry = StatsRegistry(stats_registry_capacity)
         # Prepared-statement style canonicalization memo: repeat submissions
         # of the *same pattern object* skip the ~50µs canonicalize.  Weak keys
         # so the memo never pins a caller's pattern; callers must treat a
@@ -184,7 +181,7 @@ class RequestPipeline:
     # ------------------------------------------------------------ backend seam
 
     def _epoch(self) -> Tuple[object, Hashable, Hashable]:
-        """``(cache scope object, version token, StatsRegistry epoch key)``."""
+        """``(cache scope object, version token, ledger epoch key)``."""
         raise NotImplementedError
 
     def _compute(self, unique: List[Unique]) -> Computed:
@@ -274,8 +271,8 @@ class RequestPipeline:
         # Per-request service time, started BEFORE canonicalization: a hit
         # costs canonicalize (or its memo) + L1 lookup, an L2 hit adds the
         # shared-store read and the promote, a miss adds its fingerprint's
-        # share of the compute round — this is what feeds the per-fingerprint
-        # p50/p99 and the slow-query log.
+        # share of the compute round — this is what feeds the ledger's
+        # per-fingerprint p50/p99 and epoch seconds, and the slow-query check.
         request_elapsed: List[float] = [0.0] * len(patterns)
         plan_labels: Dict[str, str] = {}
         with span(self.SPAN_BATCH, size=len(patterns)), Timer() as timer:
@@ -305,21 +302,13 @@ class RequestPipeline:
                     for fingerprint, (pattern, form, _) in missing.items()
                 ]
                 answers, timings, counters, plan_labels = self._compute(unique)
-                for fingerprint, (pattern, _, positions) in missing.items():
+                for fingerprint, (_, _, positions) in missing.items():
                     answer = cache.store(
                         scope, fingerprint, answers[fingerprint], options_key, version=version
                     )
                     self._l2_store(fingerprint, epoch_key, answer)
                     counter = counters.get(fingerprint)
                     elapsed = timings.get(fingerprint, 0.0)
-                    self.stats_registry.record(
-                        fingerprint,
-                        pattern.name,
-                        epoch_key,
-                        counter=counter,
-                        answer_size=len(answer),
-                        elapsed=elapsed,
-                    )
                     for position in positions:
                         request_elapsed[position] += elapsed
                         served[position] = (fingerprint, answer, miss_route, counter)
@@ -334,25 +323,31 @@ class RequestPipeline:
         self.stats.served += batch_size
         self.stats.batches += 1
         elapsed = timer.elapsed
-        flight = self.flight
+        flight, introspection = self.flight, self.introspection
+        slow_queries = introspection.slow_query_threshold is not None
         results: List[ServiceResult] = []
         for position, (fingerprint, answer, route, counter) in enumerate(served):
             cached = route != miss_route
             name = patterns[position].name
+            request_seconds = request_elapsed[position]
             shard_fanout = 0 if cached else self._shard_fanout
             admission_wait = waits[position] if waits is not None else 0.0
-            slow = self.introspection.observe(
-                fingerprint=fingerprint,
-                pattern_name=name,
-                elapsed=request_elapsed[position],
-                cached=cached,
-                counter=counter,
-                batch_size=batch_size,
-                plan="" if cached else plan_labels.get(fingerprint, ""),
-                shard_fanout=shard_fanout,
-                cache_route=route,
-                admission_wait=admission_wait,
+            introspection.observe(
+                fingerprint, name, request_seconds, cached, counter, epoch_key, len(answer)
             )
+            if slow_queries:
+                self._file_slow_query(
+                    fingerprint,
+                    name,
+                    request_seconds,
+                    cached=cached,
+                    counter=counter,
+                    batch_size=batch_size,
+                    plan="" if cached else plan_labels.get(fingerprint, ""),
+                    shard_fanout=shard_fanout,
+                    cache_route=route,
+                    admission_wait=admission_wait,
+                )
             if flight and not cached:
                 # Computed-work grain only: cache hits stay off the recorder
                 # so the default hot path costs two falsy checks, not an event.
@@ -364,13 +359,9 @@ class RequestPipeline:
                     cached=cached,
                     cache_route=route,
                     shard_fanout=shard_fanout,
-                    elapsed=request_elapsed[position],
+                    elapsed=request_seconds,
                     batch_size=batch_size,
                     admission_wait=admission_wait,
-                )
-            if flight and slow is not None:
-                flight.record(
-                    "slow_query", **{self.FLIGHT_OWNER: self.name}, **slow.as_dict()
                 )
             results.append(
                 ServiceResult(name, fingerprint, answer, cached, elapsed, counter)
@@ -381,6 +372,18 @@ class RequestPipeline:
             registry.counter(self.METRIC_SERVED).inc(batch_size)
             registry.histogram(self.METRIC_BATCH_SECONDS).observe(elapsed)
         return results
+
+    def _file_slow_query(
+        self, fingerprint: str, pattern_name: str, elapsed: float, **fields
+    ) -> None:
+        """File a request that crossed the ledger's threshold into the flight
+        recorder's ``slow_query`` ring — the one call served requests and
+        subscription maintenance share."""
+        record = self.introspection.slow_query(fingerprint, pattern_name, elapsed, **fields)
+        if record is not None:
+            self.flight.record(
+                "slow_query", **{self.FLIGHT_OWNER: self.name}, **record.as_dict()
+            )
 
     # -------------------------------------------------------- canonicalization
 
@@ -443,7 +446,7 @@ class RequestPipeline:
             if not claimed:
                 continue
             # Queue wait per claimed request: always measured (it feeds the
-            # slow-query log), and — when the submitter captured a live
+            # slow-query records), and — when the submitter captured a live
             # trace — also filed as a synthetic span under its submit span,
             # so queueing time shows up in the tree it delayed.
             tracer = get_tracer()
@@ -502,8 +505,8 @@ class RequestPipeline:
         service has seen (the representative registry keeps one live pattern
         per served fingerprint).  Estimates come from the cardinality model
         of ``self.graph`` (the fleet's union graph, which is exactly what its
-        merged answer reproduces); observations come from the
-        :class:`StatsRegistry` traffic averages and — with ``analyze=True`` —
+        merged answer reproduces); observations come from the ledger's
+        per-epoch traffic averages and — with ``analyze=True`` —
         from re-running the enumeration with a per-depth probe profile
         (``analyze_limit`` caps the embeddings enumerated).
         """
@@ -537,7 +540,7 @@ class RequestPipeline:
                 plan,
                 self.graph,
                 pattern=pattern,
-                traffic=self.stats_registry.observed(fingerprint),
+                traffic=self.introspection.observed(fingerprint),
                 analyze=analyze,
                 analyze_limit=analyze_limit,
             )
@@ -547,10 +550,8 @@ class RequestPipeline:
         return {
             "fingerprints": self.introspection.snapshot(),
             "slow_queries": [
-                record.as_dict()
-                for record in self.introspection.slow_queries.records()
+                event.as_dict() for event in self.flight.events("slow_query")
             ],
-            "explain": self.stats_registry.snapshot(),
             "flight": self.flight.snapshot(),
         }
 

@@ -88,7 +88,7 @@ class ServiceStats:
     attributes (``service.stats.computed``) gives the lifetime counters, while
     *calling* it (``service.stats()``) returns the full introspection snapshot
     — per-fingerprint p50/p99 latencies, cache occupancy and hit rate, pool
-    epoch, standing-query counts and the slow-query log — via the owning
+    epoch, standing-query counts and the slow-query records — via the owning
     service's :meth:`QueryService.introspect`.
     """
 
@@ -219,15 +219,29 @@ class QueryService(RequestPipeline):
         owns it: :meth:`close` closes it.
     cache_capacity:
         Bound on the number of cached answers (LRU beyond it).
+    name:
+        Names the service in spans, flight-recorder events and errors.
+    slow_query_threshold:
+        Seconds of per-request service time from which a request is filed
+        into the flight recorder's ``slow_query`` ring, which
+        ``introspect()`` reads as ``"slow_queries"``; ``None`` (the default)
+        files none, ``0.0`` files every request.
     use_plans:
         Compile each unique fingerprint once into a
         :class:`repro.plan.CompiledPlan` (cached in a bounded
-        :class:`repro.plan.PlanCache` beside the result cache) and hand it to
-        the dispatch, so a result-cache miss still hits a warm plan.  Only
-        effective with the standard :class:`QMatch` engine; answers and work
-        counters are byte-identical either way.
-    plan_cache_capacity:
-        Bound on the plan cache (both epoch entries and compiled programs).
+        :class:`repro.plan.PlanCache` of ``DEFAULT_PLAN_CACHE_CAPACITY``
+        entries beside the result cache) and hand it to the dispatch, so a
+        result-cache miss still hits a warm plan.  Only effective with the
+        standard :class:`QMatch` engine; answers and work counters are
+        byte-identical either way.
+    flight_capacity:
+        Events kept per kind by the service's
+        :class:`~repro.obs.flight.FlightRecorder`; ``0`` disables it, and
+        with it the slow-query records.
+
+    The per-fingerprint ledger behind :meth:`introspect` and :meth:`explain`
+    keeps ``DEFAULT_LEDGER_CAPACITY`` fingerprints, each with its latest
+    ``DEFAULT_EPOCH_CAPACITY`` graph epochs (:mod:`repro.obs.introspect`).
 
     >>> from repro.graph.generators import small_world_social_graph
     >>> from repro.datasets.workloads import workload_patterns
@@ -247,12 +261,8 @@ class QueryService(RequestPipeline):
         cache_capacity: int = 1024,
         name: str = "QueryService",
         slow_query_threshold: Optional[float] = None,
-        introspection_capacity: int = 512,
-        slow_query_capacity: int = 64,
         use_plans: bool = True,
-        plan_cache_capacity: int = 256,
         flight_capacity: int = 256,
-        stats_registry_capacity: int = 256,
     ) -> None:
         # Calling service.stats() (vs reading its counter attributes) yields
         # the full introspection snapshot.
@@ -262,14 +272,8 @@ class QueryService(RequestPipeline):
             name,
             stats,
             cache_capacity=cache_capacity,
-            plan_cache_capacity=plan_cache_capacity,
-            introspection=ServiceIntrospection(
-                capacity=introspection_capacity,
-                slow_query_threshold=slow_query_threshold,
-                slow_query_capacity=slow_query_capacity,
-            ),
+            introspection=ServiceIntrospection(slow_query_threshold=slow_query_threshold),
             flight_capacity=flight_capacity,
-            stats_registry_capacity=stats_registry_capacity,
         )
         self.graph = graph
         self.coordinator = coordinator if coordinator is not None else PQMatch(
@@ -334,7 +338,7 @@ class QueryService(RequestPipeline):
         fingerprint, the frozen answer, the summed per-fragment evaluation
         seconds (its share of the round — the introspection layer's
         compute-latency sample), the merged work counters, and the serving
-        plan's compact label for the slow-query log.
+        plan's compact label for the slow-query records.
         """
         graph, coordinator = self.graph, self.coordinator
         radius = 0
@@ -571,11 +575,10 @@ class QueryService(RequestPipeline):
                 engine=engine,
                 index=index,
             )
-            self.introspection.slow_queries.record(
+            self._file_slow_query(
                 subscription.fingerprint,
                 subscription.pattern.name,
                 perf_counter() - maintain_started,
-                cached=False,
                 counter=WorkCounter(verifications=stats.verifications),
                 aff_size=stats.aff_size,
             )
@@ -617,7 +620,7 @@ class QueryService(RequestPipeline):
         # under (via attach), so one submitted query reads as one tree even
         # though serving happens on another thread.  Context + timestamps are
         # captured inside the span; the enqueue timestamps are always taken —
-        # they feed the always-on admission-wait field of the slow-query log.
+        # they feed the always-on admission-wait field of the slow-query records.
         with span("service.submit", service=self.name, pattern=pattern.name):
             request = _Request(pattern, future, get_tracer().current_context(), time.time())
             enqueued = perf_counter()
@@ -689,8 +692,9 @@ class QueryService(RequestPipeline):
         service counters, cache occupancy/capacity/hit-rate, the live pool's
         backend and payload epoch, the number of fragments a miss runs on (1
         on the default identity partition, 0 before the first miss), active
-        standing-query count, per-fingerprint traffic with p50/p99 latency,
-        and the slow-query log.
+        standing-query count, the per-fingerprint ledger (traffic, p50/p99
+        latency, per-epoch work observations), the slow-query records and the
+        flight recorder.
         """
         executor = self.coordinator.current_executor
         epoch = getattr(executor, "pool_epoch", None)

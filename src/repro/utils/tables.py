@@ -3,7 +3,7 @@
 Every benchmark in ``benchmarks/`` prints the rows / series of the figure it
 reproduces.  The helpers here render aligned ASCII tables without any third
 party dependency, so reports look the same on every machine and can be diffed
-against ``EXPERIMENTS.md``.
+run over run (README.md, "Tests and benchmarks").
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The acceptance contract: after serving traffic, ``explain(fingerprint)``
 returns per-step estimated-vs-observed cardinalities for **every** served
 fingerprint — estimates from the graph's :class:`CardinalityModel`,
-observations from the always-on :class:`StatsRegistry` and, under
+observations from the always-on per-fingerprint ledger
+(:class:`~repro.obs.introspect.ServiceIntrospection`) and, under
 ``analyze=True``, from re-running the enumeration with a per-depth probe
 profile that leaves the answers byte-identical.
 """
@@ -21,7 +22,6 @@ from repro.matching.generic import MatchContext
 from repro.obs.explain import (
     ExplainReport,
     ExplainStep,
-    StatsRegistry,
     estimate_steps,
     q_error,
 )
@@ -109,48 +109,6 @@ class TestEstimateSteps:
 
 
 # ---------------------------------------------------------------------------
-# StatsRegistry (the adaptive planner's feed — ROADMAP open item 3)
-# ---------------------------------------------------------------------------
-
-
-class TestStatsRegistry:
-    def _counter(self, extensions=10, verifications=4):
-        counter = WorkCounter()
-        counter.extensions = extensions
-        counter.verifications = verifications
-        return counter
-
-    def test_per_query_averages_latest_epoch_first(self):
-        registry = StatsRegistry()
-        registry.record("fp", "q", 1, counter=self._counter(10), answer_size=2)
-        registry.record("fp", "q", 1, counter=self._counter(20), answer_size=4)
-        registry.record("fp", "q", 2, counter=self._counter(100), answer_size=1)
-        latest = registry.observed("fp")
-        assert latest["epoch"] == 2
-        assert latest["extensions_per_query"] == 100.0
-        older = registry.observed("fp", epoch=1)
-        assert older["queries"] == 2
-        assert older["extensions_per_query"] == 15.0
-        assert older["answers_per_query"] == 3.0
-
-    def test_bounded_both_ways(self):
-        registry = StatsRegistry(capacity=2, epoch_capacity=2)
-        for index in range(4):
-            registry.record(f"fp{index}", "q", 1)
-        assert registry.fingerprints() == ("fp2", "fp3")
-        for epoch in range(4):
-            registry.record("fp3", "q", epoch)
-        snapshot = registry.snapshot()["fp3"]
-        assert set(snapshot["epochs"]) == {"2", "3"}
-
-    def test_capacity_zero_disables(self):
-        registry = StatsRegistry(capacity=0)
-        assert not registry
-        registry.record("fp", "q", 1)
-        assert registry.observed("fp") is None and len(registry) == 0
-
-
-# ---------------------------------------------------------------------------
 # EXPLAIN ANALYZE: the probe profile and byte-identity
 # ---------------------------------------------------------------------------
 
@@ -195,7 +153,7 @@ class TestServiceExplain:
         with QueryService(graph) as service:
             for pattern in patterns:
                 service.evaluate(pattern)
-            for fingerprint in service.stats_registry.fingerprints():
+            for fingerprint in service.stats()["fingerprints"]:
                 report = service.explain(fingerprint)
                 assert isinstance(report, ExplainReport)
                 assert report.fingerprint == fingerprint
@@ -227,8 +185,9 @@ class TestServiceExplain:
         with QueryService(graph) as service:
             service.evaluate(pattern)
             service.evaluate(pattern)  # L1 hit: no fresh observation
-            fingerprint = service.stats_registry.fingerprints()[0]
-            assert service.stats_registry.observed(fingerprint)["queries"] == 1
+            (fingerprint,) = service.stats()["fingerprints"]
+            assert service.introspection.observed(fingerprint)["queries"] == 1
+            assert service.explain(fingerprint).traffic["queries"] == 1
 
     def test_unknown_fingerprint_raises(self):
         with QueryService(build_paper_g1()) as service:
@@ -241,8 +200,7 @@ class TestServiceExplain:
         with QueryService(graph) as service:
             fingerprint = service.evaluate(pattern).fingerprint
             payload = service.introspect()
-        assert fingerprint in payload["explain"]
-        epochs = payload["explain"][fingerprint]["epochs"]
+        epochs = payload["fingerprints"][fingerprint]["epochs"]
         assert str(graph.version) in epochs
 
 

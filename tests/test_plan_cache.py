@@ -137,17 +137,6 @@ class TestPlanCache:
         assert again is not plan
         assert again.fingerprint == plan.fingerprint
 
-    def test_purge_stale_drops_mutated_epochs(self):
-        cache = PlanCache()
-        graph = make_graph()
-        pattern = make_pattern()
-        form = canonicalize(pattern)
-        cache.plan_for(graph, form.fingerprint, ("qmatch",), pattern, form=form)
-        assert cache.purge_stale() == 0
-        graph.add_edge("u4", "prod", "recom")
-        assert cache.purge_stale() == 1
-        assert len(cache) == 0
-
     def test_clear_forgets_programs(self):
         cache = PlanCache()
         graph = make_graph()

@@ -202,8 +202,7 @@ def test_slow_query_log_carries_serve_tier_fields():
         pattern = build_q2()
         fleet.submit(pattern).result(timeout=60)
         fleet.evaluate(pattern)  # L1 hit
-        entries = [record.as_dict() for record in
-                   fleet.introspection.slow_queries.records()]
+        entries = fleet.introspect()["slow_queries"]
     computed = next(e for e in entries if e["cache_route"] == "fanout")
     hit = next(e for e in entries if e["cache_route"] == "l1")
     assert computed["shard_fanout"] == 2 and not computed["cached"]

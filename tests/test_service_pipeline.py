@@ -51,10 +51,8 @@ class StubBackend(RequestPipeline):
             "stub",
             ServiceStats(),
             cache_capacity=8,
-            plan_cache_capacity=8,
             introspection=ServiceIntrospection(slow_query_threshold=0.0),
-            flight_capacity=0,
-            stats_registry_capacity=8,
+            flight_capacity=16,
         )
         self._options_key = ("stub",)
         self.version = 0  # the epoch: tests move it by assignment
@@ -102,7 +100,7 @@ class StubBackend(RequestPipeline):
         pass
 
     def routes(self):
-        return [r.cache_route for r in self.introspection.slow_queries.records()]
+        return [event.data["cache_route"] for event in self.flight.events("slow_query")]
 
 
 @pytest.fixture
@@ -145,6 +143,8 @@ def test_answer_computed_while_the_epoch_moves_is_filed_under_the_looked_up_epoc
     stub.during_compute = move_epoch
     assert not stub.evaluate(a).cached  # looked up under 0, epoch now 1
     assert (fingerprint, 0) in stub.l2 and (fingerprint, 1) not in stub.l2
+    # ...and the ledger files its observation under that same epoch
+    assert stub.introspection.observed(fingerprint)["epoch"] == 0
     stub.during_compute = lambda: None
     assert not stub.evaluate(a).cached  # nothing was filed under epoch 1
     stub.version = 0

@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
-"""Check that relative markdown links in README/docs point at real files.
+"""Check that the repo's references to its own documents point at real files.
 
-Scans the repo's markdown surface (README.md, docs/*.md, ROADMAP.md,
-CHANGES.md) for inline links and fails loudly when a relative target —
-optionally carrying a ``#fragment`` — does not exist on disk.  External links
-(``http(s)://``, ``mailto:``) and pure in-page anchors are ignored: this is a
-repository-consistency check, not a crawler, so it needs no network and
-cannot flake.
+Two surfaces are checked:
 
-Exit status 0 when every link resolves; 1 otherwise (one line per broken
-link).  CI runs it as part of the docs job; run it locally with
+* inline links in the markdown (README.md, docs/*.md, ROADMAP.md,
+  CHANGES.md): a relative target — optionally carrying a ``#fragment`` —
+  must exist on disk.  External links (``http(s)://``, ``mailto:``) and pure
+  in-page anchors are ignored;
+* every ``*.md`` name cited in the ``.py`` files under ``src/``,
+  ``benchmarks/``, ``tools/`` and ``examples/`` (docstrings and comments
+  included): the name must resolve against the repo root, the citing file's
+  directory or ``docs/`` — so ``docs/SERVING.md``, a "README.md beside this
+  file" and a bare ``OBSERVABILITY.md`` all count as resolved.
+
+This is a repository-consistency check, not a crawler, so it needs no
+network and cannot flake.
+
+Exit status 0 when every reference resolves; 1 otherwise (one line per broken
+reference).  CI runs it as part of the docs job; run it locally with
 ``python tools/check_links.py``.
 """
 
@@ -26,6 +34,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+# A markdown file name cited in Python source.  A name starts with a word
+# character, so glob patterns such as ``docs/*.md`` are not citations.
+_CITATION = re.compile(r"(?<![\w./*-])(\w[\w./-]*\.md)\b")
+
+CITING_DIRS = ("src", "benchmarks", "tools", "examples")
 
 
 def markdown_files() -> list[Path]:
@@ -54,14 +68,40 @@ def broken_links() -> list[str]:
     return problems
 
 
+def python_files() -> list[Path]:
+    return [
+        path
+        for directory in CITING_DIRS
+        for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+    ]
+
+
+def broken_citations() -> list[str]:
+    problems: list[str] = []
+    for path in python_files():
+        text = path.read_text(encoding="utf-8")
+        for match in _CITATION.finditer(text):
+            name = match.group(1)
+            bases = (REPO_ROOT, path.parent, REPO_ROOT / "docs")
+            if not any((base / name).exists() for base in bases):
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{line}: cites missing document -> {name}"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = broken_links()
+    problems = broken_links() + broken_citations()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"{len(problems)} broken link(s)", file=sys.stderr)
+        print(f"{len(problems)} broken reference(s)", file=sys.stderr)
         return 1
-    print(f"checked {len(markdown_files())} markdown files: all links resolve")
+    print(
+        f"checked {len(markdown_files())} markdown files and "
+        f"{len(python_files())} python files: all references resolve"
+    )
     return 0
 
 
