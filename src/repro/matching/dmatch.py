@@ -139,129 +139,185 @@ def _local_candidate_pools(
     return pools
 
 
-def _verify_focus_candidate(
-    pattern: QuantifiedGraphPattern,
-    graph: PropertyGraph,
-    index: CandidateIndex,
-    focus_candidate: NodeId,
-    radius: int,
-    options: DMatchOptions,
-    counter: WorkCounter,
-    monotone: bool,
-    shared_context: MatchContext,
-    pattern_edges=None,
-    edge_specs=None,
-    plan_resolution=None,
-    label_members=None,
-) -> Tuple[bool, Dict[NodeId, Set[NodeId]]]:
-    """Decide whether *focus_candidate* belongs to ``Π(Q)(xo, G)``.
+class _FocusVerifier:
+    """One query's focus-candidate verification, bound once per query.
 
-    Returns ``(matched, bindings)`` where *bindings* are the pattern-node →
-    graph-node sets drawn from satisfying assignments (used for caching).
+    DMatch verifies focus candidates one at a time, so any per-verification
+    set-up is paid ``|C(xo)|`` times.  Everything that does not depend on the
+    candidate is therefore bound here once: the anchored search over the
+    query's shared context, the pattern edges' ``(index, source, target)``
+    ends, and the quantifier check's edge specs ``(source, check, degree)``.
+    A compiled plan supplies lowered checks and snapshot degree rows
+    (``len(row)`` is the quantifier total); the plan-less path keeps
+    ``quantifier.check`` and ``graph.out_degree``.  Either way one quantifier
+    check is counted per edge until the first failure.
     """
-    focus = pattern.focus
-    counter.verifications += 1
 
-    if options.use_locality:
-        # Restrict every candidate set to the focus candidate's radius-hop
-        # neighbourhood (costs one BFS per candidate) and search with a
-        # per-candidate context.
-        if plan_resolution is not None:
+    def __init__(
+        self,
+        pattern: QuantifiedGraphPattern,
+        graph: PropertyGraph,
+        index: CandidateIndex,
+        options: DMatchOptions,
+        counter: WorkCounter,
+        context: MatchContext,
+        plan=None,
+        resolution=None,
+    ) -> None:
+        self.pattern = pattern
+        self.graph = graph
+        self.index = index
+        self.counter = counter
+        self.context = context
+        self.focus = pattern.focus
+        # Computed even without locality: it also rejects a disconnected
+        # pattern (PatternError), as DMatch always has.
+        self.radius = pattern.radius()
+        self.resolution = resolution
+        self.early_exit = options.early_exit and _pattern_is_monotone(pattern)
+        edges = pattern.edges()
+        self.edge_ends = tuple(
+            (edge_index, edge.source, edge.target)
+            for edge_index, edge in enumerate(edges)
+        )
+        if plan is None:
+            self.edge_specs = tuple(
+                (edge.source, edge.quantifier.check, edge.label) for edge in edges
+            )
+            self.satisfies = self._satisfies_interpreted
+        else:
+            # Lower each edge to (source, check, degree-row get): the
+            # quantifier total ``out_degree(source, label)`` is the length of
+            # the snapshot's successor row — one dict probe instead of a
+            # graph method call.
+            degree_rows = resolution.out_degree_rows
+            self.edge_specs = tuple(
+                (source, check, degree_rows.get(label, _EMPTY_ROWS).get)
+                for source, label, check in plan.edge_specs(edges)
+            )
+            self.satisfies = self._satisfies_lowered
+        self.label_members = None
+        if options.use_locality:
+            # Per-query label -> (members, size) table for the hoisted local
+            # pool restriction (one ``nodes_with_label`` copy per label per
+            # query, instead of one pool-wide intersection per pattern node
+            # per focus candidate).
+            self.label_members = {}
+            for pattern_node in pattern.nodes():
+                label = pattern.node_label(pattern_node)
+                if label not in self.label_members:
+                    members = graph.nodes_with_label(label)
+                    self.label_members[label] = (members, len(members))
+            self.search = None
+        else:
+            # The shared context already carries the filtered candidate pools.
+            self.search = context.searcher(counter)
+
+    def _satisfies_interpreted(self, assignment, matched_children) -> bool:
+        """Does *assignment* satisfy every quantifier under the counts so far?"""
+        counter = self.counter
+        children_get = matched_children.get
+        out_degree = self.graph.out_degree
+        edge_index = 0
+        for source, check, label in self.edge_specs:
+            counter.quantifier_checks += 1
+            bound_source = assignment[source]
+            if not check(
+                len(children_get((edge_index, bound_source), ())),
+                out_degree(bound_source, label),
+            ):
+                return False
+            edge_index += 1
+        return True
+
+    def _satisfies_lowered(self, assignment, matched_children) -> bool:
+        """:meth:`_satisfies_interpreted` over a plan's checks and degree rows."""
+        counter = self.counter
+        children_get = matched_children.get
+        edge_index = 0
+        for source, check, degree_get in self.edge_specs:
+            counter.quantifier_checks += 1
+            bound_source = assignment[source]
+            if not check(
+                len(children_get((edge_index, bound_source), ())),
+                len(degree_get(bound_source, ())),
+            ):
+                return False
+            edge_index += 1
+        return True
+
+    def _local_search(self, focus_candidate: NodeId):
+        """A search over pools restricted to the candidate's radius-hop ball.
+
+        Costs one BFS per candidate; ``None`` when some restricted pool is
+        empty (no search can succeed).  Everything but the pools (rank maps,
+        pattern adjacency, compiled rows) is the query's shared context's.
+        """
+        index = self.index
+        if self.resolution is not None:
             # Same ball, same membership — swept over the plan resolution's
             # flat per-epoch neighbour table instead of per-node set unions.
-            local_nodes = plan_resolution.ball(focus_candidate, radius)
+            local_nodes = self.resolution.ball(focus_candidate, self.radius)
         else:
-            local_nodes = nodes_within_hops(graph, focus_candidate, radius)
+            local_nodes = nodes_within_hops(self.graph, focus_candidate, self.radius)
         local_candidates = _local_candidate_pools(
-            pattern, index, local_nodes, label_members
+            self.pattern, index, local_nodes, self.label_members
         )
-        local_candidates[focus] = (
-            {focus_candidate} if focus_candidate in index.candidate_set(focus) else set()
+        local_candidates[self.focus] = (
+            {focus_candidate}
+            if focus_candidate in index.candidate_set(self.focus)
+            else set()
         )
-        if any(not members for members in local_candidates.values()):
-            return False, {}
-        # Everything but the pools (rank maps, pattern adjacency, compiled
-        # rows) is the query's shared context's, built once per query.
-        context = shared_context.with_candidates(local_candidates)
-    else:
-        # The shared context already carries the filtered candidate pools.
-        context = shared_context
+        for members in local_candidates.values():
+            if not members:
+                return None
+        return self.context.with_candidates(local_candidates).searcher(self.counter)
 
-    edges = pattern_edges if pattern_edges is not None else pattern.edges()
-    matched_children: Dict[Tuple[int, NodeId], Set[NodeId]] = {}
-    assignments: List[Dict[NodeId, NodeId]] = []
+    def _verify_focus_candidate(self, focus_candidate: NodeId) -> List[Dict[NodeId, NodeId]]:
+        """Decide whether *focus_candidate* belongs to ``Π(Q)(xo, G)``.
 
-    if edge_specs is None:
-
-        def assignment_satisfies(assignment: Dict[NodeId, NodeId]) -> bool:
-            for edge_index, edge in enumerate(edges):
-                counter.quantifier_checks += 1
-                bound_source = assignment[edge.source]
-                count = len(matched_children.get((edge_index, bound_source), ()))
-                total = graph.out_degree(bound_source, edge.label)
-                if not edge.quantifier.check(count, total):
-                    return False
-            return True
-
-    else:
-        # Compiled plan: the per-edge attribute chain, quantifier dispatch
-        # and the ``out_degree`` method call are lowered to prebound locals,
-        # closed-over threshold closures and snapshot degree-row probes.
-        # Work accounting is unchanged — one quantifier check per edge until
-        # the first failure, exactly like the interpreted loop above.
+        Returns the satisfying assignments (empty: not a match); their
+        bindings feed the per-pattern-node caches.
+        """
+        self.counter.verifications += 1
+        search = self.search
+        if search is None:
+            search = self._local_search(focus_candidate)
+            if search is None:
+                return []
+        satisfies = self.satisfies
+        early_exit = self.early_exit
+        edge_ends = self.edge_ends
+        matched_children: Dict[Tuple[int, NodeId], Set[NodeId]] = {}
         children_get = matched_children.get
-
-        def assignment_satisfies(assignment: Dict[NodeId, NodeId]) -> bool:
-            edge_index = 0
-            for source, check, degree_get in edge_specs:
-                counter.quantifier_checks += 1
-                bound_source = assignment[source]
-                if not check(
-                    len(children_get((edge_index, bound_source), ())),
-                    len(degree_get(bound_source, ())),
-                ):
-                    return False
-                edge_index += 1
-            return True
-
-    bindings: Dict[NodeId, Set[NodeId]] = {}
-    matched = False
-    for assignment in context.isomorphisms(
-        anchor={focus: focus_candidate},
-        counter=counter,
-    ):
-        assignments.append(assignment)
-        for edge_index, edge in enumerate(edges):
-            matched_children.setdefault(
-                (edge_index, assignment[edge.source]), set()
-            ).add(assignment[edge.target])
-        if monotone and options.early_exit:
+        assignments: List[Dict[NodeId, NodeId]] = []
+        for assignment in search.run({self.focus: focus_candidate}):
+            assignments.append(assignment)
+            for edge_index, source, target in edge_ends:
+                key = (edge_index, assignment[source])
+                children = children_get(key)
+                if children is None:
+                    matched_children[key] = {assignment[target]}
+                else:
+                    children.add(assignment[target])
             # Counts only grow, so a satisfying witness is conclusive.
-            if assignment_satisfies(assignment):
-                matched = True
-                for pattern_node, graph_node in assignment.items():
-                    bindings.setdefault(pattern_node, set()).add(graph_node)
-                return True, bindings
-
-    if monotone and options.early_exit:
-        # The enumeration finished; re-check all witnesses against the final
-        # counts (a witness seen early may satisfy only with later counts).
+            if early_exit and satisfies(assignment, matched_children):
+                return [assignment]
+        if early_exit:
+            # The enumeration finished; re-check all witnesses against the
+            # final counts (a witness seen early may satisfy only with later
+            # counts).
+            for assignment in assignments:
+                if satisfies(assignment, matched_children):
+                    return [assignment]
+            return []
+        # Exact-count path (equality / universal quantifiers present, or
+        # early exit off): evaluate every witness against the complete counts.
+        witnesses = []
         for assignment in assignments:
-            if assignment_satisfies(assignment):
-                matched = True
-                for pattern_node, graph_node in assignment.items():
-                    bindings.setdefault(pattern_node, set()).add(graph_node)
-                break
-        return matched, bindings
-
-    # Exact-count path (equality / universal quantifiers present): evaluate
-    # every witness against the complete counts.
-    for assignment in assignments:
-        if assignment_satisfies(assignment):
-            matched = True
-            for pattern_node, graph_node in assignment.items():
-                bindings.setdefault(pattern_node, set()).add(graph_node)
-    return matched, bindings
+            if satisfies(assignment, matched_children):
+                witnesses.append(assignment)
+        return witnesses
 
 
 def dmatch(
@@ -317,8 +373,6 @@ def dmatch(
             outcome.elapsed = timer.elapsed
             return outcome
 
-        radius = pattern.radius()
-        monotone = _pattern_is_monotone(pattern)
         ordering = None
         if options.use_potential:
             # One global potential ordering is computed per query; the
@@ -337,33 +391,10 @@ def dmatch(
             plan=plan,
             plan_binding=plan_binding,
         )
-        label_members = None
-        if options.use_locality:
-            # Per-query label -> (members, size) table for the hoisted local
-            # pool restriction (one ``nodes_with_label`` copy per label per
-            # query, instead of one pool-wide intersection per pattern node
-            # per focus candidate).
-            label_members = {}
-            for pattern_node in pattern.nodes():
-                label = pattern.node_label(pattern_node)
-                if label not in label_members:
-                    members = graph.nodes_with_label(label)
-                    label_members[label] = (members, len(members))
-        pattern_edges = pattern.edges()
-        edge_specs = None
         focus_order = None
         resolution = None
         if plan is not None:
             resolution = plan.resolution_for(graph)
-            # Lower each live edge to (source, check, degree-row get): the
-            # quantifier total ``out_degree(source, label)`` is the length of
-            # the snapshot's successor row, so the lowered loop pays one dict
-            # probe where the interpreted loop pays a graph method call.
-            degree_rows = resolution.out_degree_rows
-            edge_specs = tuple(
-                (source, check, degree_rows.get(label, _EMPTY_ROWS).get)
-                for source, label, check in plan.edge_specs(pattern_edges)
-            )
             # The plan's str-rank map orders the focus sweep without
             # stringifying every candidate; equal-str candidates share a rank
             # so the stable sort preserves the key=str order exactly.
@@ -375,25 +406,18 @@ def dmatch(
                 focus_order = None
         if focus_order is None:
             focus_order = sorted(focus_candidates, key=str)
+        verify = _FocusVerifier(
+            pattern, graph, index, options, counter, shared_context,
+            plan=plan, resolution=resolution,
+        )._verify_focus_candidate
+        answer_add = outcome.answer.add
+        node_matches = outcome.node_matches
         for focus_candidate in focus_order:
-            matched, bindings = _verify_focus_candidate(
-                pattern,
-                graph,
-                index,
-                focus_candidate,
-                radius,
-                options,
-                counter,
-                monotone,
-                shared_context=shared_context,
-                pattern_edges=pattern_edges,
-                edge_specs=edge_specs,
-                plan_resolution=resolution,
-                label_members=label_members,
-            )
-            if matched:
-                outcome.answer.add(focus_candidate)
-                for pattern_node, graph_nodes in bindings.items():
-                    outcome.node_matches[pattern_node].update(graph_nodes)
+            witnesses = verify(focus_candidate)
+            if witnesses:
+                answer_add(focus_candidate)
+                for witness in witnesses:
+                    for pattern_node, graph_node in witness.items():
+                        node_matches[pattern_node].add(graph_node)
     outcome.elapsed = timer.elapsed
     return outcome

@@ -29,7 +29,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Set
 from repro.graph.digraph import PropertyGraph
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
-from repro.utils.errors import MatchingError
+from repro.utils.errors import MatchingError, NodeNotFoundError
 
 __all__ = [
     "label_candidates",
@@ -148,8 +148,9 @@ class MatchContext:
     graph and candidate sets; only the anchored graph node changes between
     calls.  The context therefore precomputes everything that does not depend
     on the anchor value — the pattern adjacency, the matching order and the
-    candidate pools — and exposes :meth:`isomorphisms`, which performs one
-    anchored enumeration without re-paying that setup cost.
+    candidate pools — and :meth:`searcher` binds one :class:`AnchoredSearch`
+    over it per query, whose :meth:`~AnchoredSearch.run` is the per-anchor
+    entry.  :meth:`isomorphisms` is a one-shot use of that same search.
 
     Candidate sets are captured at construction time; callers must not
     mutate them afterwards.
@@ -310,6 +311,37 @@ class MatchContext:
         self._compiled_adjacency = compiled_adjacency
         return True
 
+    def _sort_keys(self, order: List[NodeId]) -> tuple:
+        """Per order position, the pool sort key and its ``str`` fallback.
+
+        A rank map that covers the node's whole candidate set — DMatch's
+        potential ordering always does — orders every pool by rank alone
+        (ranks are distinct enumerate positions, so the tie-break never
+        decides).  Otherwise the key is the rank, if any, then the ``str``
+        order — the compiled plan's ``str``-rank map when one is bound (equal
+        ``str`` forms share a rank, so the stable sort leaves them where
+        ``key=str`` would), else ``str`` itself.  The fallback key is the
+        ``str``-based one, for static pools holding nodes the snapshot's
+        rank map does not know.
+        """
+        str_ranks = self._str_ranks
+        keys, fallbacks = [], []
+        for pattern_node in order:
+            rank = self._ranks.get(pattern_node)
+            if rank and rank.keys() >= self.candidates[pattern_node]:
+                key = fallback = rank.__getitem__
+            elif rank:
+                fallback = _ranked_key(rank, str)
+                key = fallback if str_ranks is None else _ranked_key(
+                    rank, str_ranks.__getitem__
+                )
+            else:
+                fallback = str
+                key = str if str_ranks is None else str_ranks.__getitem__
+            keys.append(key)
+            fallbacks.append(fallback)
+        return tuple(keys), tuple(fallbacks)
+
     def _build_active_plan(self, order: List[NodeId]) -> tuple:
         """Per pattern node, the constraints that are *active* when it extends.
 
@@ -343,6 +375,29 @@ class MatchContext:
             placed.add(pattern_node)
         return plan, single
 
+    def searcher(
+        self,
+        counter: Optional[WorkCounter] = None,
+        anchored: Optional[Set[NodeId]] = None,
+        limit: Optional[int] = None,
+        probe_profile: Optional[Dict[int, int]] = None,
+    ) -> "AnchoredSearch":
+        """One :class:`AnchoredSearch` over this context, anchored at *anchored*.
+
+        *anchored* defaults to the context's ``anchored_nodes`` (and its
+        matching order); another node set gets its own ``SelectNext`` order.
+        Build it once and call :meth:`AnchoredSearch.run` per anchor.
+        """
+        if anchored is None or set(anchored) == self.anchored_nodes:
+            return AnchoredSearch(
+                self, self.order, self.anchored_nodes, counter, limit, probe_profile
+            )
+        anchored = set(anchored)
+        order = _search_order(
+            self.pattern, self.candidates, anchored, adjacency=self.adjacency
+        )
+        return AnchoredSearch(self, order, anchored, counter, limit, probe_profile)
+
     def isomorphisms(
         self,
         anchor: Optional[Assignment] = None,
@@ -350,201 +405,288 @@ class MatchContext:
         limit: Optional[int] = None,
         probe_profile: Optional[Dict[int, int]] = None,
     ) -> Iterator[Assignment]:
-        """Enumerate isomorphisms extending *anchor* (keys ⊆ ``anchored_nodes``).
+        """Enumerate isomorphisms extending *anchor* (any anchored node set).
 
-        *probe_profile*, when given, is filled with per-depth extension-probe
-        tallies (``order position -> probes``) — the observed-cardinality side
-        of ``EXPLAIN ANALYZE``.  Profiling wraps the extension test in a
-        tallying closure, so the unprofiled hot loop carries no extra
-        conditional and the profiled run enumerates byte-identically.
+        A one-shot :class:`AnchoredSearch`: callers that anchor many times
+        build one with :meth:`searcher` instead.  *probe_profile*, when
+        given, is filled with per-depth extension-probe tallies (``order
+        position -> probes``) — the observed-cardinality side of ``EXPLAIN
+        ANALYZE``; the profiled run enumerates byte-identically.
         """
-        pattern, graph = self.pattern, self.graph
-        adjacency, candidates = self.adjacency, self.candidates
-        if self._snapshot.version != graph._version:
-            # The graph mutated since the context was built; recompile rather
-            # than answer from outdated arrays (mirrors GraphIndex.for_graph).
-            # ``_version`` is read directly: the ``version`` property would
-            # cost a Python frame on every enumeration call.
-            self._refresh_snapshot()
-        anchor = dict(anchor or {})
-        for pattern_node, graph_node in anchor.items():
-            if pattern_node not in candidates:
-                raise MatchingError(f"anchored node {pattern_node!r} is not a pattern node")
-            if graph_node not in candidates[pattern_node]:
-                return  # The anchor itself is not a viable candidate.
-        if len(set(anchor.values())) != len(anchor):
-            return  # Anchor violates injectivity.
+        anchor = anchor or {}
+        search = self.searcher(counter, set(anchor), limit, probe_profile)
+        yield from search.run(anchor)
 
+
+_NO_MATCHES: tuple = ()
+
+
+class _ProfiledLabels:
+    """A stand-in for the graph's label map that tallies each probe.
+
+    The search looks up exactly one label per counted extension probe, with
+    exactly ``order[:position]`` assigned, so ``len(assignment)`` *is* the
+    probe's order position.  Profiling swaps this object in for the label
+    map, so the unprofiled loop carries no extra conditional.
+    """
+
+    __slots__ = ("labels", "assignment", "profile")
+
+    def __init__(self, labels, assignment: Assignment, profile: Dict[int, int]) -> None:
+        self.labels = labels
+        self.assignment = assignment
+        self.profile = profile
+
+    def __getitem__(self, node: NodeId):
+        position = len(self.assignment)
+        self.profile[position] = self.profile.get(position, 0) + 1
+        return self.labels[node]
+
+
+def _ranked_key(rank: Dict[NodeId, int], tie_break):
+    """Sort key ``(rank, tie-break)``; unranked nodes go after every ranked one."""
+    unranked = len(rank)
+    rank_get = rank.get
+    return lambda node: (rank_get(node, unranked), tie_break(node))
+
+
+class AnchoredSearch:
+    """One query's anchored enumeration: bound once, run per anchor.
+
+    DMatch verifies every focus candidate of a query against the same
+    pattern, candidate pools and matching order; only the anchored graph
+    node changes.  Construction binds, per order position, the pool's
+    active-constraint rows, its sort key and its pattern label, plus the
+    work counter — so :meth:`run` only resets ``assignment``/``used`` and
+    walks the one ``extend`` loop.  :meth:`MatchContext.isomorphisms`,
+    ``find_isomorphisms``, EXPLAIN's probe profile and DMatch's locality
+    search all run this same loop.
+
+    Pools are ordered by the keys :meth:`MatchContext._sort_keys` picks,
+    so the stream replays the oracle's plain search.
+
+    One stream is live at a time: :meth:`run` closes the previous anchor's
+    stream (an early exit abandons it mid-search) before resetting the
+    shared state.  Before each anchor the graph version is checked once; a
+    stale snapshot is recompiled and the search rebound, never answered
+    from.
+    """
+
+    __slots__ = (
+        "context", "order", "anchored", "_counter", "_limit", "_profile",
+        "_snapshot", "_start", "_stream",
+    )
+
+    def __init__(
+        self,
+        context: MatchContext,
+        order: List[NodeId],
+        anchored: Set[NodeId],
+        counter: Optional[WorkCounter] = None,
+        limit: Optional[int] = None,
+        probe_profile: Optional[Dict[int, int]] = None,
+    ) -> None:
+        self.context = context
+        self.order = order
+        self.anchored = frozenset(anchored)
+        # Unconditional tallies on the hot loop: a throwaway counter stands
+        # in when the caller does not count.
+        self._counter = counter if counter is not None else WorkCounter()
+        self._limit = limit
+        self._profile = probe_profile
+        self._stream = None
+        if context._snapshot.version != context.graph._version:
+            context._refresh_snapshot()
+        self._bind()
+
+    def run(self, anchor: Assignment) -> Iterator[Assignment]:
+        """The isomorphisms extending *anchor*, whose keys are ``anchored``.
+
+        Closes the previous anchor's stream first, so an abandoned stream
+        can never resume over (or corrupt) this one.  The anchor is checked
+        here, eagerly; :meth:`MatchContext.isomorphisms` wraps this call in
+        a generator, so its callers still see errors on first iteration.
+        """
+        previous = self._stream
+        if previous is not None:
+            previous.close()
+            self._stream = None
+        context = self.context
+        if self._snapshot.version != context.graph._version:
+            # The graph mutated since the search was bound: recompile rather
+            # than answer from outdated rows (mirrors GraphIndex.for_graph).
+            # ``_version`` is read directly — the ``version`` property would
+            # cost a Python frame per anchor.
+            if context._snapshot.version != context.graph._version:
+                context._refresh_snapshot()
+            self._bind()
+        stream = self._start(anchor)
+        if stream is None:
+            return _NO_MATCHES
+        self._stream = stream
+        return stream
+
+    def _bind(self) -> None:
+        """Bind the per-position search state and build the ``extend`` loop."""
+        context = self.context
+        self._snapshot = context._snapshot
+        pattern, graph = context.pattern, context.graph
+        adjacency, candidates = context.adjacency, context.candidates
         order = self.order
-        if set(anchor) != self.anchored_nodes:
-            # The caller anchored a different node set than the context was
-            # built for: fall back to a per-call matching order.
-            order = _search_order(pattern, candidates, set(anchor), adjacency=adjacency)
-
+        depth = len(order)
+        anchored = self.anchored
+        first = len(anchored)
+        anchored_order = order[:first]
+        counter, limit = self._counter, self._limit
+        plan, plan_single = (
+            context._active_plan
+            if order is context.order
+            else context._build_active_plan(order)
+        )
+        pools = tuple(candidates[node] for node in order)
+        singles = tuple(plan_single.get(node) for node in order)
+        actives_at = tuple(plan[node] for node in order)
+        labels = tuple(context._pattern_labels[node] for node in order)
+        keys, fallbacks = context._sort_keys(order)
         assignment: Assignment = {}
         used: Set[NodeId] = set()
-
-        # Validate the anchored pairs against each other before searching.
-        for pattern_node in order[: len(anchor)]:
-            graph_node = anchor[pattern_node]
-            if not _consistent(pattern, graph, adjacency, assignment, pattern_node, graph_node):
-                return
-            assignment[pattern_node] = graph_node
-            used.add(graph_node)
-
+        graph_labels = graph._labels
+        if self._profile is not None:
+            graph_labels = _ProfiledLabels(graph_labels, assignment, self._profile)
+        # Constraint-free positions serve their invariant static pool; its
+        # ordered form is cached for the life of the search.
+        static_ordered: Dict[int, List[NodeId]] = {}
         yielded = 0
-        ranks = self._ranks
 
-        # Constraint-free nodes serve their (invariant) static candidate set;
-        # cache its ordered form so repeated visits at the same depth don't
-        # re-sort it per partial assignment.
-        static_ordered: Dict[NodeId, List[NodeId]] = {}
+        def sort_pool(position: int, pool) -> List[NodeId]:
+            try:
+                return sorted(pool, key=keys[position])
+            except KeyError:
+                # A static pool may hold nodes the snapshot does not know.
+                return sorted(pool, key=fallbacks[position])
 
-        str_ranks = self._str_ranks
+        def pool_at(position: int):
+            """The ordered pool of a position without exactly one constraint.
 
-        def order_pool(pattern_node: NodeId, pool) -> List[NodeId]:
-            """Order a pool of original ids: rank first, ``str`` tie-break.
-
-            The deterministic tie-break makes the emission order independent
-            of set iteration order, so this search and the oracle's plain
-            search enumerate identically — which keeps work counts
-            byte-identical even under early exit and ``limit``.  A compiled
-            plan supplies the snapshot's precomputed ``str``-order rank map,
-            replacing the per-element stringification with an integer
-            lookup; nodes with equal ``str`` forms share a rank, so the
-            stable sort leaves them exactly where ``key=str`` would — same
-            emission order, same work counts.  Candidates unknown to the
-            snapshot (legitimately possible in static pools) fall back to
-            string keys.
+            No active constraint: the static candidate set.  Several:
+            compiled rows intersected smallest-first (CPython iterates the
+            smaller operand of ``&``).  ``None`` plan entry: an active edge
+            label is absent from the graph, so the pool is empty.
             """
-            rank = ranks.get(pattern_node)
-            if str_ranks is not None:
-                try:
-                    if rank:
-                        unranked = len(rank)
-                        rank_get = rank.get
-                        return sorted(
-                            pool,
-                            key=lambda node: (rank_get(node, unranked), str_ranks[node]),
-                        )
-                    return sorted(pool, key=str_ranks.__getitem__)
-                except KeyError:
-                    pass
-            if rank:
-                unranked = len(rank)
-                return sorted(
-                    pool, key=lambda node: (rank.get(node, unranked), str(node))
-                )
-            return sorted(pool, key=str)
-
-        def ordered_static(pattern_node: NodeId) -> List[NodeId]:
-            cached = static_ordered.get(pattern_node)
-            if cached is None:
-                cached = order_pool(pattern_node, candidates[pattern_node])
-                static_ordered[pattern_node] = cached
-            return cached
-
-        # C-level bound methods: the pool loop below runs per extension
-        # probe, so even a Python-frame dict lookup per constraint counts.
-        plan, plan_single = (
-            self._active_plan
-            if order is self.order
-            else self._build_active_plan(order)
-        )
-        single_get = plan_single.get
-        graph_label_of = graph.node_label
-        pattern_labels = self._pattern_labels
-
-        def is_extendable(pattern_node: NodeId, graph_node: NodeId) -> bool:
-            """Label check only: the plan-derived pools already enforce every
-            pattern edge to an assigned neighbour (the exact edges
-            ``_consistent`` would re-probe with ``has_edge``), and a
-            constraint-free pool has no assigned neighbours to check.  Ghost
-            candidates raise ``NodeNotFoundError`` here exactly as they do in
-            ``_consistent``."""
-            return graph_label_of(graph_node) == pattern_labels[pattern_node]
-
-        def ordered_candidates(pattern_node: NodeId) -> List[NodeId]:
-            """Intersect compiled CSR rows, no copies.
-
-            The active-constraint plan already names the row stores to probe,
-            so the common single-constraint case is one dict lookup plus one
-            C-level ``&`` of the static candidate set with a shared immutable
-            row — CPython iterates the smaller operand, so hub rows cost
-            ``O(min)`` instead of ``O(|row|)`` for a copy.  With several
-            active constraints, rows are intersected smallest-first.  The
-            result feeds the shared ordering rule, so the enumeration visits
-            the same candidates in the same order as the oracle's plain
-            adjacency search.
-            """
-            entry = single_get(pattern_node)
-            if entry is not None:
-                row = entry[1].get(assignment[entry[0]])
-                if row is None:  # empty row: the pool is already empty
-                    return []
-                pool = candidates[pattern_node] & row
-                if not pool:
-                    return []
-                return order_pool(pattern_node, pool)
-            actives = plan[pattern_node]
-            if actives is None:  # an active edge label is absent from the graph
-                return []
+            actives = actives_at[position]
+            if actives is None:
+                return ()
             if not actives:
-                # Constraint-free node: serve the static candidate set (it may
-                # legitimately contain nodes unknown to the snapshot).
-                return ordered_static(pattern_node)
+                cached = static_ordered.get(position)
+                if cached is None:
+                    cached = static_ordered[position] = sort_pool(
+                        position, pools[position]
+                    )
+                return cached
             rows = []
             for neighbor, row_sets in actives:
                 row = row_sets.get(assignment[neighbor])
                 if row is None:
-                    return []
+                    return ()
                 rows.append(row)
             rows.sort(key=len)
-            pool = candidates[pattern_node] & rows[0]
+            pool = pools[position] & rows[0]
             for row in rows[1:]:
                 if not pool:
-                    return []
+                    return ()
                 pool &= row
             if not pool:
-                return []
-            return order_pool(pattern_node, pool)
-
-        if probe_profile is not None:
-            # EXPLAIN ANALYZE: tally each probe at its order position.  The
-            # extension test runs exactly once per counted probe, so the
-            # tallies sum to ``counter.extensions``.
-            position_of = {node: position for position, node in enumerate(order)}
-            label_check = is_extendable
-            profile_get = probe_profile.get
-
-            def is_extendable(pattern_node: NodeId, graph_node: NodeId) -> bool:
-                position = position_of[pattern_node]
-                probe_profile[position] = profile_get(position, 0) + 1
-                return label_check(pattern_node, graph_node)
+                return ()
+            return sort_pool(position, pool)
 
         def extend(position: int) -> Iterator[Assignment]:
+            """The one enumeration loop.
+
+            The plan-derived pools already enforce every pattern edge to an
+            assigned neighbour (the edges ``_consistent`` would re-probe
+            with ``has_edge``), so a probe only checks the node label.
+            Ghost candidates raise ``NodeNotFoundError`` exactly as
+            ``_consistent`` does.  The last position yields in place
+            instead of recursing into an empty frame.
+            """
             nonlocal yielded
-            if position == len(order):
+            if position == depth:
                 yielded += 1
                 yield dict(assignment)
                 return
             pattern_node = order[position]
-            for graph_node in ordered_candidates(pattern_node):
+            entry = singles[position]
+            if entry is None:
+                pool = pool_at(position)
+            else:
+                # The hot case: one active constraint, one row probe and one
+                # C-level ``&`` against a shared immutable row.
+                row = entry[1].get(assignment[entry[0]])
+                if row is None:
+                    return
+                pool = pools[position] & row
+                if not pool:
+                    return
+                try:
+                    pool = sorted(pool, key=keys[position])
+                except KeyError:
+                    pool = sorted(pool, key=fallbacks[position])
+            label = labels[position]
+            last = position + 1 == depth
+            for graph_node in pool:
                 if graph_node in used:
                     continue
-                if counter is not None:
-                    counter.extensions += 1
-                if not is_extendable(pattern_node, graph_node):
-                    continue
+                counter.extensions += 1
+                try:
+                    if graph_labels[graph_node] != label:
+                        continue
+                except KeyError:
+                    raise NodeNotFoundError(graph_node) from None
                 assignment[pattern_node] = graph_node
-                used.add(graph_node)
-                yield from extend(position + 1)
+                if last:
+                    yielded += 1
+                    yield dict(assignment)
+                else:
+                    used.add(graph_node)
+                    yield from extend(position + 1)
+                    used.discard(graph_node)
                 del assignment[pattern_node]
-                used.discard(graph_node)
                 if limit is not None and yielded >= limit:
                     return
 
-        yield from extend(len(anchor))
+        def start(anchor: Assignment) -> Optional[Iterator[Assignment]]:
+            """Validate *anchor* and seed the search; ``None``: no match."""
+            nonlocal yielded
+            for pattern_node, graph_node in anchor.items():
+                pool = candidates.get(pattern_node)
+                if pool is None:
+                    raise MatchingError(
+                        f"anchored node {pattern_node!r} is not a pattern node"
+                    )
+                if graph_node not in pool:
+                    return None  # The anchor itself is not a viable candidate.
+            if len(anchor) > 1 and len(set(anchor.values())) != len(anchor):
+                return None  # Anchor violates injectivity.
+            if anchor.keys() != anchored:
+                raise MatchingError(
+                    f"search anchored at {sorted(map(str, anchored))}, "
+                    f"got {sorted(map(str, anchor))}"
+                )
+            assignment.clear()
+            used.clear()
+            yielded = 0
+            # Validate the anchored pairs against each other before searching.
+            for pattern_node in anchored_order:
+                graph_node = anchor[pattern_node]
+                if not _consistent(
+                    pattern, graph, adjacency, assignment, pattern_node, graph_node
+                ):
+                    return None
+                assignment[pattern_node] = graph_node
+                used.add(graph_node)
+            return extend(first)
+
+        self._start = start
 
 
 def find_isomorphisms(

@@ -37,6 +37,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from sys import intern
 from typing import Callable, Deque, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import get_registry
@@ -63,6 +64,22 @@ _DEGRADABLE = (
     AttributeError,
     ImportError,
 )
+
+
+def _interned(answer) -> FrozenSet[Hashable]:
+    """*answer* as a frozenset with its exact-``str`` node ids interned.
+
+    Every hit on an entry then hands out the same id objects instead of a
+    fresh copy per decode, so served answers cost memory per distinct node,
+    not per operation.  Other ids (ints, tuples, ``str`` subclasses) pass
+    unchanged.
+    """
+    try:
+        return frozenset(map(intern, answer))
+    except TypeError:  # some id is not an exact ``str``
+        return frozenset(
+            [intern(node) if type(node) is str else node for node in answer]
+        )
 
 
 @dataclass
@@ -190,7 +207,7 @@ class SharedResultCache:
                 # key is the last gate between corruption and a wrong answer.
                 self._note_degraded("embedded key mismatch")
                 return None
-            frozen = frozenset(answer)
+            frozen = _interned(answer)
         except _DEGRADABLE as error:
             self._note_degraded(f"read: {error}")
             return None

@@ -7,7 +7,9 @@ own contract — keying, round-trips, schema skew, closed semantics.
 
 from __future__ import annotations
 
+import pickle
 import sqlite3
+import zlib
 
 import pytest
 
@@ -115,6 +117,49 @@ def test_embedded_key_gate_rejects_transplanted_blob(tmp_path):
     assert store.last_degraded_reason == "embedded key mismatch"
     # The legitimate row is untouched.
     assert store.lookup(FP, OPT, "1:1") == frozenset({"answer-at-1:1"})
+    store.close()
+
+
+@pytest.mark.parametrize("others", [(), (7, ("tuple", 1))], ids=["str-only", "mixed"])
+def test_hits_share_interned_str_ids(store, others):
+    """Every hit on one entry hands out the same ``str`` id objects."""
+    # Built at run time, so no id is a compile-time interned constant.
+    ids = ["-".join(("node", str(number))) for number in range(50)]
+    assert store.store(FP, OPT, VER, ids + list(others))
+    first = store.lookup(FP, OPT, VER)
+    second = store.lookup(FP, OPT, VER)
+    assert first == second == frozenset(ids + list(others))
+    first_ids = {node: node for node in first if isinstance(node, str)}
+    second_ids = [node for node in second if isinstance(node, str)]
+    assert len(second_ids) == len(ids)
+    assert all(node is first_ids[node] for node in second_ids)
+
+
+def _overwrite_payload(path, key, payload, crc=None):
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute(
+            "UPDATE entries SET crc = ?, payload = ? WHERE cache_key = ?",
+            (zlib.crc32(payload) if crc is None else crc, payload, key),
+        )
+    connection.close()
+
+
+def test_corrupt_payload_still_degrades_to_none(tmp_path):
+    path = str(tmp_path / "shared.sqlite")
+    store = SharedResultCache(path)
+    store.store(FP, OPT, VER, {"answer"})
+    key = SharedResultCache.cache_key(FP, OPT, VER)
+    # CRC mismatch: the gate in front of the decode refuses it.
+    _overwrite_payload(path, key, pickle.dumps((key, ["answer"])), crc=0)
+    assert store.lookup(FP, OPT, VER) is None
+    assert store.last_degraded_reason == "payload CRC mismatch"
+    # CRC-valid, but not a pickle; then a pickle whose answer is no iterable.
+    for payload in (b"not a pickle", pickle.dumps((key, 5))):
+        _overwrite_payload(path, key, payload)
+        assert store.lookup(FP, OPT, VER) is None
+        assert store.last_degraded_reason.startswith("read: ")
+    assert store.stats.hits == 0 and store.stats.degraded == 3
     store.close()
 
 

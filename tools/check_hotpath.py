@@ -23,6 +23,15 @@ Flagged in the per-query filters — ``src/repro/graph/simulation.py``,
   filters run as C-level set algebra over the compiled frozenset rows
   (``row.isdisjoint(pool)``, ``len(row & pool)``) instead.
 
+Flagged in the functions that run once per focus candidate — DMatch's
+per-candidate verification and the anchored search's per-anchor entry and
+its enumeration loop, listed by name in ``PER_CANDIDATE``:
+
+* a nested ``def`` or ``lambda``: a closure rebuilt for every candidate.
+  Build it once per query (DMatch's verifier, ``AnchoredSearch._bind``)
+  instead.  A listed function that no longer exists is a finding too, so a
+  rename cannot switch the rule off.
+
 A line that is genuinely cold (a reference oracle, a one-off builder) opts
 out with a trailing ``# hotpath: ok`` comment.  Comments and docstrings are
 ignored via tokenization, so *mentioning* an idiom is fine.
@@ -34,6 +43,7 @@ the docs job next to ``check_links.py``; run it locally with
 
 from __future__ import annotations
 
+import ast
 import io
 import re
 import sys
@@ -71,6 +81,14 @@ FILTER_PATTERNS = (
     (_CSR_ROW, "CSR row walk in a per-query filter — use the compiled frozenset rows"),
     (_RANGE_WALK, "range(start, end) neighbour loop in a per-query filter — use set algebra"),
 )
+
+
+# Per file, the functions (at any nesting depth) that run once per focus
+# candidate or per anchor, or deeper still, per extension.
+PER_CANDIDATE = {
+    "src/repro/matching/dmatch.py": ("_verify_focus_candidate", "_local_search"),
+    "src/repro/matching/generic.py": ("run", "start", "extend"),
+}
 
 
 def code_lines(path: Path) -> dict[int, str]:
@@ -118,6 +136,38 @@ def scan(path: Path, patterns) -> list[str]:
     return problems
 
 
+def closure_findings(path: Path, names) -> list[str]:
+    """One finding per nested ``def``/``lambda`` inside the listed functions,
+    plus one per listed function missing from *path*."""
+    problems: list[str] = []
+    text = path.read_text(encoding="utf-8")
+    raw = text.splitlines()
+    relative = path.relative_to(REPO_ROOT)
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name not in names:
+            continue
+        found.add(node.name)
+        for inner in ast.walk(node):
+            if inner is node or not isinstance(
+                inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            if ESCAPE in raw[inner.lineno - 1]:
+                continue
+            problems.append(
+                f"{relative}:{inner.lineno}: closure built per focus candidate "
+                f"in {node.name}() — bind it once per query "
+                f"[{raw[inner.lineno - 1].strip()}]"
+            )
+    for name in names:
+        if name not in found:
+            problems.append(f"{relative}: per-candidate function {name}() not found")
+    return problems
+
+
 def findings() -> list[str]:
     problems: list[str] = []
     for directory in HOT_DIRS:
@@ -125,6 +175,8 @@ def findings() -> list[str]:
             problems.extend(scan(path, PATTERNS))
     for name in FILTER_FILES:
         problems.extend(scan(REPO_ROOT / name, FILTER_PATTERNS))
+    for name, functions in PER_CANDIDATE.items():
+        problems.extend(closure_findings(REPO_ROOT / name, functions))
     return problems
 
 
@@ -137,7 +189,8 @@ def main() -> int:
         return 1
     print(
         "hot paths clean: no throwaway set copies in matching/ or plan/, "
-        "no CSR row walks in the per-query filters"
+        "no CSR row walks in the per-query filters, "
+        "no closures built per focus candidate"
     )
     return 0
 
