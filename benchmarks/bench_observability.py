@@ -1,19 +1,19 @@
 """Observability figure: what the instrumentation layer costs when it is off.
 
-The observability contract (docs/OBSERVABILITY.md) promises that the disabled
-path of every instrument is one global read plus a falsy check, cheap enough
-to leave compiled into production serving.  This benchmark puts a number on
+The observability contract (docs/OBSERVABILITY.md) promises that a disabled
+span is one attribute check that allocates nothing, cheap enough to leave
+compiled into production serving.  This benchmark puts a number on
 that promise by serving the same Zipf-skewed stream through three otherwise
 identical ``QueryService`` arms:
 
 * ``obs-off``  — observability compiled out as far as the knobs allow:
-  ``flight_capacity=0``, metrics and tracing disabled (the floor — only the
-  always-on per-fingerprint ledger records);
+  ``flight_capacity=0``, tracing disabled (the floor — only the always-on
+  per-fingerprint ledger records);
 * ``obs-noop`` — the **default** construction: the flight recorder lives at
-  its default capacity, metrics and tracing disabled.
+  its default capacity, tracing disabled.
   This is what production runs, and the arm the budget applies to;
-* ``obs-on``   — metrics, tracing and the flight recorder all enabled
-  (the fully instrumented ceiling, reported but not gated).
+* ``obs-on``   — tracing and the flight recorder both enabled (the fully
+  instrumented ceiling, reported but not gated).
 
 Assertions (the acceptance bar of the observability layer):
 
@@ -35,12 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import workload_patterns, zipf_workload
-from repro.obs import (
-    disable_metrics,
-    disable_tracing,
-    enable_metrics,
-    enable_tracing,
-)
+from repro.obs import disable_tracing, enable_tracing
 from repro.service import QueryService
 from repro.utils import Timer
 
@@ -84,26 +79,23 @@ def test_observability_noop_overhead(pokec_graph, record_figure):
         "obs-on": QueryService(graph, name="obs-on"),
     }
 
-    # A REPRO_OBS=1 session enables metrics/tracing globally; this bench
+    # A REPRO_OBS=1 session enables tracing globally; this bench
     # owns the toggles for the duration so the off/noop arms measure what
     # production actually runs, then restores the session state.
     session_instrumented = os.environ.get("REPRO_OBS", "").strip() not in (
         "", "0", "false"
     )
     disable_tracing()
-    disable_metrics()
     try:
         # Warm every arm once: plans compiled, caches filled, indexes built.
         # The measured sweeps below are the steady-state serving hot path.
         reference = None
         for name, service in arms.items():
             if name == "obs-on":
-                enable_metrics()
                 enable_tracing()
             answers, _ = _serve(service, stream)
             if name == "obs-on":
                 disable_tracing()
-                disable_metrics()
             if reference is None:
                 reference = answers
             assert answers == reference, f"{name} warm answers diverge"
@@ -115,12 +107,10 @@ def test_observability_noop_overhead(pokec_graph, record_figure):
         for _ in range(SWEEPS):
             for name, service in arms.items():
                 if name == "obs-on":
-                    enable_metrics()
                     enable_tracing()
                 answers, elapsed = _serve(service, stream)
                 if name == "obs-on":
                     disable_tracing()
-                    disable_metrics()
                 assert answers == reference, f"{name} answers diverge mid-sweep"
                 best[name] = min(best[name], elapsed)
 
@@ -168,8 +158,6 @@ def test_observability_noop_overhead(pokec_graph, record_figure):
         for service in arms.values():
             service.close()
         if session_instrumented:
-            enable_metrics()
             enable_tracing()
         else:
             disable_tracing()
-            disable_metrics()

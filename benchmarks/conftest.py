@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import pytest
 
 from repro.datasets import benchmark_graph
-from repro.obs import disable_metrics, disable_tracing, enable_metrics, enable_tracing
+from repro.obs import disable_tracing, enable_tracing
 from repro.utils import render_table
 
 _TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
@@ -52,10 +52,9 @@ POKEC_SCALE = float(_SCALE_OVERRIDE) if _SCALE_OVERRIDE else 3.0
 YAGO_SCALE = float(_SCALE_OVERRIDE) if _SCALE_OVERRIDE else 3.0
 SYNTHETIC_SCALE = float(_SCALE_OVERRIDE) if _SCALE_OVERRIDE else 2.0
 
-# REPRO_OBS=1 runs the whole benchmark session instrumented: the metrics
-# registry and the tracer are enabled before any benchmark executes, and
-# ``record_figure`` dumps the registry next to each figure's BENCH json
-# (``METRICS_<figure>.json``) so CI can upload the instrumented-run artifact.
+# REPRO_OBS=1 runs the whole benchmark session traced: the tracer is enabled
+# before any benchmark executes, so every figure is also a check that the
+# traced path gives the same answers.
 _OBS_ENABLED = os.environ.get("REPRO_OBS", "").strip() not in ("", "0", "false")
 
 
@@ -64,11 +63,9 @@ def _obs_instrumented_session():
     if not _OBS_ENABLED:
         yield
         return
-    enable_metrics()
     enable_tracing()
     yield
     disable_tracing()
-    disable_metrics()
 
 
 def _git_sha() -> str:
@@ -185,17 +182,6 @@ def record_figure():
             json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
             encoding="utf-8",
         )
-        if _OBS_ENABLED:
-            from repro.obs import get_registry
-
-            (RESULTS_DIR / f"METRICS_{figure}.json").write_text(
-                json.dumps(
-                    {"figure": figure, "provenance": _provenance(),
-                     "metrics": get_registry().dump()},
-                    indent=2, sort_keys=True, default=str,
-                ) + "\n",
-                encoding="utf-8",
-            )
         return table
 
     return _record

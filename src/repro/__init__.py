@@ -27,9 +27,9 @@ The package layers cleanly:
   batches, incremental index refresh, affected-area incremental matching,
   partition/pool delta shipping and standing-query maintenance;
 * :mod:`repro.datasets` — Pokec-like / YAGO2-like / synthetic workloads;
-* :mod:`repro.obs`      — unified observability: an opt-in metrics registry,
-  span tracing with cross-process propagation, and the always-on service
-  introspection behind ``QueryService.stats()``;
+* :mod:`repro.obs`      — observability: opt-in span tracing with
+  cross-process propagation, and the always-on service introspection behind
+  ``QueryService.stats()``;
 * :mod:`repro.serve`    — the scale-out tier: a shard router
   (``ShardedService``) over per-shard ``QueryService`` fleets, bounded
   admission with backpressure, and a CRC-checked cross-process result cache
@@ -79,12 +79,7 @@ from repro.core import (
     AdmissionConfig,
     AdmissionQueue,
     build_shards,
-    MetricsRegistry,
     ServiceIntrospection,
-    enable_metrics,
-    disable_metrics,
-    active_metrics,
-    get_registry,
     enable_tracing,
     disable_tracing,
     active_tracing,
@@ -138,12 +133,7 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionQueue",
     "build_shards",
-    "MetricsRegistry",
     "ServiceIntrospection",
-    "enable_metrics",
-    "disable_metrics",
-    "active_metrics",
-    "get_registry",
     "enable_tracing",
     "disable_tracing",
     "active_tracing",

@@ -34,16 +34,11 @@ from repro.patterns import (
     parse_pattern,
 )
 from repro.obs import (
-    MetricsRegistry,
     ServiceIntrospection,
-    active_metrics,
     active_tracing,
-    disable_metrics,
     disable_tracing,
-    enable_metrics,
     enable_tracing,
     format_span_tree,
-    get_registry,
     get_tracer,
     span,
 )
@@ -107,12 +102,7 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionQueue",
     "build_shards",
-    "MetricsRegistry",
     "ServiceIntrospection",
-    "enable_metrics",
-    "disable_metrics",
-    "active_metrics",
-    "get_registry",
     "enable_tracing",
     "disable_tracing",
     "active_tracing",

@@ -34,7 +34,6 @@ from repro.delta.ops import GraphDelta
 from repro.graph.digraph import PropertyGraph
 from repro.index.snapshot import GraphIndex
 from repro.matching.qmatch import QMatch
-from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.patterns.qgp import QuantifiedGraphPattern
 
@@ -214,11 +213,4 @@ def inc_qmatch_delta(
     stats.carried = len(carried)
     stats.added = answer - original
     stats.removed = original - answer
-    registry = get_registry()
-    if registry:
-        registry.counter("delta.evaluations").inc()
-        registry.counter("delta.verifications").inc(stats.verifications)
-        registry.histogram(
-            "delta.aff_size", buckets=(1, 4, 16, 64, 256, 1024, 4096)
-        ).observe(stats.aff_size)
     return frozenset(answer), stats

@@ -54,7 +54,7 @@ from repro.index.interning import Interner
 from repro.index.neighborhoods import NeighborhoodCSR
 from repro.index.signatures import NeighborhoodSignatures
 from repro.index.snapshot import GraphIndex
-from repro.obs.metrics import CORE, get_registry
+from repro.obs.metrics import CORE
 from repro.obs.trace import span
 from repro.utils.timing import Timer
 
@@ -74,8 +74,7 @@ def refresh_call_count() -> int:
 
     Reads the always-on :data:`repro.obs.metrics.CORE` counters (the old
     module globals leaked across tests; CORE is reset by the per-test
-    observability fixture).  When a metrics registry is enabled the same
-    events are also mirrored as ``index.refresh`` / ``index.refresh.fallback``.
+    observability fixture).
     """
     return CORE.index_refreshes
 
@@ -257,9 +256,6 @@ def refreshed_index(
     when the incremental path applies and when it falls back to that build.
     """
     CORE.index_refreshes += 1
-    registry = get_registry()
-    if registry:
-        registry.counter("index.refresh").inc()
     graph = index.graph
 
     if not index.is_stale():
@@ -269,8 +265,6 @@ def refreshed_index(
 
     def rebuild() -> GraphIndex:
         CORE.index_refresh_rebuilds += 1
-        if registry:
-            registry.counter("index.refresh.fallback").inc()
         snapshot = GraphIndex.build(graph)
         graph.cache_index(snapshot)
         return snapshot
@@ -432,7 +426,5 @@ def refreshed_index(
                 snapshot._compiled_rows[(incoming, label_id)] = store
 
     snapshot.build_seconds = timer.elapsed
-    if registry:
-        registry.histogram("index.refresh_seconds").observe(timer.elapsed)
     graph.cache_index(snapshot)
     return snapshot

@@ -34,7 +34,7 @@ from repro.index.csr import LabeledCSR, build_csr_pair
 from repro.index.interning import Interner
 from repro.index.neighborhoods import NeighborhoodCSR, merge_undirected
 from repro.index.signatures import NeighborhoodSignatures, build_signatures
-from repro.obs.metrics import CORE, get_registry
+from repro.obs.metrics import CORE
 from repro.obs.trace import span
 from repro.utils.errors import StaleIndexError
 from repro.utils.timing import Timer
@@ -52,8 +52,7 @@ def build_call_count() -> int:
     recompiled — inside pool workers; the regression tests read this counter
     on both sides of the process boundary to pin that down.  The count is the
     always-on :data:`repro.obs.metrics.CORE` core counter (reset per test by
-    the observability isolation fixture), mirrored into the optional metrics
-    registry as ``index.build`` when one is enabled.
+    the observability isolation fixture).
     """
     return CORE.index_builds
 
@@ -172,11 +171,6 @@ class GraphIndex:
             label_members=label_members,
             build_seconds=timer.elapsed,
         )
-        registry = get_registry()
-        if registry:
-            registry.counter("index.build").inc()
-            registry.histogram("index.build_seconds").observe(timer.elapsed)
-            registry.gauge("index.nodes").set(len(nodes))
         return snapshot
 
     @classmethod

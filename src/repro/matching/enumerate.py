@@ -27,7 +27,6 @@ from repro.matching.generic import (
     label_candidates,
 )
 from repro.matching.result import MatchResult
-from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
@@ -203,15 +202,6 @@ class EnumMatcher:
             for edge, positified in pattern.positified_pi_patterns():
                 excluded, _ = evaluate_positive_by_enumeration(positified, graph, counter)
                 answer -= excluded
-        registry = get_registry()
-        if registry:
-            registry.counter("match.queries").inc()
-            registry.counter("match.verifications").inc(counter.verifications)
-            registry.counter("match.extensions").inc(counter.extensions)
-            registry.counter("match.quantifier_checks").inc(
-                counter.quantifier_checks
-            )
-            registry.histogram("match.seconds").observe(timer.elapsed)
         return MatchResult(
             answer=answer,
             positive_answer=positive_answer,

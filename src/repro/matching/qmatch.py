@@ -27,7 +27,6 @@ from repro.graph.digraph import PropertyGraph
 from repro.matching.dmatch import DMatchOptions, dmatch
 from repro.matching.incremental import inc_qmatch
 from repro.matching.result import IncrementalStats, MatchResult
-from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
@@ -133,22 +132,6 @@ class QMatch:
                     answer -= excluded
                     if not answer:
                         break
-
-        # Mirror the per-query work totals into the registry (one batch of
-        # increments per evaluated query; the backtracking loop itself stays
-        # untouched so the disabled path costs one falsy check here).
-        registry = get_registry()
-        if registry:
-            registry.counter("match.queries").inc()
-            registry.counter("match.verifications").inc(counter.verifications)
-            registry.counter("match.extensions").inc(counter.extensions)
-            registry.counter("match.quantifier_checks").inc(
-                counter.quantifier_checks
-            )
-            registry.counter("match.candidates_pruned").inc(
-                counter.candidates_pruned
-            )
-            registry.histogram("match.seconds").observe(timer.elapsed)
 
         return MatchResult(
             answer=answer,

@@ -1,20 +1,18 @@
-"""`repro.obs` — unified observability: metrics, tracing, introspection.
+"""`repro.obs` — observability: tracing, introspection, flight recorder.
 
-The seventh layer of the stack.  The index, matching, parallel, service and
-delta layers each grew their own ad-hoc counters as they were built; this
-package gives them one registry (:mod:`repro.obs.metrics`), one span tracer
-with cross-process propagation (:mod:`repro.obs.trace`) and one request-level
-introspection surface (:mod:`repro.obs.introspect`), while keeping the
-default cost at effectively zero: the process-wide registry defaults to a
-falsy no-op singleton and the tracer defaults to disabled, so nothing is
-recorded — or allocated — until :func:`enable_metrics` / \
-:func:`enable_tracing` opt in.
+The seventh layer of the stack.  Counts live on the object that counts them
+— cache ``stats``, the ``WorkCounter`` on every ``MatchResult``, the pool
+counters on the executor — and this package adds what no single object can
+hold: one span tracer with cross-process propagation
+(:mod:`repro.obs.trace`), one request-level introspection surface
+(:mod:`repro.obs.introspect`) and the flight recorder.  Tracing is opt-in
+(:func:`enable_tracing`); disabled, ``span(...)`` allocates nothing.
 
 The correctness-critical counters the test suite asserts on
 (``GraphIndex.build`` calls, refresh fallbacks) are *always* counted — they
 live in :data:`repro.obs.metrics.CORE`, a resettable object the per-test
-isolation fixture clears — and are mirrored into the optional registry when
-one is active.  See ``docs/OBSERVABILITY.md`` for the executable walkthrough.
+isolation fixture clears.  See ``docs/OBSERVABILITY.md`` for the executable
+walkthrough.
 """
 
 from repro.obs.flight import FlightEvent, FlightRecorder
@@ -23,24 +21,7 @@ from repro.obs.introspect import (
     ServiceIntrospection,
     SlowQueryRecord,
 )
-from repro.obs.metrics import (
-    CORE,
-    CoreCounters,
-    Counter,
-    DEFAULT_LATENCY_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    active_metrics,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-    metrics_enabled,
-    parse_exposition,
-    set_registry,
-)
+from repro.obs.metrics import CORE, CoreCounters
 from repro.obs.trace import (
     SpanRecord,
     TraceContext,
@@ -59,7 +40,7 @@ from repro.obs.trace import (
 )
 
 # Imported last: explain leans on the plan/matching layers, which themselves
-# import repro.obs.metrics — the late import keeps the package acyclic.
+# import repro.obs — the late import keeps the package acyclic.
 from repro.obs.explain import (
     ExplainReport,
     ExplainStep,
@@ -69,23 +50,9 @@ from repro.obs.explain import (
 )
 
 __all__ = [
-    # metrics
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    # core counters
     "CoreCounters",
     "CORE",
-    "get_registry",
-    "set_registry",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
-    "active_metrics",
-    "parse_exposition",
-    "DEFAULT_LATENCY_BUCKETS",
     # trace
     "SpanRecord",
     "TraceContext",
@@ -121,12 +88,10 @@ __all__ = [
 def reset_observability() -> None:
     """Restore the pristine observability state (used by the test fixture).
 
-    Installs the no-op registry, disables and drains the tracer, and zeroes
-    the always-on core counters — one call makes every test start from the
-    same observability state, killing the counter-leak footgun the module
-    globals used to have.
+    Disables and drains the tracer and zeroes the always-on core counters —
+    one call makes every test start from the same observability state,
+    killing the counter-leak footgun the module globals used to have.
     """
-    disable_metrics()
     tracer = get_tracer()
     tracer.enabled = False
     tracer.reset()

@@ -1,14 +1,12 @@
 """`repro.obs.introspect` — request-level visibility into a serving stack.
 
-Where :mod:`repro.obs.metrics` aggregates process-wide totals, this module
-answers the operator questions about **one** :class:`~repro.service.server.
-QueryService`: which fingerprints are hot, what their p50/p99 latencies are,
-what work a fingerprint costs per graph epoch, and which queries were slow
-enough to care about.  It is deliberately **always on** — every instrument
-here observes at request granularity (a handful of arithmetic operations per
-served query, never per probe), so the sequential matching hot path is
-untouched and ``QueryService.stats()`` works without enabling the global
-registry.
+This module answers the operator questions about **one**
+:class:`~repro.service.server.QueryService`: which fingerprints are hot, what
+their p50/p99 latencies are, what work a fingerprint costs per graph epoch,
+and which queries were slow enough to care about.  It is deliberately
+**always on** — every instrument here observes at request granularity (a
+handful of arithmetic operations per served query, never per probe), so the
+sequential matching hot path is untouched.
 
 :class:`ServiceIntrospection` is the service's one **per-fingerprint
 ledger**.  Each :class:`FingerprintStats` record carries the request and
@@ -32,11 +30,11 @@ exactly the counters a cost model needs.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.utils.counters import WorkCounter
 
 __all__ = ["FingerprintStats", "ServiceIntrospection", "SlowQueryRecord"]
@@ -45,6 +43,34 @@ __all__ = ["FingerprintStats", "ServiceIntrospection", "SlowQueryRecord"]
 # fingerprint (the most recent ones: the planner reads current behaviour).
 DEFAULT_LEDGER_CAPACITY = 512
 DEFAULT_EPOCH_CAPACITY = 4
+
+# Latency bucket upper bounds in seconds, 1 µs .. 30 s, roughly exponential;
+# one implicit +inf bucket catches the tail.  A cache hit is served in a few
+# microseconds, so the scale has to start well below 100 µs for a hit-only
+# fingerprint's quantiles to mean anything.
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+)
+
+
+def _bucket_quantile(counts: List[int], total: int, q: float) -> float:
+    """Estimated latency at quantile *q* (0..1), by linear interpolation
+    inside the containing bucket; the +inf tail clamps to the last bound."""
+    if total == 0:
+        return 0.0
+    rank = q * total
+    cumulative = 0
+    lower = 0.0
+    for upper, bucket_count in zip(LATENCY_BUCKETS, counts):
+        if cumulative + bucket_count >= rank:
+            if bucket_count == 0:
+                return upper
+            return lower + (upper - lower) * (rank - cumulative) / bucket_count
+        cumulative += bucket_count
+        lower = upper
+    return LATENCY_BUCKETS[-1]
 
 
 class _EpochStats:
@@ -77,14 +103,17 @@ class FingerprintStats:
     """The ledger record of one canonical fingerprint.
 
     ``epochs`` stays ``None`` until the first computed request, so a
-    fingerprint served only from cache never allocates epoch state.
+    fingerprint served only from cache never allocates epoch state.  Every
+    request's latency lands in ``_buckets`` (one count per
+    :data:`LATENCY_BUCKETS` bound plus the +inf tail), under the owning
+    ledger's lock.
     """
 
     __slots__ = ("fingerprint", "pattern_name", "requests", "cache_hits",
-                 "computed", "_histogram", "last_elapsed", "verifications",
-                 "epochs")
+                 "computed", "_buckets", "_seconds", "last_elapsed",
+                 "verifications", "epochs")
 
-    def __init__(self, fingerprint: str, lock: threading.Lock) -> None:
+    def __init__(self, fingerprint: str) -> None:
         self.fingerprint = fingerprint
         self.pattern_name = ""
         self.requests = 0
@@ -92,22 +121,21 @@ class FingerprintStats:
         self.computed = 0
         self.verifications = 0
         self.last_elapsed = 0.0
-        self._histogram = Histogram(
-            f"fingerprint.{fingerprint[:12]}", lock, DEFAULT_LATENCY_BUCKETS
-        )
+        self._buckets = [0] * (len(LATENCY_BUCKETS) + 1)
+        self._seconds = 0.0
         self.epochs: "Optional[OrderedDict[Hashable, _EpochStats]]" = None
 
     @property
     def p50(self) -> float:
-        return self._histogram.quantile(0.50)
+        return _bucket_quantile(self._buckets, self.requests, 0.50)
 
     @property
     def p99(self) -> float:
-        return self._histogram.quantile(0.99)
+        return _bucket_quantile(self._buckets, self.requests, 0.99)
 
     @property
     def mean(self) -> float:
-        return self._histogram.mean
+        return self._seconds / self.requests if self.requests else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -222,7 +250,7 @@ class ServiceIntrospection:
         with self._lock:
             stats = self._fingerprints.get(fingerprint)
             if stats is None:
-                stats = FingerprintStats(fingerprint, self._lock)
+                stats = FingerprintStats(fingerprint)
                 self._fingerprints[fingerprint] = stats
                 while len(self._fingerprints) > self.capacity:
                     self._fingerprints.popitem(last=False)
@@ -231,6 +259,8 @@ class ServiceIntrospection:
             stats.pattern_name = pattern_name
             stats.requests += 1
             stats.last_elapsed = elapsed
+            stats._buckets[bisect_left(LATENCY_BUCKETS, elapsed)] += 1
+            stats._seconds += elapsed
             if cached:
                 stats.cache_hits += 1
             else:
@@ -253,10 +283,6 @@ class ServiceIntrospection:
                     observation.verifications += counter.verifications
                     observation.extensions += counter.extensions
                     observation.quantifier_checks += counter.quantifier_checks
-        # The per-fingerprint histogram shares this ledger's lock, and
-        # observe() re-acquires it — so file the sample outside the
-        # with-block above.
-        stats._histogram.observe(elapsed)
 
     def slow_query(
         self,

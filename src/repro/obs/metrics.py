@@ -1,513 +1,20 @@
-"""`repro.obs.metrics` — the process-wide metrics registry.
+"""`repro.obs.metrics` — the always-on core counters.
 
-Every performance and correctness claim in this library used to rest on
-ad-hoc counters scattered per module (``GraphIndex.build_call_count``,
-``ProcessExecutor.last_worker_rebuilds``, the :class:`~repro.service.cache`
-hit/miss pair, canonicalization memo hits, the ``MatchContext``
-verification/extension counters).  This module gives them one home:
-
-* :class:`MetricsRegistry` — thread-safe counters, gauges and fixed-bucket
-  histograms under hierarchical dotted names (``service.cache.hit``,
-  ``pool.worker.rebuilds``), with a JSON dump and a Prometheus-style text
-  exposition (:meth:`MetricsRegistry.expose_text`, round-trippable through
-  :func:`parse_exposition`).
-* :class:`NullRegistry` — the **default**: every instrument it hands out is a
-  shared no-op singleton, it is falsy, and its methods allocate nothing, so
-  instrumented call sites guarded by ``if registry:`` cost one attribute
-  lookup when observability is off.  :func:`enable_metrics` swaps the
-  process singleton for a real registry; :func:`disable_metrics` swaps it
-  back.
-* :class:`CoreCounters` — the handful of **always-on** invariant counters the
-  test suite's correctness assertions read (``GraphIndex.build`` calls,
-  index refresh/fallback counts).  They are plain slotted integers — as cheap
-  as the module globals they replace — but now live behind one object with a
-  :meth:`CoreCounters.reset`, so tests can isolate them per test instead of
-  leaking process-lifetime totals across the suite.
-
-The split matters: optional metrics may be dropped when disabled, but the
-core counters *are* the library's invariants (``workers never rebuild``,
-``refresh fell back N times``) and must count regardless of whether anyone
-is exporting dashboards.  When a real registry is active, the core counters
-are mirrored into it (under ``core.*``) by the call sites, so one
-:meth:`MetricsRegistry.dump` carries the whole picture.
+:class:`CoreCounters` holds the handful of process counters the library's
+invariants rest on (``GraphIndex.build`` calls, index refresh/fallback
+counts).  They are plain slotted integers — as cheap as the module globals
+they replace — behind one object with a :meth:`CoreCounters.reset`, so tests
+isolate them per test instead of leaking process-lifetime totals across the
+suite.  Every other count lives on the object that does the counting: cache
+``stats``, the ``WorkCounter`` on each ``MatchResult``, the executor's pool
+counters and the per-fingerprint ledger.
 """
 
 from __future__ import annotations
 
-import json
-import re
-import threading
-from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "CoreCounters",
-    "CORE",
-    "get_registry",
-    "set_registry",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
-    "active_metrics",
-    "parse_exposition",
-    "DEFAULT_LATENCY_BUCKETS",
-]
-
-_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_.]*$")
-
-# Seconds-scale latency buckets: 100µs .. 30s, roughly exponential.  Fixed
-# buckets keep ``observe`` O(log B) and the exposition byte-stable.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
-
-
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise ValueError(f"invalid metric name {name!r} (use dotted identifiers)")
-    return name
-
-
-class Counter:
-    """A monotone counter.  ``inc`` takes the registry lock (shared, cheap)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    kind = "counter"
-
-    def __init__(self, name: str, lock: threading.Lock) -> None:
-        self.name = name
-        self._value = 0
-        self._lock = lock
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters are monotone; use a Gauge to go down")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def _reset(self) -> None:
-        self._value = 0
-
-    def _dump(self) -> Union[int, float]:
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down (pool sizes, cache occupancy, epochs)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, lock: threading.Lock) -> None:
-        self.name = name
-        self._value = 0.0
-        self._lock = lock
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def _reset(self) -> None:
-        self._value = 0.0
-
-    def _dump(self) -> Union[int, float]:
-        return self._value
-
-
-class Histogram:
-    """A fixed-bucket histogram with cumulative bucket counts.
-
-    Buckets are upper bounds (``le``); one implicit ``+inf`` bucket catches
-    the tail.  Quantiles are estimated by linear interpolation inside the
-    containing bucket — exact enough for p50/p99 reporting, and entirely
-    reconstructable from the exposition (the dump carries the per-bucket
-    counts, the sum and the total count).
-    """
-
-    __slots__ = ("name", "buckets", "_counts", "_sum", "_count", "_lock")
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        lock: threading.Lock,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.name = name
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # +1 for +inf
-        self._sum = 0.0
-        self._count = 0
-        self._lock = lock
-
-    def observe(self, value: float) -> None:
-        position = bisect_left(self.buckets, value)
-        with self._lock:
-            self._counts[position] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimated value at quantile *q* (0..1) by bucket interpolation."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self._count == 0:
-            return 0.0
-        rank = q * self._count
-        cumulative = 0
-        lower = 0.0
-        for position, upper in enumerate(self.buckets):
-            bucket_count = self._counts[position]
-            if cumulative + bucket_count >= rank:
-                if bucket_count == 0:
-                    return upper
-                fraction = (rank - cumulative) / bucket_count
-                return lower + (upper - lower) * fraction
-            cumulative += bucket_count
-            lower = upper
-        return self.buckets[-1]  # the +inf tail clamps to the last finite bound
-
-    def _reset(self) -> None:
-        self._counts = [0] * (len(self.buckets) + 1)
-        self._sum = 0.0
-        self._count = 0
-
-    def _dump(self) -> Dict[str, object]:
-        return {
-            "buckets": list(self.buckets),
-            "counts": list(self._counts),
-            "sum": self._sum,
-            "count": self._count,
-        }
-
-
-class MetricsRegistry:
-    """A live, thread-safe registry of named instruments.
-
-    Instruments are created on first use and keep their identity for the
-    registry's lifetime, so call sites may cache them (``self._hits =
-    registry.counter("service.cache.hit")``) or re-resolve by name each time
-    — both resolve to the same object.  Asking for an existing name with a
-    different instrument kind raises, which catches dotted-name collisions
-    early.
-
-    >>> registry = MetricsRegistry()
-    >>> registry.counter("service.cache.hit").inc()
-    >>> registry.counter("service.cache.hit").inc(2)
-    >>> registry.counter("service.cache.hit").value
-    3
-    >>> bool(registry), bool(NULL_REGISTRY)
-    (True, False)
-    """
-
-    enabled = True
-
-    def __init__(self, name: str = "repro") -> None:
-        self.name = name
-        self._metrics: "Dict[str, Union[Counter, Gauge, Histogram]]" = {}
-        # One lock for structure *and* values: registry traffic is coarse
-        # (per query / per batch / per pool round, never per probe), so
-        # contention is negligible and the single lock keeps dump/reset
-        # trivially consistent.
-        self._lock = threading.Lock()
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
-
-    def _instrument(self, name: str, kind: type, **kwargs):
-        _check_name(name)
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = kind(name, self._lock, **kwargs)
-                self._metrics[name] = metric
-            elif type(metric) is not kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}, "
-                    f"not {kind.kind}"
-                )
-            return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._instrument(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._instrument(name, Gauge)
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> Histogram:
-        return self._instrument(name, Histogram, buckets=buckets)
-
-    # ------------------------------------------------------------- lifecycle
-
-    def reset(self) -> None:
-        """Zero every instrument (identities survive — cached handles stay valid)."""
-        with self._lock:
-            for metric in self._metrics.values():
-                metric._reset()
-
-    # ------------------------------------------------------------ exposition
-
-    def dump(self) -> Dict[str, Dict[str, object]]:
-        """A JSON-able snapshot: ``{name: {"kind": ..., "value"/"buckets": ...}}``."""
-        with self._lock:
-            out: Dict[str, Dict[str, object]] = {}
-            for name in sorted(self._metrics):
-                metric = self._metrics[name]
-                entry: Dict[str, object] = {"kind": metric.kind}
-                if isinstance(metric, Histogram):
-                    entry.update(metric._dump())
-                else:
-                    entry["value"] = metric._dump()
-                out[name] = entry
-            return out
-
-    def dump_json(self, indent: int = 2) -> str:
-        return json.dumps(self.dump(), indent=indent, sort_keys=True)
-
-    def expose_text(self) -> str:
-        """Prometheus-style text exposition.
-
-        Dotted names are flattened to underscores (Prometheus metric-name
-        charset); the original dotted name rides in a ``# NAME`` comment so
-        :func:`parse_exposition` can reconstruct the dump exactly.
-        """
-        lines: List[str] = []
-        for name, entry in self.dump().items():
-            flat = name.replace(".", "_")
-            kind = entry["kind"]
-            lines.append(f"# NAME {name}")
-            lines.append(f"# TYPE {flat} {kind}")
-            if kind == "histogram":
-                cumulative = 0
-                buckets: List[float] = entry["buckets"]  # type: ignore[assignment]
-                counts: List[int] = entry["counts"]  # type: ignore[assignment]
-                for bound, count in zip(buckets, counts):
-                    cumulative += count
-                    lines.append(f'{flat}_bucket{{le="{bound!r}"}} {cumulative}')
-                cumulative += counts[-1]
-                lines.append(f'{flat}_bucket{{le="+Inf"}} {cumulative}')
-                lines.append(f"{flat}_sum {entry['sum']!r}")
-                lines.append(f"{flat}_count {entry['count']}")
-            else:
-                lines.append(f"{flat} {entry['value']!r}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def as_flat_dict(self) -> Dict[str, float]:
-        """Scalar view (histograms collapse to their sums) for figure rows."""
-        flat: Dict[str, float] = {}
-        for name, entry in self.dump().items():
-            if entry["kind"] == "histogram":
-                flat[f"{name}.count"] = entry["count"]  # type: ignore[assignment]
-                flat[f"{name}.sum"] = entry["sum"]  # type: ignore[assignment]
-            else:
-                flat[name] = entry["value"]  # type: ignore[assignment]
-        return flat
-
-    def __repr__(self) -> str:
-        return f"MetricsRegistry(name={self.name!r}, metrics={len(self)})"
-
-
-# ------------------------------------------------------------- no-op registry
-
-
-class _NullInstrument:
-    """The shared do-nothing counter/gauge/histogram of :class:`NullRegistry`.
-
-    Every mutating method is a no-op that allocates nothing; every read
-    reports zero.  One instance serves all three instrument kinds, so the
-    disabled path never constructs anything per call site.
-    """
-
-    __slots__ = ()
-
-    kind = "null"
-    name = "null"
-    value = 0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-    buckets: Tuple[float, ...] = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The default registry: falsy, no-op, zero-allocation on the hot path.
-
-    Call sites use the two-step guard::
-
-        registry = get_registry()
-        if registry:                      # False for NullRegistry
-            registry.counter("x").inc()
-
-    so with observability off the instrumented code costs one global read and
-    one boolean check.  Sites that skip the guard still work — every
-    instrument method on the shared null instrument is a no-op.
-    """
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def reset(self) -> None:
-        pass
-
-    def dump(self) -> Dict[str, Dict[str, object]]:
-        return {}
-
-    def dump_json(self, indent: int = 2) -> str:
-        return "{}"
-
-    def expose_text(self) -> str:
-        return ""
-
-    def as_flat_dict(self) -> Dict[str, float]:
-        return {}
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"
-
-
-NULL_REGISTRY = NullRegistry()
-
-_active: Union[MetricsRegistry, NullRegistry] = NULL_REGISTRY
-_active_lock = threading.Lock()
-
-
-def get_registry() -> Union[MetricsRegistry, NullRegistry]:
-    """The process-wide active registry (the no-op singleton by default)."""
-    return _active
-
-
-def set_registry(
-    registry: Union[MetricsRegistry, NullRegistry],
-) -> Union[MetricsRegistry, NullRegistry]:
-    """Install *registry* as the active singleton; returns the previous one."""
-    global _active
-    with _active_lock:
-        previous = _active
-        _active = registry
-        return previous
-
-
-def enable_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Swap the no-op singleton for a live registry (idempotent) and return it."""
-    global _active
-    with _active_lock:
-        if registry is None:
-            registry = _active if isinstance(_active, MetricsRegistry) else MetricsRegistry()
-        _active = registry
-        return registry
-
-
-def disable_metrics() -> None:
-    """Restore the default no-op registry."""
-    set_registry(NULL_REGISTRY)
-
-
-def metrics_enabled() -> bool:
-    return isinstance(_active, MetricsRegistry)
-
-
-@contextmanager
-def active_metrics(registry: Optional[MetricsRegistry] = None) -> Iterator[MetricsRegistry]:
-    """Scoped enablement: install a registry, yield it, restore the previous one.
-
-    >>> with active_metrics() as registry:
-    ...     get_registry().counter("scoped.example").inc()
-    ...     registry.counter("scoped.example").value
-    1
-    >>> metrics_enabled()
-    False
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
-
-
-# ------------------------------------------------------------- core counters
+__all__ = ["CoreCounters", "CORE"]
 
 
 class CoreCounters:
@@ -545,80 +52,3 @@ class CoreCounters:
 
 
 CORE = CoreCounters()
-
-
-# -------------------------------------------------------------------- parsing
-
-_NAME_LINE = re.compile(r"^# NAME (?P<name>\S+)$")
-_TYPE_LINE = re.compile(r"^# TYPE (?P<flat>\S+) (?P<kind>\S+)$")
-_BUCKET_LINE = re.compile(r'^(?P<flat>\S+)_bucket\{le="(?P<le>[^"]+)"\} (?P<value>\S+)$')
-_SCALAR_LINE = re.compile(r"^(?P<flat>\S+) (?P<value>\S+)$")
-
-
-def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
-    """Parse :meth:`MetricsRegistry.expose_text` back into the dump structure.
-
-    The round-trip property ``parse_exposition(r.expose_text()) == r.dump()``
-    is pinned by a hypothesis test — it is what makes the text exposition a
-    faithful wire format rather than a lossy pretty-print.
-    """
-    out: Dict[str, Dict[str, object]] = {}
-    name: Optional[str] = None
-    kind: Optional[str] = None
-    buckets: List[float] = []
-    cumulative: List[int] = []
-
-    def _flush_histogram(entry: Mapping[str, object]) -> Dict[str, object]:
-        # De-cumulate: the exposition carries running totals (le-buckets);
-        # the dump stores per-bucket counts plus the +inf tail.
-        counts: List[int] = []
-        previous = 0
-        for total in cumulative[:-1]:  # the last line is +Inf
-            counts.append(total - previous)
-            previous = total
-        counts.append(cumulative[-1] - previous)
-        return {
-            "kind": "histogram",
-            "buckets": list(buckets),
-            "counts": counts,
-            "sum": entry["sum"],
-            "count": entry["count"],
-        }
-
-    pending: Dict[str, object] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        matched = _NAME_LINE.match(line)
-        if matched:
-            name = matched.group("name")
-            buckets, cumulative, pending, kind = [], [], {}, None
-            continue
-        matched = _TYPE_LINE.match(line)
-        if matched:
-            kind = matched.group("kind")
-            continue
-        if name is None or kind is None:
-            raise ValueError(f"exposition line outside a metric block: {line!r}")
-        matched = _BUCKET_LINE.match(line)
-        if matched and kind == "histogram":
-            le = matched.group("le")
-            if le != "+Inf":
-                buckets.append(float(le))
-            cumulative.append(int(matched.group("value")))
-            continue
-        matched = _SCALAR_LINE.match(line)
-        if not matched:
-            raise ValueError(f"unparseable exposition line: {line!r}")
-        flat, raw = matched.group("flat"), matched.group("value")
-        value: Union[int, float] = float(raw) if ("." in raw or "e" in raw or "inf" in raw) else int(raw)
-        if kind == "histogram":
-            if flat.endswith("_sum"):
-                pending["sum"] = value
-            elif flat.endswith("_count"):
-                pending["count"] = value
-                out[name] = _flush_histogram(pending)
-        else:
-            out[name] = {"kind": kind, "value": value}
-    return out

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.matching.result import FragmentResult
-from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, current_context, get_tracer, span
 from repro.parallel.worker import (
     FragmentPayload,
@@ -319,6 +318,9 @@ class ProcessExecutor:
         # alive; the incremental benchmark reads this to prove deltas shipped
         # instead of fragments.
         self.deltas_shipped = 0
+        # Process pools started because the payload epoch changed (the first
+        # one included); a delta-shipped mutation must leave it unchanged.
+        self.pool_recreations = 0
         # Accumulated worker plan-cache activity, reported per task: hot
         # fingerprints must hit (compiles bounded by unique fingerprints per
         # worker process), and a plan compile is never a snapshot rebuild.
@@ -400,19 +402,7 @@ class ProcessExecutor:
         if not tasks:
             return []
         with span("pool.round", backend=self.name, tasks=len(tasks)):
-            results = self._run_round(tasks)
-        registry = get_registry()
-        if registry:
-            registry.counter("pool.rounds").inc()
-            registry.counter("pool.tasks").inc(len(tasks))
-            registry.gauge("pool.workers").set(self.max_workers)
-            registry.gauge("pool.worker_rebuilds").set(self.last_worker_rebuilds)
-            registry.gauge("pool.deltas_shipped").set(self.deltas_shipped)
-            registry.gauge("pool.worker_plan_hits").set(self.last_worker_plan_hits)
-            registry.gauge("pool.worker_plan_compiles").set(
-                self.last_worker_plan_compiles
-            )
-        return results
+            return self._run_round(tasks)
 
     def _run_round(self, tasks: Sequence[FragmentTask]) -> List[FragmentResult]:
         payloads = [self._payload_for(task) for task in tasks]
@@ -463,9 +453,7 @@ class ProcessExecutor:
                 initargs=(unique_payloads,),
             )
             self._pool_epoch = epoch
-            registry = get_registry()
-            if registry:
-                registry.counter("pool.recreations").inc()
+            self.pool_recreations += 1
         trace_ctx = current_context()
         futures = [
             self._pool.submit(

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.graph.digraph import PropertyGraph
-from repro.obs.metrics import get_registry
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.plan.compile import CompiledPlan, compile_plan
 
@@ -50,7 +49,7 @@ DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 @dataclass
 class PlanCacheStats:
-    """Always-on counters (mirrored into the registry when one is enabled)."""
+    """Always-on counters of one plan cache (``QueryService.stats()["plans"]``)."""
 
     hits: int = 0
     misses: int = 0
@@ -136,13 +135,6 @@ class PlanCache:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
-                entry = None
-        registry = get_registry()
-        if registry:
-            if entry is not None:
-                registry.counter("plan.cache.hits").inc()
-            else:
-                registry.counter("plan.cache.misses").inc()
         # Resolve eagerly so the first probe of the enumeration finds warm
         # row stores; a hit on the same epoch returns the memoised resolution.
         plan.resolution_for(graph)

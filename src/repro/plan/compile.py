@@ -43,7 +43,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import PropertyGraph
 from repro.index.snapshot import GraphIndex
-from repro.obs.metrics import get_registry
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.patterns.quantifier import CountingQuantifier
 from repro.utils.timing import Timer
@@ -447,9 +446,8 @@ def compile_plan(
     *form* is an optional pre-computed
     :class:`~repro.service.patterns.CanonicalPattern`; the service passes its
     memoised one so compilation never re-canonicalizes.  Counts into the
-    ``plan.compile`` counter and ``plan.compile_seconds`` histogram when the
-    metrics registry is enabled, and into the always-on
-    :func:`plan_compile_count` either way.
+    always-on :func:`plan_compile_count`; the wall time lands on
+    ``plan.compile_seconds``.
     """
     global _COMPILE_COUNT
     with Timer() as timer:
@@ -482,8 +480,4 @@ def compile_plan(
         )
     plan.compile_seconds = timer.elapsed
     _COMPILE_COUNT += 1
-    registry = get_registry()
-    if registry:
-        registry.counter("plan.compile").inc()
-        registry.histogram("plan.compile_seconds").observe(timer.elapsed)
     return plan

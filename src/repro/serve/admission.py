@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
-from repro.obs.metrics import get_registry
 from repro.utils.errors import Overloaded, ReproError, ServiceError
 
 __all__ = ["AdmissionConfig", "AdmissionStats", "AdmissionQueue"]
@@ -70,7 +69,7 @@ class AdmissionConfig:
 
 @dataclass
 class AdmissionStats:
-    """Lifetime counters of one queue (mirrored to obs when enabled).
+    """Lifetime counters of one queue (``ShardedService.introspect()["admission"]``).
 
     ``wait_seconds_total`` / ``wait_seconds_max`` accumulate the time
     payloads sat admitted-but-undrained (measured enqueue → drain), which is
@@ -129,28 +128,21 @@ class AdmissionQueue(Generic[T]):
         Raises :class:`ServiceError` once the queue is closed — closing is a
         hard stop for *new* work only.
         """
-        registry = get_registry()
         with self._lock:
             if self._closed:
                 raise ServiceError("admission queue is closed")
             if len(self._heap) >= self.config.max_pending:
                 if self.config.policy == "reject":
                     self.stats.rejected += 1
-                    if registry:
-                        registry.counter("serve.admission.rejected").inc()
                     raise Overloaded(
                         f"admission queue full ({self.config.max_pending} pending)"
                     )
                 self.stats.blocked += 1
-                if registry:
-                    registry.counter("serve.admission.blocked").inc()
                 if not self._space.wait_for(
                     lambda: self._closed or len(self._heap) < self.config.max_pending,
                     timeout=self.config.block_timeout,
                 ):
                     self.stats.rejected += 1
-                    if registry:
-                        registry.counter("serve.admission.rejected").inc()
                     raise Overloaded(
                         f"admission queue full after {self.config.block_timeout}s wait"
                     )
@@ -163,9 +155,6 @@ class AdmissionQueue(Generic[T]):
             if depth > self.stats.high_water:
                 self.stats.high_water = depth
             self._work.notify()
-        if registry:
-            registry.counter("serve.admission.admitted").inc()
-            registry.gauge("serve.admission.depth").set(depth)
 
     # -------------------------------------------------------------- consumer
 
@@ -186,9 +175,9 @@ class AdmissionQueue(Generic[T]):
 
         Ordered by priority then admission order.  Wakes every producer
         blocked on space.  Queueing waits (enqueue → this drain) are
-        accumulated into :attr:`stats` and the ``serve.admission.wait_seconds``
-        histogram; :meth:`last_waits` exposes the drained batch's individual
-        waits for the router's per-request accounting.
+        accumulated into :attr:`stats`; :meth:`last_waits` exposes the
+        drained batch's individual waits for the router's per-request
+        accounting.
         """
         with self._lock:
             batch: List[Tuple[int, T]] = []
@@ -206,13 +195,6 @@ class AdmissionQueue(Generic[T]):
                     self.stats.wait_seconds_max = longest
                 self._last_waits = waits
                 self._space.notify_all()
-        if batch:
-            registry = get_registry()
-            if registry:
-                registry.gauge("serve.admission.depth").set(0)
-                histogram = registry.histogram("serve.admission.wait_seconds")
-                for wait in waits:
-                    histogram.observe(wait)
         return batch
 
     def last_waits(self) -> List[float]:

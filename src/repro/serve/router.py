@@ -47,7 +47,6 @@ from repro.delta.ops import GraphDelta, apply_delta as apply_graph_delta
 from repro.graph.digraph import PropertyGraph
 from repro.matching.qmatch import QMatch
 from repro.obs.introspect import ServiceIntrospection
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, span
 from repro.parallel.coordinator import PQMatch
 from repro.parallel.worker import options_key_text
@@ -272,9 +271,6 @@ class ShardedService(RequestPipeline):
 
     SPAN_BATCH = "serve.batch"
     SPAN_WAIT = "serve.admission.wait"
-    METRIC_BATCHES = "serve.batches"
-    METRIC_SERVED = "serve.served"
-    METRIC_BATCH_SECONDS = "serve.batch_seconds"
     MISS_ROUTE = "fanout"
     FLIGHT_OWNER = "fleet"
 
@@ -365,9 +361,6 @@ class ShardedService(RequestPipeline):
                 existing = self._inflight.get(key)
                 if existing is not None and not existing.done():
                     self.stats.deduplicated += 1
-                    registry = get_registry()
-                    if registry:
-                        registry.counter("serve.inflight.deduplicated").inc()
                     submit_span.annotate(deduplicated=True)
                     return existing
                 self._inflight[key] = future
@@ -458,12 +451,6 @@ class ShardedService(RequestPipeline):
                             self.services[shard.shard_id].apply_delta(sub)
                 self.stats.shards_touched += touched
                 self.stats.shards_skipped += self.num_shards - touched
-                registry = get_registry()
-                if registry:
-                    registry.counter("serve.delta.shards_touched").inc(touched)
-                    registry.counter("serve.delta.shards_skipped").inc(
-                        self.num_shards - touched
-                    )
             if delta.attr_sets:
                 for shard in self.shards:
                     if shard.shard_id in affected_ids:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from sys import intern
 from typing import Callable, Deque, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
-from repro.obs.metrics import get_registry
 from repro.utils.errors import ReproError
 
 __all__ = ["SharedCacheStats", "SharedResultCache"]
@@ -192,9 +191,6 @@ class SharedResultCache:
                 ).fetchone()
             if row is None:
                 self.stats.misses += 1
-                registry = get_registry()
-                if registry:
-                    registry.counter("serve.cache.misses").inc()
                 return None
             crc, payload = row
             if zlib.crc32(payload) != crc:
@@ -212,9 +208,6 @@ class SharedResultCache:
             self._note_degraded(f"read: {error}")
             return None
         self.stats.hits += 1
-        registry = get_registry()
-        if registry:
-            registry.counter("serve.cache.hits").inc()
         return frozen
 
     def store(
@@ -245,9 +238,6 @@ class SharedResultCache:
             self._note_degraded(f"write: {error}")
             return False
         self.stats.stores += 1
-        registry = get_registry()
-        if registry:
-            registry.counter("serve.cache.stores").inc()
         return True
 
     # ------------------------------------------------------------ bookkeeping
@@ -255,10 +245,6 @@ class SharedResultCache:
     def _note_degraded(self, reason: str) -> None:
         self.stats.degraded += 1
         self.stats.misses += 1
-        registry = get_registry()
-        if registry:
-            registry.counter("serve.cache.degraded").inc()
-            registry.counter("serve.cache.misses").inc()
         self.last_degraded_reason = reason
         self.degraded_history.append((time.time(), reason))
         for listener in self._degraded_listeners:

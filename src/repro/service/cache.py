@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.graph.digraph import PropertyGraph
-from repro.obs.metrics import get_registry
 from repro.utils.errors import ReproError
 
 __all__ = ["CacheStats", "ResultCache"]
@@ -175,10 +174,6 @@ class ResultCache:
             else:
                 self.stats.misses += 1
                 answer = None
-        registry = get_registry()
-        if registry:
-            name = "service.cache.hits" if answer is not None else "service.cache.misses"
-            registry.counter(name).inc()
         return answer
 
     def store(
@@ -197,7 +192,6 @@ class ResultCache:
         """
         frozen = frozenset(answer)
         key = self._key(graph, fingerprint, options_key, version)
-        evicted = 0
         with self._lock:
             self._entries[key] = _Entry(graph, frozen)
             self._entries.move_to_end(key)
@@ -208,14 +202,6 @@ class ResultCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                evicted += 1
-            occupancy = len(self._entries)
-        registry = get_registry()
-        if registry:
-            registry.counter("service.cache.insertions").inc()
-            if evicted:
-                registry.counter("service.cache.evictions").inc(evicted)
-            registry.gauge("service.cache.entries").set(occupancy)
         return frozen
 
     # -------------------------------------------------------------- migration
@@ -290,9 +276,6 @@ class ResultCache:
                 self._entries.move_to_end(new_key)
                 carried += 1
             self.stats.migrated += carried
-        registry = get_registry()
-        if registry and carried:
-            registry.counter("service.cache.migrated").inc(carried)
         return carried
 
     # -------------------------------------------------------------- lifecycle
@@ -308,11 +291,7 @@ class ResultCache:
         mutations.  Returns the number of entries dropped.
         """
         with self._lock:
-            dropped = self._purge_stale_locked()
-        registry = get_registry()
-        if registry and dropped:
-            registry.counter("service.cache.purged").inc(dropped)
-        return dropped
+            return self._purge_stale_locked()
 
     def _purge_stale_locked(self) -> int:
         stale = [

@@ -30,7 +30,7 @@ hook                     ``QueryService``                 ``ShardedService``
 ``_shutdown()``          close the coordinator            close shard services + owned L2
 ======================== ================================ =====================================
 
-plus class-level string constants (span and metric names, the miss-route
+plus class-level string constants (span names, the miss-route
 label, the flight-recorder owner field) and the shard count a computed
 request fans out to.  ``submit`` stays per tier — the fleet's admission
 control, priorities and in-flight dedup are features the single service does
@@ -50,7 +50,6 @@ from typing import Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequen
 from repro.obs.explain import ExplainReport, build_report
 from repro.obs.flight import FlightRecorder
 from repro.obs.introspect import ServiceIntrospection
-from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer, span
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.plan.cache import PlanCache
@@ -129,9 +128,6 @@ class RequestPipeline:
 
     SPAN_BATCH: str
     SPAN_WAIT: str
-    METRIC_BATCHES: str
-    METRIC_SERVED: str
-    METRIC_BATCH_SECONDS: str
     MISS_ROUTE: str
     FLIGHT_OWNER: str
     # Shards a computed request touches (0 inside one service).
@@ -366,11 +362,6 @@ class RequestPipeline:
             results.append(
                 ServiceResult(name, fingerprint, answer, cached, elapsed, counter)
             )
-        registry = get_registry()
-        if registry:
-            registry.counter(self.METRIC_BATCHES).inc()
-            registry.counter(self.METRIC_SERVED).inc(batch_size)
-            registry.histogram(self.METRIC_BATCH_SECONDS).observe(elapsed)
         return results
 
     def _file_slow_query(

@@ -309,9 +309,6 @@ class QueryService(RequestPipeline):
 
     SPAN_BATCH = "service.batch"
     SPAN_WAIT = "service.pending.wait"
-    METRIC_BATCHES = "service.batches"
-    METRIC_SERVED = "service.served"
-    METRIC_BATCH_SECONDS = "service.batch_seconds"
     MISS_ROUTE = "compute"
     FLIGHT_OWNER = "service"
 
@@ -712,6 +709,7 @@ class QueryService(RequestPipeline):
                 "epoch_fragments": len(epoch) if epoch else 0,
                 "worker_rebuilds": self.worker_rebuilds,
                 "deltas_shipped": getattr(executor, "deltas_shipped", 0),
+                "pool_recreations": getattr(executor, "pool_recreations", 0),
                 "worker_plan_hits": getattr(executor, "last_worker_plan_hits", 0),
                 "worker_plan_compiles": getattr(
                     executor, "last_worker_plan_compiles", 0

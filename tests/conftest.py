@@ -107,12 +107,12 @@ def triangle_graph() -> PropertyGraph:
 
 
 # --------------------------------------------------------------------------
-# Observability isolation: the registry singleton, the tracer and the
-# always-on CORE counters are process-wide state.  Resetting them around
-# every test kills the counter-leak footgun the old module globals had — a
-# test asserting on build/refresh counts can never be poisoned by an earlier
-# test's traffic, and a test that enables metrics/tracing can never leave
-# them enabled for the rest of the run.
+# Observability isolation: the tracer and the always-on CORE counters are
+# process-wide state.  Resetting them around every test kills the
+# counter-leak footgun the old module globals had — a test asserting on
+# build/refresh counts can never be poisoned by an earlier test's traffic,
+# and a test that enables tracing can never leave it enabled for the rest
+# of the run.
 # --------------------------------------------------------------------------
 
 

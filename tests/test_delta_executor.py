@@ -47,6 +47,7 @@ def test_delta_keeps_pool_alive_and_workers_rebuild_free(churn_setup):
     executor = coordinator.executor
     pool = executor._pool
     assert pool is not None
+    assert executor.pool_recreations == 1
 
     delta = insert_only_delta(graph)
     inverse = apply_delta(graph, delta)
@@ -57,6 +58,7 @@ def test_delta_keeps_pool_alive_and_workers_rebuild_free(churn_setup):
     after = coordinator.evaluate_answer(pattern, graph)
     assert after == QMatch().evaluate_answer(pattern, graph)
     assert executor._pool is pool, "the mutation recreated the pool"
+    assert executor.pool_recreations == 1
     assert executor.last_worker_rebuilds == 0
 
 
@@ -76,6 +78,7 @@ def test_chained_deltas_replay_in_order(churn_setup):
     answer = coordinator.evaluate_answer(pattern, graph)
     assert answer == QMatch().evaluate_answer(pattern, graph)
     assert executor._pool is pool
+    assert executor.pool_recreations == 1
     assert executor.last_worker_rebuilds == 0
 
 
@@ -93,6 +96,7 @@ def test_query_between_each_delta(churn_setup):
             pattern, graph
         )
     assert executor._pool is pool
+    assert executor.pool_recreations == 1
     assert executor.last_worker_rebuilds == 0
 
 
@@ -105,6 +109,7 @@ def test_node_delete_falls_back_to_reship_without_worker_rebuilds(churn_setup):
     pattern = build_q3(p=2)
     coordinator.evaluate_answer(pattern, graph)
     executor = coordinator.executor
+    recreations = executor.pool_recreations
 
     victim = sorted(graph.nodes(), key=str)[0]
     delta = GraphDelta.build(node_deletes=[victim])
@@ -113,6 +118,8 @@ def test_node_delete_falls_back_to_reship_without_worker_rebuilds(churn_setup):
 
     answer = coordinator.evaluate_answer(pattern, graph)
     assert answer == QMatch().evaluate_answer(pattern, graph)
+    # The re-shipped fragment is a new payload epoch: exactly one new pool.
+    assert executor.pool_recreations == recreations + 1
     assert executor.last_worker_rebuilds == 0
 
 

@@ -27,10 +27,9 @@ from repro.graph.digraph import PropertyGraph
 from repro.matching import DMatchOptions, EnumMatcher, QMatch, dmatch
 from repro.matching.enumerate import _plain_isomorphisms, evaluate_positive_by_enumeration
 from repro.matching.generic import MatchContext, find_isomorphisms, label_candidates
-from repro.obs.metrics import active_metrics
 from repro.parallel import PQMatch
 from repro.patterns import CountingQuantifier, QuantifiedGraphPattern
-from repro.plan import compile_plan
+from repro.plan import compile_plan, plan_compile_count
 from repro.service import QueryService
 from repro.service.patterns import canonicalize
 from repro.utils import WorkCounter
@@ -301,10 +300,11 @@ class TestLocalityAndDistribution:
     def test_service_compiles_one_plan_per_fingerprint(self):
         graph = social_graph(14)
         patterns = [quantified_pattern(name) for name in PATTERN_NAMES]
-        with active_metrics() as registry, QueryService(graph) as service:
+        compiles_before = plan_compile_count()
+        with QueryService(graph) as service:
             first = [service.evaluate(pattern).answer for pattern in patterns]
             service.cache.clear()
             second = [service.evaluate(pattern).answer for pattern in patterns]
             assert first == second
-            assert registry.counter("plan.compile").value == len(patterns)
-            assert registry.counter("plan.cache.hits").value >= len(patterns)
+            assert plan_compile_count() - compiles_before == len(patterns)
+            assert service.plans.stats.hits >= len(patterns)

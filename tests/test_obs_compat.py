@@ -5,18 +5,17 @@ The old module-global counters (``_BUILD_CALLS`` / ``_REFRESH_CALLS`` /
 CORE` slots, with the original reader functions preserved as thin views.
 These tests pin the migration: the readers track CORE exactly, the autouse
 fixture gives every test a zeroed slate (the counter-leak footgun the
-globals had is gone), and the opt-in registry mirrors agree with the
-per-query :class:`~repro.utils.counters.WorkCounter` totals.
+globals had is gone), and CORE itself resets and stays slotted.
 """
 
 from __future__ import annotations
 
-from repro.datasets import benchmark_graph, paper_pattern
+import pytest
+
+from repro.datasets import benchmark_graph
 from repro.delta import GraphDelta, apply_delta, refreshed_index
 from repro.delta.refresh import refresh_call_count, refresh_rebuild_count
 from repro.index import GraphIndex, build_call_count
-from repro.matching import EnumMatcher, QMatch
-from repro.obs import active_metrics
 from repro.obs.metrics import CORE
 
 
@@ -68,53 +67,16 @@ class TestCoreCompatReaders:
         )
 
 
-class TestRegistryMirrors:
-    def test_qmatch_mirror_matches_work_counter(self):
-        graph = _small_graph()
-        pattern = paper_pattern("Q1")
-        with active_metrics() as registry:
-            result = QMatch().evaluate(pattern, graph)
-            assert registry.counter("match.queries").value == 1
-            assert (
-                registry.counter("match.verifications").value
-                == result.counter.verifications
-            )
-            assert (
-                registry.counter("match.extensions").value
-                == result.counter.extensions
-            )
-            assert (
-                registry.counter("match.quantifier_checks").value
-                == result.counter.quantifier_checks
-            )
-            assert registry.histogram("match.seconds").count == 1
-
-    def test_enum_mirror_accumulates_across_queries(self):
-        graph = _small_graph()
-        pattern = paper_pattern("Q1")
-        with active_metrics() as registry:
-            first = EnumMatcher().evaluate(pattern, graph)
-            second = EnumMatcher().evaluate(pattern, graph)
-            assert registry.counter("match.queries").value == 2
-            assert registry.counter("match.verifications").value == (
-                first.counter.verifications + second.counter.verifications
-            )
-
-    def test_disabled_registry_records_nothing_but_counters_still_work(self):
-        graph = _small_graph()
-        pattern = paper_pattern("Q1")
-        result = QMatch().evaluate(pattern, graph)
-        # per-query WorkCounters are orthogonal to the registry being off
-        assert result.counter.verifications > 0
-        with active_metrics() as registry:
-            assert registry.dump() == {}
-
-    def test_index_mirror_counts_builds(self):
-        graph = _small_graph()
-        with active_metrics() as registry:
-            GraphIndex.build(graph)
-            assert registry.counter("index.build").value == 1
-            assert registry.gauge("index.nodes").value == graph.num_nodes
-            assert registry.histogram("index.build_seconds").count == 1
-        # CORE kept counting too
-        assert CORE.index_builds == 1
+class TestCoreCounters:
+    def test_reset_and_slots(self):
+        CORE.index_builds += 3
+        CORE.index_refresh_rebuilds += 1
+        assert CORE.as_dict()["index_builds"] == 3
+        CORE.reset()
+        assert CORE.as_dict() == {
+            "index_builds": 0,
+            "index_refreshes": 0,
+            "index_refresh_rebuilds": 0,
+        }
+        with pytest.raises(AttributeError):
+            CORE.some_new_counter = 1  # slotted on purpose

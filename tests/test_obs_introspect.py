@@ -18,7 +18,7 @@ from fixtures import build_q3
 from repro.datasets import benchmark_graph, paper_pattern, workload_patterns
 from repro.graph.generators import small_world_social_graph
 from repro.obs.flight import FlightRecorder
-from repro.obs.introspect import ServiceIntrospection
+from repro.obs.introspect import LATENCY_BUCKETS, ServiceIntrospection
 from repro.service import QueryService
 from repro.utils.counters import WorkCounter
 
@@ -77,6 +77,30 @@ class TestUnitIntrospection:
         assert older["extensions_per_query"] == 15.0
         assert older["answers_per_query"] == 3.0
         assert intro.observed("fp", epoch=7) is None
+
+    def test_microsecond_hits_resolve_below_100us(self):
+        # A cache hit is served in a few microseconds: the quantiles must
+        # land in the sample's own bucket, not read off a 100 µs floor.
+        intro = ServiceIntrospection()
+        for _ in range(1000):
+            intro.observe("fp", "Q", 8e-6, cached=True)
+        stats = intro.fingerprint("fp")
+        assert 5e-6 <= stats.p50 <= 10e-6
+        assert 5e-6 <= stats.p99 <= 10e-6
+        assert stats.mean == pytest.approx(8e-6)
+
+    def test_quantiles_interpolate_and_clamp_the_tail(self):
+        intro = ServiceIntrospection()
+        for elapsed in (0.0002, 0.002, 0.02, 0.2, 2.0):
+            intro.observe("fp", "Q", elapsed, cached=True)
+        stats = intro.fingerprint("fp")
+        assert stats.mean == pytest.approx(2.2222 / 5)
+        assert 0.0 < stats.p50 <= stats.p99
+        assert 0.01 < stats.p50 <= 0.025  # the 0.02 sample's bucket
+        # the +inf tail clamps to the largest finite bound
+        for _ in range(1000):
+            intro.observe("fp", "Q", 10_000.0, cached=True)
+        assert stats.p99 == LATENCY_BUCKETS[-1]
 
     def test_bounded_both_ways(self):
         intro = ServiceIntrospection(capacity=2, epoch_capacity=2)

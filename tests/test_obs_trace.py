@@ -9,7 +9,9 @@ shipped back piggybacked on the fragment results.
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
 
 import pytest
 
@@ -36,6 +38,24 @@ class TestSpans:
         with span("ignored"):
             pass
         assert get_tracer().records() == ()
+
+    def test_disabled_span_allocates_nothing(self):
+        """The disabled path every instrumented layer runs in production:
+        ``with span(...)`` hands back the shared null span, and no
+        per-call allocation outlives the call."""
+        # Collect first, then warm up: a full collection empties the
+        # interpreter's free lists, and the warm-up refills them, so only
+        # blocks the loop itself keeps are counted.
+        gc.collect()
+        for _ in range(100):
+            with span("hot.loop", tasks=1):
+                pass
+        before = sys.getallocatedblocks()
+        for _ in range(10_000):
+            with span("hot.loop", tasks=1):
+                pass
+        after = sys.getallocatedblocks()
+        assert after - before <= 8  # no per-iteration allocation survives
 
     def test_nesting_parent_child(self):
         with active_tracing() as tracer:

@@ -40,9 +40,6 @@ class _Poisoned(Exception):
 class StubBackend(RequestPipeline):
     SPAN_BATCH = "stub.batch"
     SPAN_WAIT = "stub.wait"
-    METRIC_BATCHES = "stub.batches"
-    METRIC_SERVED = "stub.served"
-    METRIC_BATCH_SECONDS = "stub.batch_seconds"
     MISS_ROUTE = "compute"
     FLIGHT_OWNER = "stub"
 
