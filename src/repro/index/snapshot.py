@@ -79,6 +79,7 @@ class GraphIndex:
         "_neighborhoods",
         "_compiled_rows",
         "_str_ranks",
+        "_self_loops",
         # Weakly referenceable, so tests can prove a superseded snapshot is
         # released rather than pinned by some cache.
         "__weakref__",
@@ -118,6 +119,10 @@ class GraphIndex:
         # node -> dense ``str``-order rank, materialised on first use by the
         # plan-driven enumeration (see :meth:`str_ranks`).
         self._str_ranks: Optional[Dict[NodeId, int]] = None
+        # edge label -> has some ``v -label-> v`` edge, memoised per label on
+        # first use by the fixpoint answer's precondition check (see
+        # :meth:`has_self_loop`).  Derived, so never part of the wire format.
+        self._self_loops: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------ build
 
@@ -347,6 +352,24 @@ class GraphIndex:
         already paid for (see :mod:`repro.index.serialize`).
         """
         return tuple(sorted(self._compiled_rows))
+
+    def has_self_loop(self, label: str) -> bool:
+        """Whether some node has an outgoing *label* edge to itself.
+
+        An adjacent pair of same-label pattern nodes can only collapse onto
+        one graph node through such an edge, so DMatch's fixpoint answer
+        asks this before trusting arc consistency to imply injectivity.
+        One sweep of the label's compiled row store per snapshot (the
+        memoised answer is immutable content, so the lazy build keeps the
+        share-freely contract).
+        """
+        found = self._self_loops.get(label)
+        if found is None:
+            found = any(
+                node in row for node, row in self.label_rows(False, label).items()
+            )
+            self._self_loops[label] = found
+        return found
 
     def str_ranks(self) -> Dict[NodeId, int]:
         """``node -> dense rank`` in ``str``-sort order (built once, cached).

@@ -30,6 +30,14 @@ Every step keeps each pool a superset of the nodes that pattern node takes
 in any isomorphism of ``Qπ`` whose focus is still a candidate, so the search
 over the filtered pools sees exactly the isomorphisms the semantics count
 for every surviving focus candidate.
+
+With the simulation on, the result is a completed fixpoint
+(:attr:`CandidateIndex.at_fixpoint`): arc consistent over every positive
+edge.  On a pattern whose undirected shape is a tree, with injectivity
+implied, that superset is exact — every pooled node occurs in some
+isomorphism, and ``U(vx, e)`` of a focus edge is the count itself — so
+DMatch answers such a pattern from the pools without a search (see
+:func:`repro.matching.dmatch.fixpoint_decline_reason`).
 """
 
 from __future__ import annotations
@@ -57,6 +65,10 @@ class CandidateIndex:
     # (pattern edge key, graph node) -> upper bound U(v, e)
     upper_bounds: Dict[tuple, int] = field(default_factory=dict)
     pruned: int = 0
+    # True when the pools are a completed dual-simulation + ``U(v, e)``
+    # fixpoint: arc consistent over every positive pattern edge, which is
+    # what lets DMatch answer a tree-shaped pattern without a search.
+    at_fixpoint: bool = False
 
     def candidate_set(self, pattern_node: NodeId) -> Set[NodeId]:
         return self.candidates.get(pattern_node, set())
@@ -188,6 +200,7 @@ def build_candidate_index(
             break
         if use_simulation:
             index.candidates = refine_candidates(skeleton, graph, index.candidates)
+    index.at_fixpoint = use_simulation
 
     if counter is not None:
         counter.candidates_pruned += index.pruned

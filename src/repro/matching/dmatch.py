@@ -1,29 +1,45 @@
 """DMatch: quantifier-aware evaluation of positive QGPs (paper Section 4.1).
 
-DMatch revises the generic ``Match`` search in three ways, all implemented
-here:
+DMatch answers a positive pattern by one of two strategies, chosen per query
+after the candidate filter (:mod:`repro.matching.candidates`) has run:
 
-1. **Locality.**  A candidate ``vx`` of the query focus can only be verified
-   by nodes inside its d-hop neighbourhood, where ``d`` is the pattern radius
-   — the same observation that powers the parallel algorithm.  DMatch
-   therefore verifies focus candidates one at a time, restricting every other
-   candidate set to the focus candidate's neighbourhood, instead of
-   enumerating matches over the whole graph as ``Enum`` does.
-2. **Quantifier-aware pruning.**  Candidate sets are pre-filtered by the
-   upper bounds ``U(v, e)`` (see :mod:`repro.matching.candidates`), candidates
-   are visited in decreasing *potential* order (see
-   :mod:`repro.matching.pruning`), and a focus candidate whose local candidate
-   sets cannot possibly satisfy some quantifier is rejected without search.
-3. **Early termination.**  When every quantifier in the pattern is monotone
-   (``≥`` / ``>``), a focus candidate is accepted as soon as one enumeration
-   witness satisfies all quantifiers with the counts accumulated so far —
-   counts only grow, so the decision is final.  Patterns containing equality
-   quantifiers (``= p`` or the universal ``= 100%``) require exact counts and
-   fall back to exhausting the local enumeration.
+* **fixpoint** — when ``Π(Q)`` is an undirected tree and injectivity is
+  implied, the candidate fixpoint is exact arc consistency: every surviving
+  candidate extends to an isomorphism, and ``|succₑ(vx) ∩ C(u')|`` *is*
+  ``|Me(vx, vx, Q)|`` for a focus out-edge ``e = (xo, u')``.  The answer is
+  then read off the pools — one ``len(row & pool)`` per quantified focus edge
+  and candidate, and no verification at all (Freuder's backtrack-free
+  theorem; the per-parent count of an acyclic aggregate query is one
+  message pass).  :func:`fixpoint_decline_reason` states the preconditions;
+  every decision is counted as a ``WorkCounter`` extra (``fixpoint.answered``
+  or ``fixpoint.declined.<reason>``).
+* **search** — otherwise DMatch revises the generic ``Match`` search:
 
-The function returns, besides the focus answer set, the per-pattern-node
-binding sets observed in satisfying matches; QMatch caches them for the
-incremental processing of negated edges and the QGAR layer reuses them.
+  1. **Locality.**  A candidate ``vx`` of the query focus can only be
+     verified by nodes inside its d-hop neighbourhood, where ``d`` is the
+     pattern radius — the same observation that powers the parallel
+     algorithm.  The search therefore verifies focus candidates one at a
+     time (optionally restricting every other pool to the candidate's
+     neighbourhood), instead of enumerating matches over the whole graph as
+     ``Enum`` does.
+  2. **Quantifier-aware pruning.**  Candidate sets are pre-filtered by the
+     upper bounds ``U(v, e)``, candidates are visited in decreasing
+     *potential* order (see :mod:`repro.matching.pruning`), and a focus
+     candidate whose local candidate sets cannot possibly satisfy some
+     quantifier is rejected without search.
+  3. **Early termination.**  When every quantifier in the pattern is
+     monotone (``≥`` / ``>``), a focus candidate is accepted as soon as one
+     enumeration witness satisfies all quantifiers with the counts
+     accumulated so far — counts only grow, so the decision is final.
+     Patterns containing equality quantifiers (``= p`` or the universal
+     ``= 100%``) require exact counts and fall back to exhausting the local
+     enumeration.
+
+The function returns, besides the focus answer set, per-pattern-node binding
+sets; QMatch caches them for the incremental processing of negated edges.
+The fixpoint strategy returns exactly the oracle's ``Q(u, G)`` (every node in
+some satisfying match); the early-exit search keeps one witness per answer,
+so its sets may be smaller.
 """
 
 from __future__ import annotations
@@ -32,7 +48,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
+from repro.graph.simulation import refine_candidates
 from repro.graph.traversal import nodes_within_hops
+from repro.index.snapshot import GraphIndex
 from repro.matching.candidates import CandidateIndex, build_candidate_index
 from repro.matching.generic import MatchContext
 from repro.matching.pruning import potential_ordering
@@ -42,13 +60,19 @@ from repro.utils.counters import WorkCounter
 from repro.utils.errors import MatchingError
 from repro.utils.timing import Timer
 
-__all__ = ["DMatchOptions", "dmatch", "DMatchOutcome"]
+__all__ = [
+    "DMatchOptions",
+    "dmatch",
+    "DMatchOutcome",
+    "fixpoint_decline_reason",
+]
 
 NodeId = Hashable
 
 # Degree-row fallback for edge labels absent from the resolved snapshot: every
 # probe answers 0, matching ``graph.out_degree`` for a label with no edges.
 _EMPTY_ROWS: Dict[NodeId, frozenset] = {}
+_EMPTY_ROW: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -101,6 +125,121 @@ class DMatchOutcome:
 def _pattern_is_monotone(pattern: QuantifiedGraphPattern) -> bool:
     """True when every quantifier is a ``≥``/``>`` aggregate (counts are monotone)."""
     return all(edge.quantifier.op in (">=", ">") for edge in pattern.edges())
+
+
+def fixpoint_decline_reason(
+    pattern: QuantifiedGraphPattern,
+    graph_index,
+    options: DMatchOptions,
+    index: Optional[CandidateIndex] = None,
+) -> Optional[str]:
+    """Why *pattern*'s answer cannot be read off its candidate fixpoint.
+
+    ``None`` when it can: then every candidate the fixpoint keeps occurs in
+    some isomorphism, and the counts the focus quantifiers need are the
+    pools' own.  Otherwise the first failed precondition, which names the
+    ``fixpoint.declined.<reason>`` counter extra:
+
+    1. ``no_simulation`` — the dual-simulation switch is off, or (checked
+       last, so a caller's pools never mask a structural reason) *index* is
+       not a completed fixpoint: arc consistency needs both;
+    2. ``cyclic`` — the undirected shape is not a simple tree: some pair of
+       nodes is joined twice (parallel or antiparallel edges, a self-loop),
+       or ``|E| ≠ |V| − 1``, or the nodes are not all connected;
+    3. ``shared_label`` — two pattern nodes share a label but are not
+       adjacent, so a homomorphism may bind both to one graph node;
+    4. ``self_loop`` — two adjacent same-label nodes, and *graph_index* has
+       a self-loop on their edge's label (the one way they can collapse);
+    5. ``non_focus_quantifier`` — an edge that does not leave the focus has
+       a non-existential quantifier, whose count would depend on the rest of
+       the match.
+
+    Patterns are tiny (a handful of nodes), so this runs per query.
+    """
+    if not options.use_simulation:
+        return "no_simulation"
+    edges = pattern.edges()
+    pair_labels = {frozenset((edge.source, edge.target)): edge.label for edge in edges}
+    if (
+        len(pair_labels) != len(edges)
+        or any(len(pair) == 1 for pair in pair_labels)
+        or len(edges) != pattern.num_nodes - 1
+        or not pattern.is_connected()
+    ):
+        return "cyclic"
+    by_label: Dict[str, List[NodeId]] = {}
+    for node in pattern.nodes():
+        by_label.setdefault(pattern.node_label(node), []).append(node)
+    loop_labels = []
+    for nodes in by_label.values():
+        for position, first in enumerate(nodes):
+            for second in nodes[position + 1:]:
+                label = pair_labels.get(frozenset((first, second)))
+                if label is None:
+                    return "shared_label"
+                loop_labels.append(label)
+    if any(graph_index.has_self_loop(label) for label in loop_labels):
+        return "self_loop"
+    focus = pattern.focus
+    if any(edge.source != focus and not edge.is_existential for edge in edges):
+        return "non_focus_quantifier"
+    if index is not None and not index.at_fixpoint:
+        return "no_simulation"
+    return None
+
+
+def _answer_from_fixpoint(
+    pattern: QuantifiedGraphPattern,
+    graph: PropertyGraph,
+    graph_index,
+    index: CandidateIndex,
+    focus_candidates: Set[NodeId],
+    counter: WorkCounter,
+    outcome: DMatchOutcome,
+) -> None:
+    """The fixpoint strategy: the answer and ``Q(u, G)`` read off the pools.
+
+    Only the focus's quantified out-edges need a count: an existential edge
+    holds for every surviving candidate, and the preconditions leave no
+    other quantifier.  ``|succₑ(vx) ∩ C(u')|`` is one C-level ``len(row &
+    pool)``; one quantifier check is counted per edge until the first
+    failure, and no verification at all.
+    """
+    focus = pattern.focus
+    checks = [
+        (
+            graph_index.label_rows(False, edge.label).get,
+            index.candidate_set(edge.target),
+            edge.quantifier.check,
+        )
+        for edge in pattern.out_edges(focus)
+        if not edge.is_existential
+    ]
+    if checks:
+        answer = set()
+        performed = 0
+        for candidate in focus_candidates:
+            for row_get, pool, check in checks:
+                performed += 1
+                row = row_get(candidate, _EMPTY_ROW)
+                if not check(len(row & pool), len(row)):
+                    break
+            else:
+                answer.add(candidate)
+        counter.quantifier_checks += performed
+    else:
+        answer = set(focus_candidates)
+    outcome.answer = answer
+    pools = index.candidates
+    if len(answer) == len(pools[focus]):
+        # Nothing left the focus pool, so the pools already are Q(u, G).
+        outcome.node_matches = {u: set(pools[u]) for u in pattern.nodes()}
+    else:
+        # One more arc-consistency pass with C(xo) := answer keeps exactly
+        # the nodes of the isomorphisms whose focus is an answer.
+        outcome.node_matches = refine_candidates(
+            pattern.stratified().graph, graph, {**pools, focus: answer}
+        )
 
 
 def _local_candidate_pools(
@@ -339,14 +478,19 @@ def dmatch(
     index:
         A pre-built :class:`CandidateIndex`; built from scratch when omitted.
     focus_restriction:
-        Verify only these focus candidates (the incremental step passes the
-        cached positive answer here).
+        Answer only for these focus candidates (the incremental step passes
+        the cached positive answer here).
     plan, plan_binding:
         An optional :class:`repro.plan.CompiledPlan` for this pattern's
         fingerprint plus the pattern-node → canonical-position binding.
         Lowers the quantifier checks and reuses the plan's pre-resolved row
         stores / ``str`` ranks; answers and work counters stay byte-identical
         to the plan-less evaluation.
+
+    After the candidate filter and the Lemma 12 check, the answer comes
+    from the fixpoint when :func:`fixpoint_decline_reason` finds no reason
+    against it, and from the search otherwise; *counter* records which
+    (``fixpoint.answered`` / ``fixpoint.declined.<reason>``).
     """
     if not pattern.is_positive:
         raise MatchingError("dmatch evaluates positive patterns; use QMatch for negation")
@@ -372,6 +516,17 @@ def dmatch(
         if index.is_empty() or not index.global_prune_check():
             outcome.elapsed = timer.elapsed
             return outcome
+
+        graph_index = GraphIndex.for_graph(graph)
+        reason = fixpoint_decline_reason(pattern, graph_index, options, index)
+        if reason is None:
+            counter.bump("fixpoint.answered")
+            _answer_from_fixpoint(
+                pattern, graph, graph_index, index, focus_candidates, counter, outcome
+            )
+            outcome.elapsed = timer.elapsed
+            return outcome
+        counter.bump("fixpoint.declined." + reason)
 
         ordering = None
         if options.use_potential:

@@ -33,8 +33,14 @@ from typing import Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
 from repro.graph.simulation import refine_candidates
+from repro.index.snapshot import GraphIndex
 from repro.matching.candidates import CandidateIndex, apply_quantifier_bound_filter
-from repro.matching.dmatch import DMatchOptions, DMatchOutcome, dmatch
+from repro.matching.dmatch import (
+    DMatchOptions,
+    DMatchOutcome,
+    dmatch,
+    fixpoint_decline_reason,
+)
 from repro.matching.result import IncrementalStats
 from repro.patterns.qgp import PatternEdge, QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
@@ -60,8 +66,6 @@ def _incremental_candidate_index(
     ``Π(Q)`` evaluation is reused when the graph is unchanged and rebuilt
     (never silently trusted) when it is stale.
     """
-    from repro.index.snapshot import GraphIndex
-
     assert cached.index is not None
     cached_candidates = cached.index.candidates
     index = CandidateIndex(pattern=positified, graph=graph)
@@ -152,6 +156,18 @@ def inc_qmatch(
                 stats.affected_area.update(index.candidates.get(endpoint, ()))
             else:
                 stats.affected_area.update(cached.node_matches.get(endpoint, ()))
+
+    graph_index = GraphIndex.for_graph(graph)
+    if fixpoint_decline_reason(positified_pi, graph_index, options) is None:
+        # Π(Q⁺ᵉ) qualifies for DMatch's fixpoint answer, which needs
+        # arc-consistent pools: one final refinement of the seeded pools
+        # (the bound filter above may have pruned without one), with the
+        # focus restricted to the cached answer — the only candidates asked.
+        index.candidates[focus] &= cached.answer
+        index.candidates = refine_candidates(
+            positified_pi.stratified().graph, graph, index.candidates, dual=True
+        )
+        index.at_fixpoint = True
 
     before = counter.verifications
     outcome = dmatch(

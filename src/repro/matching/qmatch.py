@@ -21,10 +21,11 @@ factories:
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
-from repro.matching.dmatch import DMatchOptions, dmatch
+from repro.index.snapshot import GraphIndex
+from repro.matching.dmatch import DMatchOptions, dmatch, fixpoint_decline_reason
 from repro.matching.incremental import inc_qmatch
 from repro.matching.result import IncrementalStats, MatchResult
 from repro.obs.trace import span
@@ -32,7 +33,7 @@ from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
 from repro.utils.timing import Timer
 
-__all__ = ["QMatch", "qmatch_engine", "qmatch_n_engine"]
+__all__ = ["QMatch", "qmatch_engine", "qmatch_n_engine", "query_strategy"]
 
 
 class QMatch:
@@ -146,6 +147,30 @@ class QMatch:
     def evaluate_answer(self, pattern: QuantifiedGraphPattern, graph: PropertyGraph) -> Set:
         """Convenience wrapper returning only ``Q(xo, G)``."""
         return self.evaluate(pattern, graph).answer
+
+
+def query_strategy(
+    pattern: QuantifiedGraphPattern,
+    graph: PropertyGraph,
+    options: DMatchOptions = DMatchOptions(),
+) -> Tuple[str, Optional[str]]:
+    """How QMatch answers *pattern* on *graph*: ``("fixpoint", None)`` or
+    ``("search", reason)``.
+
+    ``"fixpoint"`` when ``Π(Q)`` and every ``Π(Q⁺ᵉ)`` pass
+    :func:`~repro.matching.dmatch.fixpoint_decline_reason`, so no pass
+    verifies a candidate; otherwise the first pass's decline reason.  The
+    same decision DMatch counts per pass (``fixpoint.*`` counter extras),
+    made statically for EXPLAIN.
+    """
+    graph_index = GraphIndex.for_graph(graph)
+    passes = [pattern.pi()]
+    passes.extend(positified for _, positified in pattern.positified_pi_patterns())
+    for positive in passes:
+        reason = fixpoint_decline_reason(positive, graph_index, options)
+        if reason is not None:
+            return "search", reason
+    return "fixpoint", None
 
 
 def qmatch_engine(options: DMatchOptions = DMatchOptions()) -> QMatch:

@@ -154,6 +154,10 @@ class ExplainReport:
     was never computed), and the volume/q-error fields compare the model's
     predicted probe volume against whichever observation is available —
     the ANALYZE run's exact probe count, else the traffic average.
+
+    ``strategy`` is how the engine answers the query (``"fixpoint"``: read
+    off the candidate fixpoint, no probes; ``"search"``, with the failed
+    precondition as ``reason``); ``None`` for an engine that is not QMatch.
     """
 
     fingerprint: str
@@ -166,6 +170,8 @@ class ExplainReport:
     analyze_matches: Optional[int] = None
     analyze_probes: Optional[int] = None
     traffic: Dict[str, object] = field(default_factory=dict)
+    strategy: Optional[str] = None
+    reason: Optional[str] = None
 
     @property
     def estimated_volume(self) -> float:
@@ -203,6 +209,8 @@ class ExplainReport:
             "observed_volume": self.observed_volume,
             "volume_q_error": self.volume_q_error,
             "traffic": dict(self.traffic),
+            "strategy": self.strategy,
+            "reason": self.reason,
         }
 
     def render(self) -> str:
@@ -214,6 +222,10 @@ class ExplainReport:
         ]
         if self.quantifiers:
             lines.append(f"  quantifiers: {', '.join(self.quantifiers)}")
+        if self.strategy == "search":
+            lines.append(f"  strategy: search ({self.reason})")
+        elif self.strategy is not None:
+            lines.append(f"  strategy: {self.strategy}")
         lines.append(f"  order: {' > '.join(step.node for step in self.steps)}")
         for step in self.steps:
             observed = "" if step.observed is None else f"  obs_probes={step.observed}"
@@ -254,6 +266,7 @@ def build_report(
     traffic: Optional[Dict[str, object]] = None,
     analyze: bool = False,
     analyze_limit: Optional[int] = None,
+    options=None,
 ) -> ExplainReport:
     """Assemble an :class:`ExplainReport` for *plan* against *graph*.
 
@@ -266,6 +279,10 @@ def build_report(
     above this search, so the profile covers the probe volume the work
     counters count as ``extensions``.  ``analyze_limit`` bounds the number
     of embeddings enumerated (the profile then covers the truncated run).
+    *options* are the serving QMatch engine's
+    :class:`~repro.matching.DMatchOptions`; with a live *pattern* they set
+    the report's ``strategy`` and ``reason``
+    (:func:`repro.matching.qmatch.query_strategy`).
     """
     from repro.graph.statistics import cardinality_model
 
@@ -320,6 +337,11 @@ def build_report(
             focus=plan.focus_position,
             render=lambda position: f"x{position}:{labels[position]}",
         )
+    strategy = reason = None
+    if options is not None and pattern is not None:
+        from repro.matching.qmatch import query_strategy
+
+        strategy, reason = query_strategy(pattern, graph, options)
     return ExplainReport(
         fingerprint=plan.fingerprint,
         pattern_name=(pattern.name if pattern is not None else ""),
@@ -331,4 +353,6 @@ def build_report(
         analyze_matches=analyze_matches,
         analyze_probes=analyze_probes,
         traffic=dict(traffic or {}),
+        strategy=strategy,
+        reason=reason,
     )

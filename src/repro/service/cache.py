@@ -52,6 +52,10 @@ NodeId = Hashable
 # stale read that permits).
 CacheKey = Tuple[int, Hashable, str, Hashable]
 
+# How many distinct answers a cache remembers by content, so that an equal
+# answer stored again is handed out as the object already in circulation.
+SHARED_ANSWERS = 1024
+
 
 @dataclass
 class CacheStats:
@@ -126,6 +130,12 @@ class ResultCache:
         self.purge_interval = purge_interval
         self._inserts_since_purge = 0
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
+        # The last SHARED_ANSWERS distinct answers stored, by content.
+        # Distinct fingerprints often have equal answers (a threshold that
+        # does not bind, one answer re-promoted from a shared store), and
+        # every caller that keeps a served answer retains its object, so
+        # equal answers are handed out as one frozenset.
+        self._shared: "OrderedDict[FrozenSet[NodeId], FrozenSet[NodeId]]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -191,8 +201,17 @@ class ResultCache:
         which is only safe when no mutation can have interleaved.
         """
         frozen = frozenset(answer)
+        hash(frozen)  # O(|answer|) once, outside the lock; frozensets cache it
         key = self._key(graph, fingerprint, options_key, version)
         with self._lock:
+            shared = self._shared.get(frozen)
+            if shared is None:
+                self._shared[frozen] = frozen
+                if len(self._shared) > SHARED_ANSWERS:
+                    self._shared.popitem(last=False)
+            else:
+                self._shared.move_to_end(frozen)
+                frozen = shared
             self._entries[key] = _Entry(graph, frozen)
             self._entries.move_to_end(key)
             self.stats.insertions += 1
@@ -307,6 +326,7 @@ class ResultCache:
         """Drop every entry (counters are kept — they describe the lifetime)."""
         with self._lock:
             self._entries.clear()
+            self._shared.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -534,6 +534,9 @@ class RequestPipeline:
                 traffic=self.introspection.observed(fingerprint),
                 analyze=analyze,
                 analyze_limit=analyze_limit,
+                options=(
+                    self._options_key[2] if self._options_key[0] == "qmatch" else None
+                ),
             )
 
     def _introspect_requests(self) -> Dict[str, object]:

@@ -16,7 +16,9 @@ import pytest
 
 from repro.delta import GraphDelta, apply_delta
 from repro.graph import PropertyGraph
-from repro.matching import QMatch
+from repro.index import GraphIndex
+from repro.index.serialize import to_bytes
+from repro.matching import EnumMatcher, QMatch
 from repro.parallel import PQMatch
 from repro.patterns import PatternBuilder
 from repro.service import QueryService
@@ -285,3 +287,48 @@ class TestConcurrentSubmitVsApplyDelta:
             "a served answer mixed pre- and post-delta state"
         )
         assert post in answers  # the tail of the stream ran after the update
+
+
+class TestFixpointSelfLoopPrecondition:
+    """The self-loop precondition of DMatch's fixpoint answer is a property
+    of each snapshot, so it must follow the served graph through deltas."""
+
+    @staticmethod
+    def structural_bytes(index: GraphIndex) -> bytes:
+        return to_bytes(index, include_neighborhoods=False, include_compiled_rows=False)
+
+    def test_a_follow_self_loop_sends_the_chain_back_to_the_search(self):
+        graph = build_paper_g1()
+        chain = build_q2()  # xo -follow-> z -recom-> redmi; xo and z are persons
+        with QueryService(graph) as service:
+            first = service.evaluate(chain)
+            assert first.counter.extras == {"fixpoint.answered": 1}
+            assert service.explain(chain).strategy == "fixpoint"
+
+            # v1 recommends redmi; following itself, it is a homomorphic (not
+            # isomorphic) image of the whole chain, which only the search rules out.
+            service.apply_delta(GraphDelta.insert_edge("v1", "v1", "follow"))
+            looped = service.evaluate(chain)
+            assert not looped.cached
+            assert looped.counter.extras == {"fixpoint.declined.self_loop": 1}
+            assert set(looped.answer) == EnumMatcher().evaluate_answer(chain, graph)
+            assert "v1" not in looped.answer
+            report = service.explain(chain)
+            assert (report.strategy, report.reason) == ("search", "self_loop")
+            refreshed = GraphIndex.for_graph(graph)
+            assert refreshed.has_self_loop("follow")
+            # The memo stays out of the wire format.
+            assert self.structural_bytes(refreshed) == self.structural_bytes(
+                GraphIndex.build(graph)
+            )
+
+            service.apply_delta(GraphDelta.delete_edge("v1", "v1", "follow"))
+            restored = service.evaluate(chain)
+            assert restored.counter.extras == {"fixpoint.answered": 1}
+            assert restored.answer == first.answer
+            assert service.explain(chain).strategy == "fixpoint"
+            refreshed = GraphIndex.for_graph(graph)
+            assert not refreshed.has_self_loop("follow")
+            assert self.structural_bytes(refreshed) == self.structural_bytes(
+                GraphIndex.build(graph)
+            )

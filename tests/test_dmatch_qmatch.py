@@ -21,6 +21,7 @@ from repro.matching import (
     qmatch_n_engine,
 )
 from repro.matching.dmatch import _local_candidate_pools
+from repro.matching.enumerate import evaluate_positive_by_enumeration
 from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
 from repro.plan import compile_plan
 from repro.service.patterns import canonicalize
@@ -49,11 +50,60 @@ class TestDMatch:
         outcome = dmatch(pattern_q2, paper_g1, focus_restriction={"x1", "x3"})
         assert outcome.answer == {"x1"}
 
-    def test_counts_verifications(self, paper_g1, pattern_q2):
+    def test_counts_verifications(self, small_pokec, dataset_q1):
+        # Q1 is cyclic (xo -> z -> y <- xo), so DMatch searches.
         counter = WorkCounter()
-        dmatch(pattern_q2, paper_g1, counter=counter)
+        dmatch(dataset_q1, small_pokec, counter=counter)
         assert counter.verifications >= 1
         assert counter.quantifier_checks >= 1
+        assert counter.extras == {"fixpoint.declined.cyclic": 1}
+
+    def test_tree_pattern_is_answered_without_verifications(self, paper_g1, pattern_q2):
+        # Q2 is a chain: the candidate fixpoint is exact, so no search runs.
+        counter = WorkCounter()
+        outcome = dmatch(pattern_q2, paper_g1, counter=counter)
+        assert outcome.answer == {"x1", "x2"}
+        assert counter.verifications == 0 and counter.extensions == 0
+        assert counter.extras["fixpoint.answered"] == 1
+        # Q(u, G) is every node of a satisfying match, as the oracle has it.
+        assert outcome.node_matches == evaluate_positive_by_enumeration(
+            pattern_q2, paper_g1
+        )[1]
+
+    def test_incremental_pass_answers_a_tree_shaped_positified_pattern(self):
+        # Π(Q⁺ᵉ) adds one leaf below the focus; it is still a tree whose
+        # same-label nodes are adjacent, so IncQMatch answers from the seeded
+        # pools after one final refinement — as does QMatchN from scratch.
+        graph = PropertyGraph("shops")
+        for node, label in (
+            ("x1", "person"), ("x2", "person"), ("x3", "person"),
+            ("y1", "person"), ("y2", "person"), ("ph", "phone"), ("s", "shop"),
+        ):
+            graph.add_node(node, label)
+        for source, target, label in (
+            ("x1", "y1", "follow"), ("x1", "y2", "follow"),
+            ("x2", "y1", "follow"), ("x2", "y2", "follow"), ("x2", "s", "visits"),
+            ("x3", "y1", "follow"),
+            ("y1", "ph", "recom"), ("y2", "ph", "recom"),
+        ):
+            graph.add_edge(source, target, label)
+        pattern = (
+            PatternBuilder("no-shop")
+            .focus("xo", "person")
+            .node("z", "person")
+            .node("phone", "phone")
+            .node("shop", "shop")
+            .edge("xo", "z", "follow", at_least=2)
+            .edge("z", "phone", "recom")
+            .edge("xo", "shop", "visits", negated=True)
+            .build()
+        )
+        assert EnumMatcher().evaluate_answer(pattern, graph) == {"x1"}
+        for engine in (qmatch_engine(), qmatch_n_engine()):
+            result = engine.evaluate(pattern, graph)
+            assert result.answer == {"x1"}
+            assert result.counter.extras == {"fixpoint.answered": 2}
+            assert result.counter.verifications == 0
 
     def test_empty_candidates_short_circuit(self, paper_g1):
         pattern = (
@@ -289,3 +339,45 @@ class TestWorkAccounting:
         enum_result = EnumMatcher().evaluate(dataset_q3, small_pokec)
         qmatch_result = QMatch().evaluate(dataset_q3, small_pokec)
         assert qmatch_result.counter.extensions <= enum_result.counter.extensions
+
+
+class TestFig8aWorkOrdering:
+    """Figure 8(a)'s query mix in tier-1: IncQMatch never does more work
+    than recomputing each positified pattern from scratch.
+
+    Both answer tree-shaped passes from the candidate fixpoint; if the
+    incremental pass did not (its seeded pools need one final refinement
+    first), QMatch would verify candidates QMatchN answers without a search
+    — on ``small_yago`` that inverts the ordering (161 against 152).
+    """
+
+    @pytest.mark.parametrize(
+        "dataset, queries",
+        [("pokec", ("Q1", "Q2", "Q3")), ("yago2", ("Q4", "Q5"))],
+    )
+    def test_qmatch_verifies_no_more_than_qmatchn(
+        self, request, dataset, queries
+    ):
+        from repro.datasets import paper_pattern, workload_patterns
+
+        graph = request.getfixturevalue(
+            {"pokec": "small_pokec", "yago2": "small_yago"}[dataset]
+        )
+        patterns = [
+            paper_pattern(query, p=2) if query in ("Q3", "Q4") else paper_pattern(query)
+            for query in queries
+        ]
+        patterns += workload_patterns(graph, count=2, num_nodes=5, num_edges=7,
+                                      ratio_percent=30.0, num_negated=1, seed=11)
+        verifications = {}
+        answers = {}
+        for name, engine in (
+            ("QMatch", qmatch_engine()),
+            ("QMatchN", qmatch_n_engine()),
+            ("Enum", EnumMatcher()),
+        ):
+            results = [engine.evaluate(pattern, graph) for pattern in patterns]
+            verifications[name] = sum(r.counter.verifications for r in results)
+            answers[name] = [r.answer for r in results]
+        assert verifications["QMatch"] <= verifications["QMatchN"]
+        assert answers["QMatch"] == answers["QMatchN"] == answers["Enum"]

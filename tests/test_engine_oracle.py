@@ -24,10 +24,13 @@ here, on the paper's example graphs and on seeded generator graphs:
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from itertools import islice
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import benchmark_graph, paper_pattern, workload_patterns
 from repro.graph import PropertyGraph, nodes_within_hops
@@ -44,11 +47,15 @@ from repro.matching import (
     build_candidate_index,
     dmatch,
 )
-from repro.matching.enumerate import _plain_isomorphisms
+from repro.matching.enumerate import (
+    _plain_isomorphisms,
+    evaluate_positive_by_enumeration,
+)
 from repro.matching.generic import MatchContext, find_isomorphisms, label_candidates
-from repro.patterns import PatternBuilder
+from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
 from repro.parallel.partition import DPar, base_partition
 from repro.utils import WorkCounter
+from repro.utils.errors import PatternValidationError
 from repro.utils.rng import ensure_rng
 
 from fixtures import build_paper_g1, build_paper_g2, build_q2, build_q3, build_q4
@@ -224,20 +231,20 @@ GOLDEN_OPTIONS = {
 GOLDEN = {
     "g1-q2": {
         "enum": (3, 19, 8, 0),
-        "default": (2, 6, 6, 1),
+        "default": (0, 0, 2, 1),
         "no-simulation": (7, 6, 6, 5),
-        "no-potential": (2, 6, 6, 1),
-        "no-early-exit": (2, 6, 6, 1),
-        "locality": (2, 6, 6, 1),
+        "no-potential": (0, 0, 2, 1),
+        "no-early-exit": (0, 0, 2, 1),
+        "locality": (0, 0, 2, 1),
         "all-off": (7, 6, 6, 5),
     },
     "g1-q3p2": {
         "enum": (4, 40, 17, 0),
-        "default": (3, 12, 11, 1),
+        "default": (1, 4, 7, 1),
         "no-simulation": (3, 12, 11, 10),
-        "no-potential": (3, 12, 11, 1),
-        "no-early-exit": (3, 12, 16, 1),
-        "locality": (3, 12, 11, 1),
+        "no-potential": (1, 4, 7, 1),
+        "no-early-exit": (1, 4, 10, 1),
+        "locality": (1, 4, 7, 1),
         "all-off": (3, 12, 16, 10),
     },
     "g1-q3p4": {
@@ -269,20 +276,20 @@ GOLDEN = {
     },
     "pokec-Q2": {
         "enum": (120, 1401, 766, 0),
-        "default": (34, 428, 428, 86),
+        "default": (0, 0, 34, 86),
         "no-simulation": (34, 428, 428, 122),
-        "no-potential": (34, 428, 428, 86),
-        "no-early-exit": (34, 428, 428, 86),
-        "locality": (34, 428, 428, 86),
+        "no-potential": (0, 0, 34, 86),
+        "no-early-exit": (0, 0, 34, 86),
+        "locality": (0, 0, 34, 86),
         "all-off": (34, 428, 428, 122),
     },
     "pokec-Q3": {
         "enum": (159, 3013, 1940, 0),
-        "default": (156, 623, 541, 2),
+        "default": (38, 151, 305, 2),
         "no-simulation": (156, 623, 541, 38),
-        "no-potential": (156, 623, 541, 2),
-        "no-early-exit": (156, 1402, 1937, 2),
-        "locality": (156, 623, 541, 2),
+        "no-potential": (38, 151, 305, 2),
+        "no-early-exit": (38, 302, 955, 2),
+        "locality": (38, 151, 305, 2),
         "all-off": (156, 1402, 1937, 38),
     },
     "yago2-Q4": {
@@ -450,7 +457,8 @@ LABEL_COUNT_GOLDEN = {
 
 
 def counter_tuple(counter: WorkCounter) -> tuple:
-    assert not counter.extras, counter.extras
+    # The only extras are DMatch's strategy decisions; pinned separately.
+    assert all(key.startswith("fixpoint.") for key in counter.extras), counter.extras
     return (
         counter.verifications,
         counter.extensions,
@@ -541,6 +549,201 @@ class TestEngineAgainstOracle:
             assert refine_candidates(skeleton, graph, pools, dual=dual) == (
                 reference_simulation(skeleton, graph, dual)
             )
+
+
+# --------------------------------------------------------------------------
+# The fixpoint strategy: tree-shaped patterns answered without a search.
+# --------------------------------------------------------------------------
+
+
+def reference_decline_reason(pattern, graph, use_simulation=True):
+    """:func:`fixpoint_decline_reason`'s verdict, from its definition.
+
+    Pattern structure is read from the edge list and graph self-loops from
+    plain adjacency; nothing here touches the compiled snapshot.
+    """
+    if not use_simulation:
+        return "no_simulation"
+    nodes = list(pattern.nodes())
+    edges = pattern.edges()
+    neighbours = {node: set() for node in nodes}
+    for edge in edges:
+        neighbours[edge.source].add(edge.target)
+        neighbours[edge.target].add(edge.source)
+    reached, frontier = {pattern.focus}, [pattern.focus]
+    while frontier:
+        for node in neighbours[frontier.pop()] - reached:
+            reached.add(node)
+            frontier.append(node)
+    simple = all(edge.source != edge.target for edge in edges) and len(
+        {frozenset((edge.source, edge.target)) for edge in edges}
+    ) == len(edges)
+    if not (simple and len(edges) == len(nodes) - 1 and len(reached) == len(nodes)):
+        return "cyclic"
+    loop_labels = set()
+    for first, second in itertools.combinations(nodes, 2):
+        if pattern.node_label(first) != pattern.node_label(second):
+            continue
+        joining = [
+            edge.label
+            for edge in edges
+            if {edge.source, edge.target} == {first, second}
+        ]
+        if not joining:
+            return "shared_label"
+        loop_labels.update(joining)
+    if any(
+        graph.has_edge(node, node, label)
+        for node in graph.nodes()
+        for label in loop_labels
+    ):
+        return "self_loop"
+    if any(
+        edge.source != pattern.focus and not edge.quantifier.is_existential
+        for edge in edges
+    ):
+        return "non_focus_quantifier"
+    return None
+
+
+# Strategy decisions of QMatch under default options, per case: Π(Q) first,
+# then one per positified pattern that was evaluated.
+STRATEGY_GOLDEN = {
+    "g1-q2": {"fixpoint.answered": 1},
+    "g1-q3p2": {"fixpoint.answered": 1, "fixpoint.declined.cyclic": 1},
+    "g1-q3p4": {},
+    "g2-q4": {"fixpoint.declined.cyclic": 2},
+    "pokec-Q1": {"fixpoint.declined.cyclic": 1},
+    "pokec-Q2": {"fixpoint.answered": 1},
+    "pokec-Q3": {"fixpoint.answered": 1, "fixpoint.declined.cyclic": 1},
+    "yago2-Q4": {"fixpoint.declined.cyclic": 2},
+    "yago2-Q5": {"fixpoint.declined.cyclic": 3},
+    "synthetic-w0": {"fixpoint.declined.shared_label": 1},
+    "synthetic-w1": {"fixpoint.declined.shared_label": 1},
+    "synthetic-w2": {"fixpoint.declined.shared_label": 1},
+}
+
+
+@pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
+def test_strategy_counters_equal_golden(name, graph, pattern):
+    assert QMatch().evaluate(pattern, graph).counter.extras == STRATEGY_GOLDEN[name]
+    # The ablation never answers from the fixpoint.
+    extras = QMatch(options=DMatchOptions(use_simulation=False)).evaluate(
+        pattern, graph
+    ).counter.extras
+    assert set(extras) <= {"fixpoint.declined.no_simulation"}
+
+
+TREE_LABELS = ("person", "product")
+TREE_EDGE_LABELS = ("follow", "recom")
+FOCUS_QUANTIFIERS = (
+    CountingQuantifier.existential(),
+    CountingQuantifier.at_least(2),
+    CountingQuantifier.more_than(1),
+    CountingQuantifier.exactly(1),
+    CountingQuantifier.exactly(2),
+    CountingQuantifier.ratio_at_least(50.0),
+    CountingQuantifier.ratio_exactly(50.0),
+    CountingQuantifier.universal(),
+)
+
+
+@st.composite
+def fixpoint_cases(draw):
+    """A random graph plus a random tree pattern, sometimes bent out of shape.
+
+    Node labels come from two values, so same-label pairs (adjacent or not)
+    are common; graphs may carry self-loops; focus out-edges take any
+    quantifier, an edge elsewhere (below or into the focus) sometimes a
+    non-existential one; an optional extra edge closes a cycle or doubles a
+    pair, and an optional negated branch exercises the incremental path.
+    Hypothesis draws the seed and these switches; the seed draws the rest.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    with_loops, counted_below, extra_edge, negated = (
+        draw(st.booleans()) for _ in range(4)
+    )
+    graph = PropertyGraph("fixpoint-graph")
+    num_nodes = rng.randint(8, 16)
+    for node in range(num_nodes):
+        graph.add_node(node, "person" if rng.random() < 0.7 else "product")
+    for _ in range(rng.randint(3 * num_nodes, 6 * num_nodes)):
+        source = rng.randrange(num_nodes)
+        target = rng.randrange(num_nodes)
+        if source != target or (with_loops and rng.random() < 0.5):
+            graph.add_edge(source, target, rng.choice(TREE_EDGE_LABELS))
+
+    pattern = QuantifiedGraphPattern(name="hyp-tree")
+    size = rng.randint(2, 4)
+    for node in range(size):
+        pattern.add_node(f"u{node}", rng.choice(TREE_LABELS))
+    pattern.set_focus("u0")
+    for node in range(1, size):
+        parent = f"u{rng.randrange(node)}"
+        child = f"u{node}"
+        source, target = (parent, child) if rng.random() < 0.65 else (child, parent)
+        if source == "u0":
+            quantifier = rng.choice(FOCUS_QUANTIFIERS)
+        elif counted_below and rng.random() < 0.5:
+            quantifier = rng.choice(FOCUS_QUANTIFIERS[1:])
+        else:
+            quantifier = CountingQuantifier.existential()
+        pattern.add_edge(source, target, rng.choice(TREE_EDGE_LABELS), quantifier)
+    if extra_edge:
+        first, second = rng.sample([f"u{node}" for node in range(size)], 2)
+        pattern.add_edge(first, second, rng.choice(TREE_EDGE_LABELS))
+    if negated:
+        pattern.add_node("neg", rng.choice(TREE_LABELS))
+        pattern.add_edge(
+            f"u{rng.randrange(size)}", "neg", rng.choice(TREE_EDGE_LABELS),
+            CountingQuantifier.negation(),
+        )
+    try:
+        pattern.validate()
+    except PatternValidationError:
+        assume(False)
+    return graph, pattern
+
+
+@given(case=fixpoint_cases())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+def test_fixpoint_strategy_equals_enum_and_declines_exactly_when_a_precondition_fails(case):
+    graph, pattern = case
+    expected = EnumMatcher().evaluate(pattern, graph)
+    for options in OPTION_COMBOS:
+        for incremental in (True, False):
+            result = QMatch(use_incremental=incremental, options=options).evaluate(
+                pattern, graph
+            )
+            assert result.answer == expected.answer, (options, incremental)
+            assert result.positive_answer == expected.positive_answer, options
+            for stats in result.incremental:
+                assert stats.verifications <= len(stats.affected_area)
+
+    # The strategy decision on Π(Q), and Q(u, G) when the fixpoint answers.
+    positive = pattern.pi()
+    for use_simulation in (True, False):
+        counter = WorkCounter()
+        outcome = dmatch(
+            positive, graph, DMatchOptions(use_simulation=use_simulation),
+            counter=counter,
+        )
+        if not counter.extras:
+            # Decided before any strategy: no candidates, or Lemma 12.
+            assert outcome.index.is_empty() or not outcome.index.global_prune_check()
+            continue
+        reason = reference_decline_reason(positive, graph, use_simulation)
+        if reason is None:
+            assert counter.extras == {"fixpoint.answered": 1}
+            assert counter.verifications == counter.extensions == 0
+            _, node_matches = evaluate_positive_by_enumeration(positive, graph)
+            assert outcome.node_matches == node_matches
+        else:
+            assert counter.extras == {f"fixpoint.declined.{reason}": 1}
 
 
 def reference_degree_blocks(graph, num_fragments, seed):

@@ -158,10 +158,23 @@ class TestServiceExplain:
                 assert isinstance(report, ExplainReport)
                 assert report.fingerprint == fingerprint
                 assert report.steps and not report.analyzed
-                # served traffic means estimated-vs-observed is computable
                 assert report.traffic["queries"] >= 1
-                assert report.observed_volume is not None
-                assert report.volume_q_error >= 1.0
+                # Served traffic means estimated-vs-observed is computable
+                # whenever the query searched; a fixpoint answer probes
+                # nothing, so there is no volume to observe.
+                assert report.strategy in ("fixpoint", "search")
+                searched = report.strategy == "search"
+                assert (report.observed_volume is not None) == searched
+                if searched:
+                    assert report.volume_q_error >= 1.0
+                    assert f"strategy: search ({report.reason})" in report.render()
+                else:
+                    assert report.reason is None
+                    assert "strategy: fixpoint" in report.render()
+            # Q2 is a chain; Q3's positified pattern closes a cycle.
+            assert service.explain(build_q2()).strategy == "fixpoint"
+            report = service.explain(build_q3())
+            assert (report.strategy, report.reason) == ("search", "cyclic")
 
     def test_analyze_adds_per_step_observations(self):
         graph = build_paper_g1()

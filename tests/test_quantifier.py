@@ -99,6 +99,83 @@ class TestEvaluation:
                 assert q.check(count, total) == (count >= threshold)
 
 
+class TestBoundaries:
+    """Boundary values of ``check`` and its thresholds.
+
+    DMatch's fixpoint strategy decides a focus candidate from
+    ``check(|succₑ(vx) ∩ C(u')|, |succₑ(vx)|)`` alone, with no witness
+    search behind it, so each boundary below is answer-critical.
+    """
+
+    def test_ratio_exactly_at_its_threshold(self):
+        half = CountingQuantifier.ratio_at_least(50)
+        assert half.check(1, 2) and half.check(2, 4)
+        assert not half.check(1, 3)
+        strict = CountingQuantifier(">", 50.0, True)
+        assert not strict.check(1, 2) and not strict.check(2, 4)
+        assert strict.check(3, 4)
+        # 1/3 is a repeating fraction: the tolerance must still place it.
+        third = CountingQuantifier.ratio_at_least(100 / 3)
+        assert third.check(1, 3) and not third.check(1, 4)
+
+    def test_numeric_threshold_strict_ratio_rounds_down(self):
+        strict = CountingQuantifier(">", 50.0, True)
+        assert strict.numeric_threshold(3) == 1   # 1.5 -> 1, then "> 1"
+        assert strict.numeric_threshold(4) == 2   # exactly 2, then "> 2"
+        assert strict.least_bound(3) == 2
+        assert strict.least_bound(4) == 3
+        for total in range(1, 10):
+            for count in range(total + 1):
+                assert strict.check(count, total) == (
+                    count > strict.numeric_threshold(total)
+                )
+
+    def test_numeric_threshold_equal_ratio_rounds_to_nearest(self):
+        half = CountingQuantifier.ratio_exactly(50)
+        assert half.numeric_threshold(4) == 2
+        assert half.numeric_threshold(3) == 2   # round(1.5), not floor
+        assert CountingQuantifier.ratio_exactly(25).numeric_threshold(6) == 2
+
+    def test_universal_with_zero_total_and_with_a_missing_child(self):
+        universal = CountingQuantifier.universal()
+        assert not universal.check(0, 0)
+        assert not universal.check(2, 3)
+        assert not universal.check(0, 3)
+        assert universal.check(3, 3)
+        assert universal.numeric_threshold(3) == 3
+
+    @pytest.mark.parametrize(
+        "quantifier, universal",
+        [
+            (CountingQuantifier.universal(), True),
+            (CountingQuantifier.ratio_exactly(100), True),
+            (CountingQuantifier.ratio_at_least(100), False),   # op differs
+            (CountingQuantifier.exactly(100), False),          # not a ratio
+            (CountingQuantifier.ratio_exactly(50), False),     # value differs
+            (CountingQuantifier.at_least(100), False),
+        ],
+    )
+    def test_is_universal_needs_every_conjunct(self, quantifier, universal):
+        assert quantifier.is_universal is universal
+
+    @pytest.mark.parametrize(
+        "quantifier, existential",
+        [
+            (CountingQuantifier.existential(), True),
+            (CountingQuantifier.at_least(2), False),           # value differs
+            (CountingQuantifier.exactly(1), False),            # op differs
+            (CountingQuantifier.ratio_at_least(1), False),     # a ratio
+        ],
+    )
+    def test_is_existential_needs_every_conjunct(self, quantifier, existential):
+        # The fixpoint strategy skips the count of an existential focus edge.
+        assert quantifier.is_existential is existential
+
+    def test_ratio_above_its_threshold(self):
+        assert CountingQuantifier.ratio_at_least(50).check(3, 4)
+        assert CountingQuantifier(">", 50.0, True).check(4, 5)
+
+
 class TestPruningSupport:
     def test_may_still_hold_for_monotone_quantifiers(self):
         q = CountingQuantifier.at_least(3)

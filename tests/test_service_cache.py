@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import PropertyGraph
+from repro.service import cache as cache_module
 from repro.service.cache import ResultCache
 from repro.utils.errors import ReproError
 
@@ -234,3 +235,40 @@ class TestCarryForward:
         cache.store(graph, "fp2", {"b"})
         assert cache.fingerprints_for(graph, first_version) == (("fp1", None),)
         assert cache.fingerprints_for(graph, graph.version) == (("fp2", None),)
+
+
+class TestSharedAnswers:
+    """Equal answers are handed out as one frozenset, remembered by content
+    for the last ``SHARED_ANSWERS`` distinct answers."""
+
+    def test_equal_answers_share_one_object(self):
+        cache = ResultCache(capacity=8)
+        graph = _graph()
+        first = cache.store(graph, "fp1", {"a", "b"})
+        second = cache.store(graph, "fp2", ["b", "a"])
+        assert second is first
+        assert cache.lookup(graph, "fp2") is first
+        assert cache.store(graph, "fp3", {"a"}) is not first
+
+    def test_an_evicted_answer_stored_again_is_the_same_object(self):
+        # A shared store re-promotes answers the small L1 evicted.
+        cache = ResultCache(capacity=1)
+        graph = _graph()
+        first = cache.store(graph, "fp1", {"a"})
+        cache.store(graph, "fp2", {"b"})
+        assert cache.lookup(graph, "fp1") is None
+        assert cache.store(graph, "fp1", {"a"}) is first
+
+    def test_remembered_answers_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "SHARED_ANSWERS", 2)
+        cache = ResultCache(capacity=8)
+        graph = _graph()
+        first = cache.store(graph, "fp1", {"a"})
+        cache.store(graph, "fp2", {"b"})
+        assert cache.store(graph, "fp3", {"a"}) is first  # refreshes {"a"}
+        cache.store(graph, "fp4", {"c"})                   # forgets {"b"}
+        assert len(cache._shared) == 2
+        assert cache.store(graph, "fp5", {"a"}) is first
+        cache.clear()
+        assert not cache._shared
+        assert cache.store(graph, "fp6", {"a"}) is not first
