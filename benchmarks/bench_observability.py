@@ -87,7 +87,7 @@ def test_observability_noop_overhead(pokec_graph, record_figure):
     )
     disable_tracing()
     try:
-        # Warm every arm once: plans compiled, caches filled, indexes built.
+        # Warm every arm once: caches filled, indexes built.
         # The measured sweeps below are the steady-state serving hot path.
         reference = None
         for name, service in arms.items():

@@ -176,7 +176,7 @@ class CardinalityModel:
 
 
 # (id(graph), version) -> (graph, model).  The graph rides in the value to pin
-# its id against recycling, mirroring ResultCache / PlanResolution keying.
+# its id against recycling, mirroring ResultCache keying.
 _MODEL_CACHE: "OrderedDict[Tuple[int, int], Tuple[PropertyGraph, CardinalityModel]]" = (
     OrderedDict()
 )

@@ -117,7 +117,7 @@ class GraphIndex:
         # first use by the enumeration (see :meth:`compiled_rows`).
         self._compiled_rows: Dict[Tuple[bool, int], Dict[NodeId, frozenset]] = {}
         # node -> dense ``str``-order rank, materialised on first use by the
-        # plan-driven enumeration (see :meth:`str_ranks`).
+        # enumeration's pool ordering (see :meth:`str_ranks`).
         self._str_ranks: Optional[Dict[NodeId, int]] = None
         # edge label -> has some ``v -label-> v`` edge, memoised per label on
         # first use by the fixpoint answer's precondition check (see
@@ -374,13 +374,14 @@ class GraphIndex:
     def str_ranks(self) -> Dict[NodeId, int]:
         """``node -> dense rank`` in ``str``-sort order (built once, cached).
 
-        The enumeration's deterministic tie-break sorts candidate pools with
-        ``key=str``, which stringifies every pool member on every probe.  A
-        compiled plan replaces that with an integer rank lookup from this
-        map.  Nodes whose ``str`` forms are *equal* share a rank, so a stable
-        sort on the rank leaves them in pool order — exactly where
-        ``sorted(pool, key=str)`` leaves them — keeping plan-driven and
-        interpreted enumeration byte-identical.  The lazy build is idempotent
+        The enumeration's deterministic tie-break is the ``str`` order of
+        candidate pools; sorting with ``key=str`` would stringify every pool
+        member on every probe, so the search and DMatch's focus sweep sort
+        by an integer rank lookup from this map instead.  Nodes whose ``str``
+        forms are *equal* share a rank, so a stable sort on the rank leaves
+        them in pool order — exactly where ``sorted(pool, key=str)`` leaves
+        them, which is the order the ``Enum`` oracle's plain search replays.
+        The lazy build is idempotent
         (same immutable-content map either way), preserving the snapshot's
         share-freely contract.
         """

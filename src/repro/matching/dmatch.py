@@ -49,7 +49,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
 from repro.graph.simulation import refine_candidates
-from repro.graph.traversal import nodes_within_hops
 from repro.index.snapshot import GraphIndex
 from repro.matching.candidates import CandidateIndex, build_candidate_index
 from repro.matching.generic import MatchContext
@@ -69,9 +68,6 @@ __all__ = [
 
 NodeId = Hashable
 
-# Degree-row fallback for edge labels absent from the resolved snapshot: every
-# probe answers 0, matching ``graph.out_degree`` for a label with no edges.
-_EMPTY_ROWS: Dict[NodeId, frozenset] = {}
 _EMPTY_ROW: frozenset = frozenset()
 
 
@@ -210,7 +206,7 @@ def _answer_from_fixpoint(
         (
             graph_index.label_rows(False, edge.label).get,
             index.candidate_set(edge.target),
-            edge.quantifier.check,
+            edge.quantifier.checker(),
         )
         for edge in pattern.out_edges(focus)
         if not edge.is_existential
@@ -285,10 +281,10 @@ class _FocusVerifier:
     set-up is paid ``|C(xo)|`` times.  Everything that does not depend on the
     candidate is therefore bound here once: the anchored search over the
     query's shared context, the pattern edges' ``(index, source, target)``
-    ends, and the quantifier check's edge specs ``(source, check, degree)``.
-    A compiled plan supplies lowered checks and snapshot degree rows
-    (``len(row)`` is the quantifier total); the plan-less path keeps
-    ``quantifier.check`` and ``graph.out_degree``.  Either way one quantifier
+    ends, and the quantifier check's edge specs ``(source, check, degree
+    row)``: each quantifier's prebound :meth:`CountingQuantifier.checker`,
+    and the snapshot's successor rows of the edge label, whose ``len`` is
+    the quantifier total ``out_degree(source, label)``.  One quantifier
     check is counted per edge until the first failure.
     """
 
@@ -300,8 +296,7 @@ class _FocusVerifier:
         options: DMatchOptions,
         counter: WorkCounter,
         context: MatchContext,
-        plan=None,
-        resolution=None,
+        graph_index: GraphIndex,
     ) -> None:
         self.pattern = pattern
         self.graph = graph
@@ -312,29 +307,21 @@ class _FocusVerifier:
         # Computed even without locality: it also rejects a disconnected
         # pattern (PatternError), as DMatch always has.
         self.radius = pattern.radius()
-        self.resolution = resolution
+        self.graph_index = graph_index
         self.early_exit = options.early_exit and _pattern_is_monotone(pattern)
         edges = pattern.edges()
         self.edge_ends = tuple(
             (edge_index, edge.source, edge.target)
             for edge_index, edge in enumerate(edges)
         )
-        if plan is None:
-            self.edge_specs = tuple(
-                (edge.source, edge.quantifier.check, edge.label) for edge in edges
+        self.edge_specs = tuple(
+            (
+                edge.source,
+                edge.quantifier.checker(),
+                graph_index.label_rows(False, edge.label).get,
             )
-            self.satisfies = self._satisfies_interpreted
-        else:
-            # Lower each edge to (source, check, degree-row get): the
-            # quantifier total ``out_degree(source, label)`` is the length of
-            # the snapshot's successor row — one dict probe instead of a
-            # graph method call.
-            degree_rows = resolution.out_degree_rows
-            self.edge_specs = tuple(
-                (source, check, degree_rows.get(label, _EMPTY_ROWS).get)
-                for source, label, check in plan.edge_specs(edges)
-            )
-            self.satisfies = self._satisfies_lowered
+            for edge in edges
+        )
         self.label_members = None
         if options.use_locality:
             # Per-query label -> (members, size) table for the hoisted local
@@ -352,25 +339,8 @@ class _FocusVerifier:
             # The shared context already carries the filtered candidate pools.
             self.search = context.searcher(counter)
 
-    def _satisfies_interpreted(self, assignment, matched_children) -> bool:
+    def satisfies(self, assignment, matched_children) -> bool:
         """Does *assignment* satisfy every quantifier under the counts so far?"""
-        counter = self.counter
-        children_get = matched_children.get
-        out_degree = self.graph.out_degree
-        edge_index = 0
-        for source, check, label in self.edge_specs:
-            counter.quantifier_checks += 1
-            bound_source = assignment[source]
-            if not check(
-                len(children_get((edge_index, bound_source), ())),
-                out_degree(bound_source, label),
-            ):
-                return False
-            edge_index += 1
-        return True
-
-    def _satisfies_lowered(self, assignment, matched_children) -> bool:
-        """:meth:`_satisfies_interpreted` over a plan's checks and degree rows."""
         counter = self.counter
         children_get = matched_children.get
         edge_index = 0
@@ -393,12 +363,7 @@ class _FocusVerifier:
         pattern adjacency, compiled rows) is the query's shared context's.
         """
         index = self.index
-        if self.resolution is not None:
-            # Same ball, same membership — swept over the plan resolution's
-            # flat per-epoch neighbour table instead of per-node set unions.
-            local_nodes = self.resolution.ball(focus_candidate, self.radius)
-        else:
-            local_nodes = nodes_within_hops(self.graph, focus_candidate, self.radius)
+        local_nodes = self.graph_index.nodes_within_hops(focus_candidate, self.radius)
         local_candidates = _local_candidate_pools(
             self.pattern, index, local_nodes, self.label_members
         )
@@ -466,8 +431,6 @@ def dmatch(
     index: Optional[CandidateIndex] = None,
     counter: Optional[WorkCounter] = None,
     focus_restriction: Optional[Set[NodeId]] = None,
-    plan=None,
-    plan_binding=None,
 ) -> DMatchOutcome:
     """Evaluate a *positive* QGP and return its answer plus caches.
 
@@ -480,12 +443,6 @@ def dmatch(
     focus_restriction:
         Answer only for these focus candidates (the incremental step passes
         the cached positive answer here).
-    plan, plan_binding:
-        An optional :class:`repro.plan.CompiledPlan` for this pattern's
-        fingerprint plus the pattern-node → canonical-position binding.
-        Lowers the quantifier checks and reuses the plan's pre-resolved row
-        stores / ``str`` ranks; answers and work counters stay byte-identical
-        to the plan-less evaluation.
 
     After the candidate filter and the Lemma 12 check, the answer comes
     from the fixpoint when :func:`fixpoint_decline_reason` finds no reason
@@ -543,27 +500,18 @@ def dmatch(
             candidates={u: index.candidate_set(u) for u in pattern.nodes()},
             candidate_order=ordering,
             anchored_nodes={pattern.focus},
-            plan=plan,
-            plan_binding=plan_binding,
         )
-        focus_order = None
-        resolution = None
-        if plan is not None:
-            resolution = plan.resolution_for(graph)
-            # The plan's str-rank map orders the focus sweep without
-            # stringifying every candidate; equal-str candidates share a rank
-            # so the stable sort preserves the key=str order exactly.
-            try:
-                focus_order = sorted(
-                    focus_candidates, key=resolution.str_ranks.__getitem__
-                )
-            except KeyError:
-                focus_order = None
-        if focus_order is None:
+        # The snapshot's str-rank map orders the focus sweep without
+        # stringifying every candidate; equal-str candidates share a rank,
+        # so the stable sort keeps the key=str order exactly.
+        try:
+            focus_order = sorted(
+                focus_candidates, key=graph_index.str_ranks().__getitem__
+            )
+        except KeyError:
             focus_order = sorted(focus_candidates, key=str)
         verify = _FocusVerifier(
-            pattern, graph, index, options, counter, shared_context,
-            plan=plan, resolution=resolution,
+            pattern, graph, index, options, counter, shared_context, graph_index
         )._verify_focus_candidate
         answer_add = outcome.answer.add
         node_matches = outcome.node_matches

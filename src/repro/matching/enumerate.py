@@ -48,7 +48,7 @@ def _plain_isomorphisms(
     """The paper's generic ``Match`` over :class:`PropertyGraph` adjacency.
 
     The oracle's own backtracking search, kept free of the compiled
-    machinery it checks (no index snapshot, row store or plan): each pool is
+    machinery it checks (no index snapshot, row store or rank map): each pool is
     the intersection of the matched neighbours' adjacency sets with the
     static candidate set — the static set alone for a constraint-free node —
     visited in ``str`` order under the shared ``SelectNext`` order, and every
@@ -134,7 +134,7 @@ def evaluate_positive_by_enumeration(
     # Step 1: enumerate every isomorphism of the stratified pattern, grouped
     # by the binding of the query focus.  The oracle runs its own plain
     # search on purpose: it is the independent reference the compiled
-    # engine (index rows, plans) is tested against, so it must
+    # engine (index rows, str ranks) is tested against, so it must
     # share none of that machinery.  The label_candidates pools it mutates
     # above are defensively copied, never graph-owned views.
     by_focus: Dict[NodeId, list] = {}

@@ -158,8 +158,9 @@ class MatchContext:
     Dynamic candidate pools are derived by intersecting the compiled
     per-label row stores of the :class:`repro.index.GraphIndex` snapshot
     (:meth:`~repro.index.GraphIndex.compiled_rows`, immutable frozenset views
-    derived from the CSR rows) and ordered by ``str`` — the same assignments
-    in the same order, with the same work counts, as the plain adjacency
+    derived from the CSR rows) and ordered by the snapshot's ``str`` ranks
+    (:meth:`~repro.index.GraphIndex.str_ranks`) — the same assignments in
+    the same order, with the same work counts, as the plain adjacency
     search of the ``Enum`` oracle (:mod:`repro.matching.enumerate`).
 
     Parameters
@@ -168,12 +169,6 @@ class MatchContext:
         The pattern nodes that :meth:`isomorphisms` will receive bindings for
         (typically just the query focus).  They are placed first in the
         matching order.
-    plan, plan_binding:
-        An optional :class:`repro.plan.CompiledPlan` for this pattern's
-        fingerprint plus the pattern-node → canonical-position binding.
-        When given, snapshot resolution reuses the plan's pre-resolved row
-        stores and ``str``-order ranks instead of re-deriving them — a pure
-        setup/ordering-cost shortcut that enumerates byte-identically.
     """
 
     def __init__(
@@ -183,8 +178,6 @@ class MatchContext:
         candidates: Optional[Dict[NodeId, Set[NodeId]]] = None,
         candidate_order: Optional[Dict[NodeId, List[NodeId]]] = None,
         anchored_nodes: Optional[Set[NodeId]] = None,
-        plan=None,
-        plan_binding: Optional[Dict[NodeId, int]] = None,
     ) -> None:
         if pattern.num_nodes == 0:
             raise MatchingError("cannot match an empty pattern")
@@ -194,12 +187,6 @@ class MatchContext:
         for pattern_node in pattern.nodes():
             self.candidates.setdefault(pattern_node, set())
         self.candidate_order = candidate_order
-        # A CompiledPlan (repro.plan) plus the pattern-node -> canonical
-        # position binding: pre-resolved row stores and str-order ranks for
-        # this exact fingerprint.  Purely an interpretation-cost shortcut —
-        # the enumeration below stays byte-identical with or without it.
-        self._plan = plan
-        self._plan_binding = plan_binding if plan is not None else None
         # Rank maps let the hot loop order a (small) dynamic pool without
         # scanning the full preference list of a pattern node.
         self._ranks: Dict[NodeId, Dict[NodeId, int]] = {}
@@ -220,7 +207,6 @@ class MatchContext:
         self.order = _search_order(
             pattern, self.candidates, self.anchored_nodes, adjacency=self.adjacency
         )
-        self._str_ranks: Optional[Dict[NodeId, int]] = None
         self._snapshot = None
         self._compiled_adjacency: Dict[NodeId, List[tuple]] = {}
         self._active_plan: Optional[tuple] = None
@@ -262,10 +248,6 @@ class MatchContext:
 
         self._snapshot = GraphIndex.for_graph(self.graph)
         snapshot = self._snapshot
-        self._str_ranks = None
-        if self._plan is not None and self._plan_from_resolution(snapshot):
-            self._active_plan = self._build_active_plan(self.order)
-            return
         encode_label = snapshot.edge_labels.encode
         self._compiled_adjacency = {}
         for pattern_node, constraints in self.adjacency.items():
@@ -284,60 +266,35 @@ class MatchContext:
             self._compiled_adjacency[pattern_node] = compiled
         self._active_plan = self._build_active_plan(self.order)
 
-    def _plan_from_resolution(self, snapshot) -> bool:
-        """Adopt the plan's pre-resolved row stores for *snapshot*, if valid.
-
-        Translates the pattern adjacency through the plan binding
-        (pattern node -> canonical position) into the resolution's
-        per-canonical-edge row-store pairs — the same ``(neighbor, rows)``
-        shape the generic resolve builds, just without re-encoding labels or
-        re-materialising stores.  Returns False (leaving the generic resolve
-        to run) when the plan cannot serve this context: resolution pinned to
-        a different snapshot, no binding shipped, or a pattern edge outside
-        the canonical shape.  Either way the search behaves identically;
-        only the setup cost differs.
-        """
-        plan = self._plan
-        resolution = plan.resolution_for(self.graph)
-        if resolution.snapshot is not snapshot:
-            return False
-        self._str_ranks = resolution.str_ranks
-        binding = self._plan_binding
-        if binding is None:
-            return False
-        compiled_adjacency = resolution.translated_adjacency(self.adjacency, binding)
-        if compiled_adjacency is None:
-            return False
-        self._compiled_adjacency = compiled_adjacency
-        return True
-
     def _sort_keys(self, order: List[NodeId]) -> tuple:
         """Per order position, the pool sort key and its ``str`` fallback.
 
         A rank map that covers the node's whole candidate set — DMatch's
         potential ordering always does — orders every pool by rank alone
         (ranks are distinct enumerate positions, so the tie-break never
-        decides).  Otherwise the key is the rank, if any, then the ``str``
-        order — the compiled plan's ``str``-rank map when one is bound (equal
-        ``str`` forms share a rank, so the stable sort leaves them where
-        ``key=str`` would), else ``str`` itself.  The fallback key is the
+        decides).  Otherwise the key is the rank, if any, then the
+        snapshot's ``str``-rank map: equal ``str`` forms share a rank, so
+        the stable sort leaves them where ``key=str`` would, without
+        stringifying every pool member per probe.  The fallback key is the
         ``str``-based one, for static pools holding nodes the snapshot's
         rank map does not know.
         """
-        str_ranks = self._str_ranks
+        str_rank = None
         keys, fallbacks = [], []
         for pattern_node in order:
             rank = self._ranks.get(pattern_node)
             if rank and rank.keys() >= self.candidates[pattern_node]:
-                key = fallback = rank.__getitem__
-            elif rank:
+                keys.append(rank.__getitem__)
+                fallbacks.append(rank.__getitem__)
+                continue
+            if str_rank is None:
+                str_rank = self._snapshot.str_ranks().__getitem__
+            if rank:
                 fallback = _ranked_key(rank, str)
-                key = fallback if str_ranks is None else _ranked_key(
-                    rank, str_ranks.__getitem__
-                )
+                key = _ranked_key(rank, str_rank)
             else:
                 fallback = str
-                key = str if str_ranks is None else str_ranks.__getitem__
+                key = str_rank
             keys.append(key)
             fallbacks.append(fallback)
         return tuple(keys), tuple(fallbacks)

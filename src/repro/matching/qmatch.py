@@ -33,7 +33,15 @@ from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
 from repro.utils.timing import Timer
 
-__all__ = ["QMatch", "qmatch_engine", "qmatch_n_engine", "query_strategy"]
+__all__ = [
+    "QMatch",
+    "qmatch_engine",
+    "qmatch_n_engine",
+    "query_strategy",
+    "strategy_label",
+]
+
+_DECLINED = "fixpoint.declined."
 
 
 class QMatch:
@@ -70,22 +78,12 @@ class QMatch:
         pattern: QuantifiedGraphPattern,
         graph: PropertyGraph,
         focus_restriction: Optional[Set] = None,
-        plan=None,
-        plan_binding=None,
     ) -> MatchResult:
         """Compute ``Q(xo, G)`` and return a full :class:`MatchResult`.
 
         ``focus_restriction`` limits the verified focus candidates to the given
         set — the intra-fragment parallelism of mQMatch relies on it to split
         the owned candidates across threads.
-
-        ``plan``/``plan_binding`` optionally pass a
-        :class:`repro.plan.CompiledPlan` for this pattern's fingerprint (plus
-        the pattern-node → canonical-position binding) down to the positive
-        DMatch evaluation.  The negation passes stay plan-less: they evaluate
-        *derived* patterns (``Q⁺ᵉ``) whose shapes are not the cached
-        fingerprint.  Answers and work counters are byte-identical either
-        way — the plan only removes interpretation overhead.
         """
         pattern.validate()
         counter = WorkCounter()
@@ -100,8 +98,6 @@ class QMatch:
                 options=self.options,
                 counter=counter,
                 focus_restriction=focus_restriction,
-                plan=plan,
-                plan_binding=plan_binding,
             )
             positive_answer: Set = set(cached.answer)
             answer: Set = set(cached.answer)
@@ -171,6 +167,26 @@ def query_strategy(
         if reason is not None:
             return "search", reason
     return "fixpoint", None
+
+
+def strategy_label(counter: Optional[WorkCounter]) -> str:
+    """What a computed evaluation ran, read off its counter's ``fixpoint.*``
+    extras by :func:`query_strategy`'s rule.
+
+    ``"search (<reason>)"`` with the first declining pass's reason (DMatch
+    bumps the extras pass by pass, and merging keeps that order), else
+    ``"fixpoint"`` when some pass answered from the fixpoint.  Empty when
+    the counter holds no decision: a cache hit (no counter), an evaluation
+    whose candidate filter emptied a pool before either strategy ran, or an
+    engine other than QMatch.
+    """
+    if counter is None:
+        return ""
+    extras = counter.extras
+    for key in extras:
+        if key.startswith(_DECLINED):
+            return f"search ({key[len(_DECLINED):]})"
+    return "fixpoint" if "fixpoint.answered" in extras else ""
 
 
 def qmatch_engine(options: DMatchOptions = DMatchOptions()) -> QMatch:

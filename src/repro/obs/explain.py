@@ -1,9 +1,9 @@
 """`repro.obs.explain` — EXPLAIN ANALYZE for served pattern queries.
 
-A compiled plan (:mod:`repro.plan`) already knows *what* will run: the
-canonical fingerprint, the stats-derived matching order, the quantifier
-closures.  This module adds the two numbers an operator (and ROADMAP open
-item 3's adaptive planner) actually needs per step of that order:
+A compiled plan (:mod:`repro.plan`) is a pattern's canonical shape: the
+fingerprint, the canonical edges and their quantifiers, and the
+stats-derived matching-order preview.  This module adds the two numbers an
+operator (and an adaptive planner) actually needs per step of that order:
 
 * **estimated** cardinality, from the
   :class:`~repro.graph.statistics.CardinalityModel` (label populations and

@@ -158,10 +158,11 @@ class FingerprintStats:
 class SlowQueryRecord:
     """One slow query — fingerprint, timing, and its work counters.
 
-    ``plan`` names the compiled plan that served the request (fingerprint
-    prefix + the plan's matching-order rendering), empty for cache hits and
-    plan-less engines — so a pathological order is diagnosable straight from
-    ``QueryService.stats()`` without re-running the query.
+    ``strategy`` says what ran, read off the computed work counter by
+    :func:`repro.matching.qmatch.strategy_label`: ``"fixpoint"``, or
+    ``"search (<reason>)"`` with the first declining pass's reason — the
+    rule EXPLAIN uses.  It is empty for cache hits, subscription
+    maintenance, and computations that recorded no strategy decision.
 
     The serve-tier fields make a slow *fleet* query diagnosable from the
     record alone: ``shard_fanout`` counts the shards the request actually
@@ -182,7 +183,7 @@ class SlowQueryRecord:
     quantifier_checks: int = 0
     aff_size: int = 0
     batch_size: int = 1
-    plan: str = ""
+    strategy: str = ""
     shard_fanout: int = 0
     cache_route: str = ""
     admission_wait: float = 0.0
@@ -199,7 +200,7 @@ class SlowQueryRecord:
             "quantifier_checks": self.quantifier_checks,
             "aff_size": self.aff_size,
             "batch_size": self.batch_size,
-            "plan": self.plan,
+            "strategy": self.strategy,
             "shard_fanout": self.shard_fanout,
             "cache_route": self.cache_route,
             "admission_wait_seconds": self.admission_wait,
@@ -293,7 +294,7 @@ class ServiceIntrospection:
         counter: Optional[WorkCounter] = None,
         aff_size: int = 0,
         batch_size: int = 1,
-        plan: str = "",
+        strategy: str = "",
         shard_fanout: int = 0,
         cache_route: str = "",
         admission_wait: float = 0.0,
@@ -313,7 +314,7 @@ class ServiceIntrospection:
             quantifier_checks=counter.quantifier_checks if counter else 0,
             aff_size=aff_size,
             batch_size=batch_size,
-            plan=plan,
+            strategy=strategy,
             shard_fanout=shard_fanout,
             cache_route=cache_route,
             admission_wait=admission_wait,

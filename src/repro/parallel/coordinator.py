@@ -269,9 +269,6 @@ class PQMatch:
         self,
         pattern: QuantifiedGraphPattern,
         partition: "HopPreservingPartition",
-        fingerprint: Optional[str] = None,
-        plan=None,
-        plan_binding=None,
     ) -> List[FragmentTask]:
         """One :class:`FragmentTask` per non-empty fragment for *pattern*.
 
@@ -279,12 +276,6 @@ class PQMatch:
         uses it for one pattern, and the serving layer's batched dispatch
         (:mod:`repro.service.server`) concatenates it across many patterns —
         both paths must stay byte-identical, so neither re-implements it.
-
-        The serving layer additionally stamps each task with the pattern's
-        canonical ``fingerprint``, the coordinator-side compiled ``plan`` and
-        the ``plan_binding``; in-process backends use the plan object
-        directly, while the process pool ships only the (fingerprint,
-        binding) reference and workers compile-or-reuse locally.
         """
         return [
             FragmentTask(
@@ -297,9 +288,6 @@ class PQMatch:
                 ),
                 pattern=pattern,
                 engine=self.engine,
-                fingerprint=fingerprint,
-                plan=plan,
-                plan_binding=plan_binding,
             )
             for fragment in partition.fragments
             if fragment.owned_nodes is None or fragment.owned_nodes
@@ -321,8 +309,6 @@ class PQMatch:
                     engine=task.engine,
                     fragment_id=task.fragment_id,
                     threads=self.threads,
-                    plan=task.plan,
-                    plan_binding=task.plan_binding,
                 )
                 for task in tasks
             ]

@@ -41,7 +41,6 @@ from repro.parallel.worker import (
     engine_from_spec,
     engine_to_spec,
     match_fragment,
-    options_key_from_spec,
 )
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.errors import PartitionError
@@ -132,23 +131,14 @@ def _pool_run_fragment(
     engine_spec: Tuple,
     chain: Tuple[ChainHop, ...] = (),
     trace_ctx: TraceContext = TraceContext("", None, False),
-    fingerprint: Optional[str] = None,
-    plan_binding: Optional[Dict] = None,
-) -> Tuple[FragmentResult, int, Tuple[int, int, int]]:
+) -> Tuple[FragmentResult, int]:
     """Evaluate one pattern on one cached fragment inside a pool worker.
 
     Returns the fragment result, the number of ``GraphIndex.build`` calls the
     evaluation triggered in this worker — the coordinator aggregates the
     count and the regression tests assert it stays zero (decoding a snapshot
     must fully replace recompilation, and replaying a delta chain must
-    *refresh* the decoded index, not recompile it) — and the worker
-    plan-cache ``(hits, misses, compiles)`` deltas of this call.
-
-    Tasks arrive with the pattern's *fingerprint* and plan binding, never a
-    plan object: the worker compiles-or-reuses a :class:`CompiledPlan` from
-    its own per-process cache, so each unique fingerprint compiles at most
-    once per worker process.  A plan compile is pure pattern-shape work —
-    it can never count as a snapshot rebuild.
+    *refresh* the decoded index, not recompile it).
 
     When the coordinator had tracing enabled, *trace_ctx* parents this
     worker's spans under the coordinator's ``pool.round`` span; the records
@@ -160,34 +150,10 @@ def _pool_run_fragment(
     with get_tracer().adopt(trace_ctx) as shipped_spans:
         graph, owned_nodes = _worker_fragment(cache_key, chain)
         engine = engine_from_spec(engine_spec)
-        plan = None
-        plan_stats = (0, 0, 0)
-        if fingerprint is not None and engine_spec[0] == "qmatch":
-            from repro.plan.cache import worker_plan_cache
-
-            cache = worker_plan_cache()
-            stats = cache.stats
-            before = (stats.hits, stats.misses, stats.compiles)
-            plan = cache.plan_for(
-                graph, fingerprint, options_key_from_spec(engine_spec), pattern
-            )
-            plan_stats = (
-                stats.hits - before[0],
-                stats.misses - before[1],
-                stats.compiles - before[2],
-            )
-        result = match_fragment(
-            pattern,
-            graph,
-            owned_nodes,
-            engine,
-            cache_key[0],
-            plan=plan,
-            plan_binding=plan_binding,
-        )
+        result = match_fragment(pattern, graph, owned_nodes, engine, cache_key[0])
     if shipped_spans:
         result.spans = tuple(shipped_spans)
-    return result, build_call_count() - builds_before, plan_stats
+    return result, build_call_count() - builds_before
 
 
 class SerialExecutor:
@@ -321,12 +287,6 @@ class ProcessExecutor:
         # Process pools started because the payload epoch changed (the first
         # one included); a delta-shipped mutation must leave it unchanged.
         self.pool_recreations = 0
-        # Accumulated worker plan-cache activity, reported per task: hot
-        # fingerprints must hit (compiles bounded by unique fingerprints per
-        # worker process), and a plan compile is never a snapshot rebuild.
-        self.last_worker_plan_hits = 0
-        self.last_worker_plan_misses = 0
-        self.last_worker_plan_compiles = 0
 
     # ------------------------------------------------------------- payloads
 
@@ -463,19 +423,14 @@ class ProcessExecutor:
                 engine_to_spec(task.engine),
                 payload.chain_hops() if isinstance(payload, _DeltaPayloadRef) else (),
                 trace_ctx,
-                task.fingerprint,
-                task.plan_binding,
             )
             for payload, task in zip(payloads, tasks)
         ]
         results: List[FragmentResult] = []
         tracer = get_tracer()
         for future in futures:
-            result, rebuilds, plan_stats = future.result()
+            result, rebuilds = future.result()
             self.last_worker_rebuilds += rebuilds
-            self.last_worker_plan_hits += plan_stats[0]
-            self.last_worker_plan_misses += plan_stats[1]
-            self.last_worker_plan_compiles += plan_stats[2]
             if result.spans:
                 tracer.ingest(result.spans)
             results.append(result)

@@ -71,13 +71,12 @@ def engine_from_spec(spec: EngineSpec) -> object:
 
 
 def options_key_from_spec(spec: EngineSpec) -> Tuple:
-    """The plan/result-cache engine-options key for an engine spec.
+    """The result-cache engine-options key for an engine spec.
 
     The single source of truth for what "same engine options" means: QMatch
     engines key on their evaluation options (the display name is cosmetic),
-    opaque engines on their type.  Both the service's caches and the worker
-    plan cache key plans with this, so a plan can never be reused across an
-    options change.
+    opaque engines on their type.  The service's caches key answers with
+    this, so an answer can never be reused across an options change.
     """
     if spec[0] == "qmatch":
         return ("qmatch", spec[1], spec[2])
@@ -108,13 +107,6 @@ class FragmentTask:
     ``owned_nodes=None`` is the identity fragment's "owns everything": the
     pattern is evaluated on ``fragment_graph`` with no focus restriction and
     the answer is returned unfiltered.
-
-    Compiled plans ship **by reference only**: the pickled form carries the
-    pattern's ``fingerprint`` and the ``plan_binding`` (pattern node →
-    canonical position), never the :class:`repro.plan.CompiledPlan` itself —
-    its closures and resolved row stores are process-local.  Workers
-    compile-or-reuse from their per-process plan cache; in-process executors
-    use the coordinator's ``plan`` object directly.
     """
 
     def __init__(
@@ -124,18 +116,12 @@ class FragmentTask:
         owned_nodes: Optional[Set[NodeId]],
         pattern: QuantifiedGraphPattern,
         engine: QMatch,
-        fingerprint: Optional[str] = None,
-        plan=None,
-        plan_binding: Optional[Dict[NodeId, int]] = None,
     ) -> None:
         self.fragment_id = fragment_id
         self.fragment_graph = fragment_graph
         self.owned_nodes = owned_nodes
         self.pattern = pattern
         self.engine = engine
-        self.fingerprint = fingerprint
-        self.plan = plan
-        self.plan_binding = plan_binding
 
     def run(self) -> FragmentResult:
         return match_fragment(
@@ -144,8 +130,6 @@ class FragmentTask:
             self.owned_nodes,
             self.engine,
             self.fragment_id,
-            plan=self.plan,
-            plan_binding=self.plan_binding,
         )
 
     def __getstate__(self) -> Dict[str, object]:
@@ -155,15 +139,10 @@ class FragmentTask:
             "owned_nodes": self.owned_nodes,
             "pattern": self.pattern,
             "engine_spec": engine_to_spec(self.engine),
-            "fingerprint": self.fingerprint,
-            "plan_binding": self.plan_binding,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.engine = engine_from_spec(state.pop("engine_spec"))
-        # The compiled plan never crosses the boundary; the receiving process
-        # recompiles-or-reuses from (fingerprint, plan_binding) if it wants one.
-        self.plan = None
         self.__dict__.update(state)
 
 
@@ -288,8 +267,6 @@ def match_fragment(
     owned_nodes: Optional[Set[NodeId]],
     engine: Optional[QMatch] = None,
     fragment_id: int = 0,
-    plan=None,
-    plan_binding: Optional[Dict[NodeId, int]] = None,
 ) -> FragmentResult:
     """Evaluate *pattern* on one fragment, verifying only owned focus candidates.
 
@@ -300,7 +277,6 @@ def match_fragment(
     its whole d-hop neighbourhood.  ``owned_nodes=None`` (the identity
     fragment) owns the whole graph: no restriction, answer unfiltered.
 
-    A compiled ``plan`` is only handed to the standard :class:`QMatch` engine.
     An engine whose ``evaluate`` takes no ``focus_restriction`` evaluates the
     whole fragment and is filtered to the owned nodes afterwards; any
     exception an engine raises propagates.
@@ -308,15 +284,7 @@ def match_fragment(
     engine = engine or QMatch()
     owned = fragment_graph.num_nodes if owned_nodes is None else len(owned_nodes)
     with span("worker.fragment", fragment=fragment_id, owned=owned), Timer() as timer:
-        if plan is not None and isinstance(engine, QMatch):
-            result = engine.evaluate(
-                pattern,
-                fragment_graph,
-                focus_restriction=owned_nodes,
-                plan=plan,
-                plan_binding=plan_binding,
-            )
-        elif _takes_focus_restriction(type(engine)):
+        if _takes_focus_restriction(type(engine)):
             result = engine.evaluate(pattern, fragment_graph, focus_restriction=owned_nodes)
         else:
             result = engine.evaluate(pattern, fragment_graph)
@@ -348,8 +316,6 @@ def mqmatch_fragment(
     fragment_id: int = 0,
     threads: int = 1,
     thread_pool: Optional[Executor] = None,
-    plan=None,
-    plan_binding: Optional[Dict[NodeId, int]] = None,
 ) -> FragmentResult:
     """mQMatch: intra-fragment parallel evaluation over owned focus candidates.
 
@@ -361,15 +327,7 @@ def mqmatch_fragment(
     """
     engine = engine or QMatch()
     if threads <= 1:
-        return match_fragment(
-            pattern,
-            fragment_graph,
-            owned_nodes,
-            engine,
-            fragment_id,
-            plan=plan,
-            plan_binding=plan_binding,
-        )
+        return match_fragment(pattern, fragment_graph, owned_nodes, engine, fragment_id)
 
     focus_label = pattern.node_label(pattern.focus)
     if owned_nodes is None:
@@ -383,20 +341,10 @@ def mqmatch_fragment(
     if not chunks:
         return FragmentResult(fragment_id=fragment_id, answer=set(), counter=WorkCounter())
 
-    use_plan = plan is not None and isinstance(engine, QMatch)
-
     def run_chunk(chunk: List[NodeId]) -> MatchResult:
         # Each chunk restricts the verified focus candidates to its share of
         # the owned nodes, so the chunks partition the fragment's verification
         # work without overlapping.
-        if use_plan:
-            return engine.evaluate(
-                pattern,
-                fragment_graph,
-                focus_restriction=set(chunk),
-                plan=plan,
-                plan_binding=plan_binding,
-            )
         return engine.evaluate(pattern, fragment_graph, focus_restriction=set(chunk))
 
     counter = WorkCounter()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Dict, Union
 
 from repro.utils.errors import QuantifierError
 
@@ -173,21 +173,43 @@ class CountingQuantifier:
         """
         if count < 0 or total < 0:
             raise QuantifierError("count and total must be non-negative")
+        return self.checker()(count, total)
+
+    def checker(self) -> Callable[[int, int], bool]:
+        """:meth:`check` without its argument validation, as one prebound call.
+
+        The verification loops evaluate one quantifier per edge per witness,
+        on counts and totals that are set sizes (never negative); the closure
+        binds ``op``/``value``/``is_ratio`` once instead of dispatching on
+        them per call.  Built on first use and kept on the instance, which is
+        immutable, so every caller shares one closure.
+        """
+        check = self.__dict__.get("_checker")
+        if check is None:
+            check = self._lower()
+            object.__setattr__(self, "_checker", check)
+        return check
+
+    def _lower(self) -> Callable[[int, int], bool]:
         if self.is_ratio:
-            if total == 0:
-                return False
-            ratio = 100.0 * count / total
+            value = float(self.value)
             if self.op == ">=":
-                return ratio >= float(self.value) - 1e-9
+                floor = value - 1e-9
+                return lambda count, total: total > 0 and 100.0 * count / total >= floor
             if self.op == ">":
-                return ratio > float(self.value) + 1e-9
-            return abs(ratio - float(self.value)) <= 1e-9
+                ceiling = value + 1e-9
+                return lambda count, total: total > 0 and 100.0 * count / total > ceiling
+            return lambda count, total: total > 0 and abs(100.0 * count / total - value) <= 1e-9
         threshold = int(self.value)
         if self.op == ">=":
-            return count >= threshold
+            return lambda count, total: count >= threshold
         if self.op == ">":
-            return count > threshold
-        return count == threshold
+            return lambda count, total: count > threshold
+        return lambda count, total: count == threshold
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The cached checker is a closure: pickle and copy the fields only.
+        return {"op": self.op, "value": self.value, "is_ratio": self.is_ratio}
 
     def may_still_hold(self, upper_bound: int, total: int) -> bool:
         """Whether the quantifier can still be satisfied given an upper bound.

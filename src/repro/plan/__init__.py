@@ -1,37 +1,11 @@
-"""Compiled query plans: per-fingerprint straight-line execution.
+"""The canonical shape EXPLAIN reports on.
 
-The service canonicalizes every pattern to a stable fingerprint; this package
-compiles each fingerprint **once per process** into a :class:`CompiledPlan`
-(lowered quantifier closures, pre-resolved per-label row stores, shared
-``str``-order ranks, a stats-derived order preview) and caches it in a
-bounded :class:`PlanCache` keyed ``(fingerprint, engine options, index stats
-epoch)`` — beside the result cache in the service, per-process inside pool
-workers.  The interpreted path stays the asserted-byte-identical fallback
-(answers and work counters).
+:func:`compile_plan` turns a pattern (via its canonical form) into a
+:class:`CompiledPlan`: node labels by canonical position, the focus
+position, the canonical edges, and a stats-derived matching-order preview.
+No query runs through a plan; ``explain()`` compiles one per call.
 """
 
-from repro.plan.cache import (
-    PlanCache,
-    PlanCacheStats,
-    reset_worker_plan_cache,
-    worker_plan_cache,
-)
-from repro.plan.compile import (
-    CompiledPlan,
-    PlanResolution,
-    compile_plan,
-    lower_quantifier,
-    plan_compile_count,
-)
+from repro.plan.compile import CompiledPlan, compile_plan, plan_compile_count
 
-__all__ = [
-    "CompiledPlan",
-    "PlanCache",
-    "PlanCacheStats",
-    "PlanResolution",
-    "compile_plan",
-    "lower_quantifier",
-    "plan_compile_count",
-    "reset_worker_plan_cache",
-    "worker_plan_cache",
-]
+__all__ = ["CompiledPlan", "compile_plan", "plan_compile_count"]

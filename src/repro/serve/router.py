@@ -193,8 +193,7 @@ class ShardedService(RequestPipeline):
         flight_capacity: int = 256,
     ) -> None:
         # Fleet-level request introspection: slow fleet queries carry the
-        # serve-tier fields (fan-out count, cache route, admission wait); the
-        # plan cache is there so explain never recompiles per call.
+        # serve-tier fields (fan-out count, cache route, admission wait).
         super().__init__(
             name,
             RouterStats(),
@@ -228,7 +227,6 @@ class ShardedService(RequestPipeline):
         self._options_key = next(iter(options_keys))
         self._options_text = options_key_text(self._options_key)
 
-        self._plans_enabled = True  # explain() always goes through self.plans
         self._token = _FleetToken(self)
         self._owns_shared = isinstance(shared_cache, str)
         self.shared: Optional[SharedResultCache] = (
@@ -296,7 +294,7 @@ class ShardedService(RequestPipeline):
         """One coalesced round: every missing pattern to every shard, merged.
 
         Each shard service receives the whole miss list as ONE batch (its own
-        dispatch coalescing and plan/result caches do the rest), so a router
+        dispatch coalescing and result cache do the rest), so a router
         round costs one executor round per shard, not per pattern.  Per
         pattern, the merged answer is the union of each shard's answer
         restricted to its owned nodes, and the merged counter is the sum of
@@ -305,14 +303,14 @@ class ShardedService(RequestPipeline):
         of the round is charged the whole round's wall time.
         """
         started = perf_counter()
-        for _, pattern, _ in unique:
+        for _, pattern in unique:
             radius = pattern.radius()
             if radius > self.d:
                 raise ServiceError(
                     f"pattern {pattern.name!r} has radius {radius} > shard halo "
                     f"d={self.d}; rebuild the fleet with a larger d"
                 )
-        patterns = [pattern for _, pattern, _ in unique]
+        patterns = [pattern for _, pattern in unique]
         self.stats.fanout_rounds += 1
         round_counters: Dict[int, WorkCounter] = {}
         with span("serve.fanout", patterns=len(unique), shards=self.num_shards):
@@ -320,7 +318,7 @@ class ShardedService(RequestPipeline):
 
         answers: Dict[str, FrozenSet] = {}
         counters: Dict[str, WorkCounter] = {}
-        for index, (fingerprint, _pattern, _form) in enumerate(unique):
+        for index, (fingerprint, _pattern) in enumerate(unique):
             merged: Set[Hashable] = set()
             merged_counter = WorkCounter()
             for shard, shard_results in zip(self.shards, per_shard):
@@ -334,7 +332,7 @@ class ShardedService(RequestPipeline):
             answers[fingerprint] = frozenset(merged)
             counters[fingerprint] = merged_counter
         self.last_round_counters = round_counters
-        return answers, dict.fromkeys(answers, perf_counter() - started), counters, {}
+        return answers, dict.fromkeys(answers, perf_counter() - started), counters
 
     # ------------------------------------------------------------- submission
 

@@ -47,12 +47,12 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.matching.qmatch import strategy_label
 from repro.obs.explain import ExplainReport, build_report
 from repro.obs.flight import FlightRecorder
 from repro.obs.introspect import ServiceIntrospection
 from repro.obs.trace import TraceContext, get_tracer, span
 from repro.patterns.qgp import QuantifiedGraphPattern
-from repro.plan.cache import PlanCache
 from repro.service.cache import ResultCache
 from repro.service.patterns import CanonicalPattern, canonicalize
 from repro.utils.counters import WorkCounter
@@ -61,16 +61,12 @@ from repro.utils.timing import Timer
 
 __all__ = ["RequestPipeline", "ServiceResult"]
 
-# One unique cache miss handed to ``_compute``: fingerprint, a representative
-# pattern, and its canonical form (so a backend can attach the compiled plan
-# without re-canonicalizing).
-Unique = Tuple[str, QuantifiedGraphPattern, CanonicalPattern]
+# One unique cache miss handed to ``_compute``: fingerprint and a
+# representative pattern.
+Unique = Tuple[str, QuantifiedGraphPattern]
 # What ``_compute`` returns, each keyed by fingerprint: the answer, the
-# seconds of compute attributed to it, its merged work counters, and the
-# serving plan's compact label for the slow-query records (may be empty).
-Computed = Tuple[
-    Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter], Dict[str, str]
-]
+# seconds of compute attributed to it, and its merged work counters.
+Computed = Tuple[Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter]]
 
 
 @dataclass(frozen=True)
@@ -121,9 +117,9 @@ class RequestPipeline:
 
     Subclasses supply the hooks and constants tabulated in the module
     docstring, an ``_options_key`` (engine configuration part of cache keys),
-    a ``graph`` to explain against, ``_plans_enabled``, and their own
-    ``submit``.  ``stats`` needs ``served``, ``batches``, ``computed``,
-    ``deduplicated`` and ``memo_hits``.
+    a ``graph`` to explain against, and their own ``submit``.  ``stats``
+    needs ``served``, ``batches``, ``computed``, ``deduplicated`` and
+    ``memo_hits``.
     """
 
     SPAN_BATCH: str
@@ -144,7 +140,6 @@ class RequestPipeline:
         self.name = name
         self.stats = stats
         self.cache = ResultCache(cache_capacity)
-        self.plans = PlanCache()
         # The per-fingerprint ledger: traffic, latency histograms and the
         # per-epoch work observations explain() reads, plus the (opt-in via
         # slow_query_threshold) slow-query threshold.
@@ -261,21 +256,18 @@ class RequestPipeline:
         served: List[Optional[Tuple[str, FrozenSet, str, Optional[WorkCounter]]]] = (
             [None] * len(patterns)
         )
-        # fingerprint -> (representative pattern, canonical form, positions
-        # awaiting it).
-        missing: Dict[str, Tuple[QuantifiedGraphPattern, CanonicalPattern, List[int]]] = {}
+        # fingerprint -> (representative pattern, positions awaiting it).
+        missing: Dict[str, Tuple[QuantifiedGraphPattern, List[int]]] = {}
         # Per-request service time, started BEFORE canonicalization: a hit
         # costs canonicalize (or its memo) + L1 lookup, an L2 hit adds the
         # shared-store read and the promote, a miss adds its fingerprint's
         # share of the compute round — this is what feeds the ledger's
         # per-fingerprint p50/p99 and epoch seconds, and the slow-query check.
         request_elapsed: List[float] = [0.0] * len(patterns)
-        plan_labels: Dict[str, str] = {}
         with span(self.SPAN_BATCH, size=len(patterns)), Timer() as timer:
             for position, pattern in enumerate(patterns):
                 started = perf_counter()
-                form = self._canonical(pattern)
-                fingerprint = form.fingerprint
+                fingerprint = self._canonical(pattern).fingerprint
                 answer = cache.lookup(scope, fingerprint, options_key, version=version)
                 route = "l1"
                 if answer is None:
@@ -290,15 +282,14 @@ class RequestPipeline:
                 if answer is not None:
                     served[position] = (fingerprint, answer, route, None)
                 else:
-                    missing.setdefault(fingerprint, (pattern, form, []))[2].append(position)
+                    missing.setdefault(fingerprint, (pattern, []))[1].append(position)
 
             if missing:
                 unique = [
-                    (fingerprint, pattern, form)
-                    for fingerprint, (pattern, form, _) in missing.items()
+                    (fingerprint, pattern) for fingerprint, (pattern, _) in missing.items()
                 ]
-                answers, timings, counters, plan_labels = self._compute(unique)
-                for fingerprint, (_, _, positions) in missing.items():
+                answers, timings, counters = self._compute(unique)
+                for fingerprint, (_, positions) in missing.items():
                     answer = cache.store(
                         scope, fingerprint, answers[fingerprint], options_key, version=version
                     )
@@ -312,7 +303,7 @@ class RequestPipeline:
                 # Requests answered by sharing another's computation within
                 # this batch (cache hits are counted by the cache itself).
                 self.stats.deduplicated += sum(
-                    len(positions) - 1 for _, _, positions in missing.values()
+                    len(positions) - 1 for _, positions in missing.values()
                 )
 
         batch_size = len(patterns)
@@ -328,6 +319,7 @@ class RequestPipeline:
             request_seconds = request_elapsed[position]
             shard_fanout = 0 if cached else self._shard_fanout
             admission_wait = waits[position] if waits is not None else 0.0
+            strategy = "" if cached else strategy_label(counter)
             introspection.observe(
                 fingerprint, name, request_seconds, cached, counter, epoch_key, len(answer)
             )
@@ -339,7 +331,7 @@ class RequestPipeline:
                     cached=cached,
                     counter=counter,
                     batch_size=batch_size,
-                    plan="" if cached else plan_labels.get(fingerprint, ""),
+                    strategy=strategy,
                     shard_fanout=shard_fanout,
                     cache_route=route,
                     admission_wait=admission_wait,
@@ -354,6 +346,7 @@ class RequestPipeline:
                     pattern=name,
                     cached=cached,
                     cache_route=route,
+                    strategy=strategy,
                     shard_fanout=shard_fanout,
                     elapsed=request_seconds,
                     batch_size=batch_size,
@@ -489,7 +482,7 @@ class RequestPipeline:
         analyze: bool = False,
         analyze_limit: Optional[int] = None,
     ) -> ExplainReport:
-        """EXPLAIN (ANALYZE) one query: the compiled plan with per-step
+        """EXPLAIN (ANALYZE) one query: its canonical shape with per-step
         estimated vs observed cardinalities.
 
         *query* is a pattern object or the canonical fingerprint of one this
@@ -499,7 +492,9 @@ class RequestPipeline:
         merged answer reproduces); observations come from the ledger's
         per-epoch traffic averages and — with ``analyze=True`` —
         from re-running the enumeration with a per-depth probe profile
-        (``analyze_limit`` caps the embeddings enumerated).
+        (``analyze_limit`` caps the embeddings enumerated).  The shape is
+        compiled once per call (:func:`repro.plan.compile_plan`) and kept
+        nowhere.
         """
         from repro.plan.compile import compile_plan
 
@@ -515,23 +510,12 @@ class RequestPipeline:
             else:
                 pattern = query
             form = self._canonical(pattern)
-            fingerprint = form.fingerprint
-            if self._plans_enabled:
-                plan = self.plans.plan_for(
-                    self.graph, fingerprint, self._options_key, pattern, form=form
-                )
-            else:
-                plan = compile_plan(
-                    pattern,
-                    fingerprint=fingerprint,
-                    options_key=self._options_key,
-                    form=form,
-                )
+            plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
             return build_report(
                 plan,
                 self.graph,
                 pattern=pattern,
-                traffic=self.introspection.observed(fingerprint),
+                traffic=self.introspection.observed(form.fingerprint),
                 analyze=analyze,
                 analyze_limit=analyze_limit,
                 options=(

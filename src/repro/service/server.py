@@ -226,14 +226,6 @@ class QueryService(RequestPipeline):
         into the flight recorder's ``slow_query`` ring, which
         ``introspect()`` reads as ``"slow_queries"``; ``None`` (the default)
         files none, ``0.0`` files every request.
-    use_plans:
-        Compile each unique fingerprint once into a
-        :class:`repro.plan.CompiledPlan` (cached in a bounded
-        :class:`repro.plan.PlanCache` of ``DEFAULT_PLAN_CACHE_CAPACITY``
-        entries beside the result cache) and hand it to the dispatch, so a
-        result-cache miss still hits a warm plan.  Only effective with the
-        standard :class:`QMatch` engine; answers and work counters are
-        byte-identical either way.
     flight_capacity:
         Events kept per kind by the service's
         :class:`~repro.obs.flight.FlightRecorder`; ``0`` disables it, and
@@ -261,7 +253,6 @@ class QueryService(RequestPipeline):
         cache_capacity: int = 1024,
         name: str = "QueryService",
         slow_query_threshold: Optional[float] = None,
-        use_plans: bool = True,
         flight_capacity: int = 256,
     ) -> None:
         # Calling service.stats() (vs reading its counter attributes) yields
@@ -280,9 +271,6 @@ class QueryService(RequestPipeline):
             num_workers=1, d=2, engine=QMatch()
         )
         self._options_key = _engine_options_key(self.coordinator.engine)
-        # Plans are only wired through for the standard QMatch engine — the
-        # only one whose evaluate() takes a plan.
-        self._plans_enabled = bool(use_plans) and self._options_key[0] == "qmatch"
         self._subscriptions: List[Subscription] = []
         # submit() machinery: (request, enqueue perf timestamp) pairs drained
         # in batches by a single lazily started dispatcher thread.
@@ -326,46 +314,22 @@ class QueryService(RequestPipeline):
         per-round fixed costs (pool round-trip, task scheduling) are paid once
         per batch instead of once per query.
 
-        With plans enabled, each unique fingerprint is first resolved through
-        the service's :class:`PlanCache` (compile once, reuse thereafter) and
-        its tasks are stamped with the plan + canonical binding before the
-        round runs.
-
-        Returns ``(answers, timings, counters, plan_labels)``: per
-        fingerprint, the frozen answer, the summed per-fragment evaluation
-        seconds (its share of the round — the introspection layer's
-        compute-latency sample), the merged work counters, and the serving
-        plan's compact label for the slow-query records.
+        Returns ``(answers, timings, counters)``: per fingerprint, the frozen
+        answer, the summed per-fragment evaluation seconds (its share of the
+        round — the introspection layer's compute-latency sample) and the
+        merged work counters.
         """
         graph, coordinator = self.graph, self.coordinator
         radius = 0
-        for _, pattern, _ in unique:
+        for _, pattern in unique:
             pattern.validate()
             radius = max(radius, pattern.radius())
         partition = coordinator.ensure_radius(graph, radius)
 
-        plans: Dict[str, object] = {}
-        plan_labels: Dict[str, str] = {}
-        if self._plans_enabled:
-            for fingerprint, pattern, form in unique:
-                plan = self.plans.plan_for(
-                    graph, fingerprint, self._options_key, pattern, form=form
-                )
-                plans[fingerprint] = plan
-                plan_labels[fingerprint] = (
-                    f"{fingerprint[:12]} {plan.order_label(graph)}"
-                )
-
         tasks: List[FragmentTask] = []
         owners: List[str] = []
-        for fingerprint, pattern, form in unique:
-            pattern_tasks = coordinator.fragment_tasks(
-                pattern,
-                partition,
-                fingerprint=fingerprint if self._plans_enabled else None,
-                plan=plans.get(fingerprint),
-                plan_binding=form.order if self._plans_enabled else None,
-            )
+        for fingerprint, pattern in unique:
+            pattern_tasks = coordinator.fragment_tasks(pattern, partition)
             tasks.extend(pattern_tasks)
             owners.extend([fingerprint] * len(pattern_tasks))
 
@@ -373,10 +337,10 @@ class QueryService(RequestPipeline):
         with span("service.dispatch", patterns=len(unique), tasks=len(tasks)):
             fragment_results = coordinator.run_fragment_tasks(tasks)
 
-        answers: Dict[str, set] = {fingerprint: set() for fingerprint, _, _ in unique}
-        timings: Dict[str, float] = {fingerprint: 0.0 for fingerprint, _, _ in unique}
+        answers: Dict[str, set] = {fingerprint: set() for fingerprint, _ in unique}
+        timings: Dict[str, float] = {fingerprint: 0.0 for fingerprint, _ in unique}
         counters: Dict[str, WorkCounter] = {
-            fingerprint: WorkCounter() for fingerprint, _, _ in unique
+            fingerprint: WorkCounter() for fingerprint, _ in unique
         }
         for fingerprint, fragment_result in zip(owners, fragment_results):
             answers[fingerprint] |= fragment_result.answer
@@ -386,7 +350,6 @@ class QueryService(RequestPipeline):
             {fingerprint: frozenset(nodes) for fingerprint, nodes in answers.items()},
             timings,
             counters,
-            plan_labels,
         )
 
     # ----------------------------------------------------------------- updates
@@ -675,9 +638,6 @@ class QueryService(RequestPipeline):
     def stats_snapshot(self) -> Dict[str, float]:
         """Service + cache counters in one flat dict (bench/figure friendly)."""
         merged = {f"cache_{key}": value for key, value in self.cache.stats.as_dict().items()}
-        merged.update(
-            {f"plan_{key}": value for key, value in self.plans.stats.as_dict().items()}
-        )
         merged.update(self.stats.as_dict())
         merged["worker_rebuilds"] = float(self.worker_rebuilds)
         return merged
@@ -702,7 +662,6 @@ class QueryService(RequestPipeline):
         return {
             "service": self.stats.as_dict(),
             "cache": cache_stats,
-            "plans": self.plans.describe(),
             "pool": {
                 "backend": getattr(executor, "name", None),
                 "fragments": partition.num_fragments if partition is not None else 0,
@@ -710,10 +669,6 @@ class QueryService(RequestPipeline):
                 "worker_rebuilds": self.worker_rebuilds,
                 "deltas_shipped": getattr(executor, "deltas_shipped", 0),
                 "pool_recreations": getattr(executor, "pool_recreations", 0),
-                "worker_plan_hits": getattr(executor, "last_worker_plan_hits", 0),
-                "worker_plan_compiles": getattr(
-                    executor, "last_worker_plan_compiles", 0
-                ),
             },
             "graph": {"name": self.graph.name, "version": self.graph.version},
             "subscriptions": sum(1 for s in self._subscriptions if s.active),

@@ -23,8 +23,6 @@ from repro.matching import (
 from repro.matching.dmatch import _local_candidate_pools
 from repro.matching.enumerate import evaluate_positive_by_enumeration
 from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
-from repro.plan import compile_plan
-from repro.service.patterns import canonicalize
 from repro.utils import MatchingError, WorkCounter
 
 from fixtures import build_paper_g1, build_q3
@@ -301,9 +299,9 @@ class _Ordering(dict):
 class TestPerQueryState:
     @pytest.mark.parametrize("use_locality", [False, True])
     def test_the_ordering_dies_with_its_query(self, monkeypatch, use_locality):
-        # The cached plan outlives every query it serves, so nothing derived
-        # from one query (rank maps, its ordering, its pattern adjacency) may
-        # be memoised on it.
+        # The graph's snapshot outlives every query it serves, so nothing
+        # derived from one query (rank maps, its ordering, its pattern
+        # adjacency) may be memoised on it.
         # The package re-exports the function as ``repro.matching.dmatch``,
         # so fetch the module itself.
         dmatch_module = importlib.import_module("repro.matching.dmatch")
@@ -317,16 +315,13 @@ class TestPerQueryState:
 
         monkeypatch.setattr(dmatch_module, "potential_ordering", recording)
         graph, pattern = build_paper_g1(), build_q3(p=2)
-        form = canonicalize(pattern)
-        plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
         result = QMatch(options=DMatchOptions(use_locality=use_locality)).evaluate(
-            pattern, graph, plan=plan, plan_binding=form.order
+            pattern, graph
         )
         assert result.answer == {"x2"}
         gc.collect()
         assert orderings
         assert all(reference() is None for reference in orderings)
-        assert plan.resolution_for(graph) is not None  # the plan itself lives on
 
 
 class TestWorkAccounting:

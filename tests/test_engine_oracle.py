@@ -52,8 +52,11 @@ from repro.matching.enumerate import (
     evaluate_positive_by_enumeration,
 )
 from repro.matching.generic import MatchContext, find_isomorphisms, label_candidates
+from repro.matching.qmatch import query_strategy
 from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
 from repro.parallel.partition import DPar, base_partition
+from repro.serve import ShardedService
+from repro.service import QueryService
 from repro.utils import WorkCounter
 from repro.utils.errors import PatternValidationError
 from repro.utils.rng import ensure_rng
@@ -492,6 +495,11 @@ class TestEngineAgainstOracle:
         for label, switches in GOLDEN_OPTIONS.items():
             result = QMatch(options=DMatchOptions(**switches)).evaluate(pattern, graph)
             assert counter_tuple(result.counter) == golden[label], label
+        # Served work is oracle-pinned work: the service's one matching path
+        # is the one these tuples pin.
+        with QueryService(graph) as service:
+            served = service.evaluate(pattern)
+        assert counter_tuple(served.counter) == golden["default"], "served"
 
     def test_work_never_exceeds_the_label_count_bound(self, name, graph, pattern):
         # The pinned tuples above are exact; this checks they only ever
@@ -632,6 +640,24 @@ def test_strategy_counters_equal_golden(name, graph, pattern):
         pattern, graph
     ).counter.extras
     assert set(extras) <= {"fixpoint.declined.no_simulation"}
+
+
+@pytest.mark.parametrize("tier", ["service", "fleet"])
+@pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
+def test_served_strategy_is_what_explain_reports(tier, name, graph, pattern):
+    # The slow-query record names the strategy EXPLAIN derives statically,
+    # on one service and through a fleet's merged shard counters alike;
+    # empty only when the candidate filter left nothing to decide.
+    if tier == "service":
+        served = QueryService(graph, slow_query_threshold=0.0)
+    else:
+        served = ShardedService(graph, num_shards=2, d=2, slow_query_threshold=0.0)
+    with served:
+        served.evaluate(pattern)
+        (record,) = served.introspect()["slow_queries"]
+    strategy, reason = query_strategy(pattern, graph)
+    explained = strategy if reason is None else f"{strategy} ({reason})"
+    assert record["strategy"] == (explained if STRATEGY_GOLDEN[name] else "")
 
 
 TREE_LABELS = ("person", "product")

@@ -6,14 +6,14 @@ the serving tiers.  These checks hold it against references that share none
 of its machinery, on small graphs dense enough that most pools are cut by
 several active constraints:
 
-* answers equal the ``Enum`` oracle under all 16 switch combinations, and a
-  compiled plan changes neither answers, node matches nor any work counter;
+* answers equal the ``Enum`` oracle under all 16 switch combinations;
 * the isomorphism stream replays the oracle's plain adjacency search, and
   anchored streams partition it by focus binding;
 * nodes with one ``str`` form (``1`` and ``"1"``) share an ordering rank
   without being confused with each other;
 * the locality restriction, the parallel coordinator and the query service
-  answer exactly what sequential ``QMatch`` answers.
+  answer exactly what sequential ``QMatch`` answers, and serving compiles no
+  plan (only ``explain()`` does, once per call).
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from repro.matching.enumerate import _plain_isomorphisms, evaluate_positive_by_e
 from repro.matching.generic import MatchContext, find_isomorphisms, label_candidates
 from repro.parallel import PQMatch
 from repro.patterns import CountingQuantifier, QuantifiedGraphPattern
-from repro.plan import compile_plan, plan_compile_count
+from repro.plan import plan_compile_count
 from repro.service import QueryService
-from repro.service.patterns import canonicalize
 from repro.utils import WorkCounter
 
 
@@ -100,7 +99,7 @@ def frozen(assignments):
 
 
 # ---------------------------------------------------------------------------
-# DMatch under every switch combination, with and without a compiled plan
+# DMatch under every switch combination
 # ---------------------------------------------------------------------------
 
 
@@ -111,23 +110,8 @@ class TestDMatchAcrossOptions:
         graph = social_graph(seed)
         pattern = quantified_pattern(name)
         oracle, _ = evaluate_positive_by_enumeration(pattern, graph)
-        form = canonicalize(pattern)
-        plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
         for options in OPTION_COMBOS:
-            interpreted_counter, planned_counter = WorkCounter(), WorkCounter()
-            interpreted = dmatch(pattern, graph, options=options, counter=interpreted_counter)
-            planned = dmatch(
-                pattern,
-                graph,
-                options=options,
-                counter=planned_counter,
-                plan=plan,
-                plan_binding=form.order,
-            )
-            assert interpreted.answer == oracle, options
-            assert planned.answer == interpreted.answer, options
-            assert planned.node_matches == interpreted.node_matches, options
-            assert planned_counter.__dict__ == interpreted_counter.__dict__, options
+            assert dmatch(pattern, graph, options=options).answer == oracle, options
 
     @pytest.mark.parametrize("name", PATTERN_NAMES)
     def test_node_matches_equal_oracle_without_early_exit(self, name):
@@ -218,16 +202,14 @@ class TestEqualStrForms:
         assert len(stream) == 3
         assert (stream, counter.extensions) == plain_stream(stratified, graph)
 
-    def test_planned_and_interpreted_answers_equal_oracle(self):
+    def test_answers_equal_oracle(self):
         graph = equal_str_graph()
         for count, expected in ((1, {1, "1"}), (2, {"1"})):
             pattern = likes_pattern(count)
-            form = canonicalize(pattern)
-            plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
             assert EnumMatcher().evaluate_answer(pattern, graph) == expected
             assert QMatch().evaluate_answer(pattern, graph) == expected
-            planned = QMatch().evaluate(pattern, graph, plan=plan, plan_binding=form.order)
-            assert planned.answer == expected
+            with QueryService(graph) as service:
+                assert service.evaluate(pattern).answer == expected
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +262,19 @@ class TestLocalityAndDistribution:
             assert process.executor.last_worker_rebuilds == 0
 
     @pytest.mark.parametrize("use_locality", [False, True])
-    @pytest.mark.parametrize("use_plans", [False, True])
-    def test_service_answers_equal_qmatch(self, use_plans, use_locality):
+    def test_service_answers_equal_qmatch(self, use_locality):
         from repro.datasets import benchmark_graph
 
         graph = benchmark_graph("pokec", scale=0.2, seed=37)
         engine = QMatch(options=DMatchOptions(use_locality=use_locality))
-        with QueryService(
-            graph,
-            PQMatch(num_workers=1, d=2, engine=engine),
-            use_plans=use_plans,
-        ) as service:
+        with QueryService(graph, PQMatch(num_workers=1, d=2, engine=engine)) as service:
             for name in PATTERN_NAMES:
                 pattern = quantified_pattern(name)
                 result = service.evaluate(pattern)
                 assert not result.cached
                 assert result.answer == QMatch().evaluate_answer(pattern, graph)
 
-    def test_service_compiles_one_plan_per_fingerprint(self):
+    def test_serving_compiles_nothing_and_explain_compiles_once(self):
         graph = social_graph(14)
         patterns = [quantified_pattern(name) for name in PATTERN_NAMES]
         compiles_before = plan_compile_count()
@@ -306,5 +283,8 @@ class TestLocalityAndDistribution:
             service.cache.clear()
             second = [service.evaluate(pattern).answer for pattern in patterns]
             assert first == second
-            assert plan_compile_count() - compiles_before == len(patterns)
-            assert service.plans.stats.hits >= len(patterns)
+            assert plan_compile_count() == compiles_before
+            service.explain(patterns[0])
+            assert plan_compile_count() == compiles_before + 1
+            service.explain(patterns[0])
+            assert plan_compile_count() == compiles_before + 2

@@ -1,8 +1,8 @@
 """Every count is read from the object that keeps it.
 
 There is no process-wide metrics store: each fact is counted once, by the
-object doing the work — ``ResultCache.stats``, ``PlanCache.stats`` and
-``plan_compile_count()``, ``SharedResultCache.stats``, ``AdmissionStats``,
+object doing the work — ``ResultCache.stats``, ``plan_compile_count()``,
+``SharedResultCache.stats``, ``AdmissionStats``,
 ``RouterStats``, the ``WorkCounter`` on each result and the per-fingerprint
 ledger, the ``DeltaMatchStats`` of an incremental run, the executor's pool
 counters and ``CORE``.  These tests pin one store per family, read directly
@@ -127,16 +127,17 @@ class TestCacheStores:
                 service.cache.stats.misses,
             ) == (1, 1)
 
-    def test_plan_cache_and_compile_count_agree(self):
+    def test_serving_compiles_nothing_and_explain_compiles_once(self):
         compiles_before = plan_compile_count()
         with QueryService(build_paper_g1()) as service:
             service.evaluate(build_q2())
             service.cache.clear()
             service.evaluate(build_q2())
-            assert plan_compile_count() - compiles_before == 1
-            assert service.plans.stats.compiles == 1
-            assert service.plans.stats.hits >= 1
-            assert service.stats()["plans"]["compiles"] == 1
+            assert plan_compile_count() == compiles_before
+            assert not any(key.startswith("plan") for key in service.stats())
+            assert not any(key.startswith("plan") for key in service.stats_snapshot())
+            service.explain(build_q2())
+            assert plan_compile_count() == compiles_before + 1
 
     def test_shared_cache_counts_hits_misses_and_stores(self, tmp_path):
         with SharedResultCache(str(tmp_path / "shared.sqlite")) as shared:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.patterns import CountingQuantifier
@@ -212,3 +215,37 @@ class TestMisc:
         assert CountingQuantifier.at_least(2) == CountingQuantifier(">=", 2, False)
         assert hash(CountingQuantifier.at_least(2)) == hash(CountingQuantifier(">=", 2, False))
         assert CountingQuantifier.at_least(2) != CountingQuantifier.exactly(2)
+
+
+class TestChecker:
+    GRID = [
+        CountingQuantifier.existential(),
+        CountingQuantifier.universal(),
+        CountingQuantifier.negation(),
+        CountingQuantifier.at_least(3),
+        CountingQuantifier.exactly(2),
+        CountingQuantifier.more_than(1),
+        CountingQuantifier.ratio_at_least(100.0 / 3.0),
+        CountingQuantifier.ratio_exactly(50.0),
+    ]
+
+    def test_check_is_the_checker_plus_validation(self):
+        for quantifier in self.GRID:
+            checker = quantifier.checker()
+            for total in range(5):
+                for count in range(total + 1):
+                    assert checker(count, total) == quantifier.check(count, total)
+            with pytest.raises(QuantifierError):
+                quantifier.check(-1, 3)
+
+    def test_one_checker_per_instance(self):
+        quantifier = CountingQuantifier.ratio_at_least(50.0)
+        assert quantifier.checker() is quantifier.checker()
+
+    def test_pickle_and_copy_carry_the_fields_only(self):
+        quantifier = CountingQuantifier.ratio_exactly(50.0)
+        quantifier.checker()
+        for clone in (pickle.loads(pickle.dumps(quantifier)), copy.deepcopy(quantifier)):
+            assert "_checker" not in clone.__dict__
+            assert clone == quantifier and hash(clone) == hash(quantifier)
+            assert clone.check(1, 2) and not clone.check(1, 3)

@@ -65,12 +65,12 @@ class StubBackend(RequestPipeline):
         return self, self.version, self.version
 
     def _compute(self, unique):
-        self.rounds.append([fingerprint for fingerprint, _, _ in unique])
+        self.rounds.append([fingerprint for fingerprint, _ in unique])
         self.during_compute()
-        if self.poison.intersection(pattern.name for _, pattern, _ in unique):
+        if self.poison.intersection(pattern.name for _, pattern in unique):
             raise _Poisoned()
-        answers = {fp: frozenset(self.answers[pattern.name]) for fp, pattern, _ in unique}
-        return answers, {}, {}, {}
+        answers = {fp: frozenset(self.answers[pattern.name]) for fp, pattern in unique}
+        return answers, {}, {}
 
     def _l2_lookup(self, fingerprint, epoch_key):
         self.l2_lookups += 1
