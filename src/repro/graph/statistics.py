@@ -12,10 +12,9 @@ to their graph before partitioning it.
 
 from __future__ import annotations
 
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List
 
 from repro.graph.digraph import PropertyGraph
 from repro.graph.traversal import nodes_within_hops
@@ -26,8 +25,6 @@ __all__ = [
     "graph_statistics",
     "degree_histogram",
     "neighborhood_size_bound",
-    "CardinalityModel",
-    "cardinality_model",
 ]
 
 NodeId = Hashable
@@ -97,108 +94,6 @@ def degree_histogram(graph: PropertyGraph, direction: str = "out") -> Dict[int, 
             degree = graph.out_degree(node) + graph.in_degree(node)
         histogram[degree] += 1
     return dict(histogram)
-
-
-class CardinalityModel:
-    """Independence-assumption cardinality estimates for plan steps.
-
-    One O(V+E) pass collects the two distributions a textbook estimator
-    needs: node counts per label and edge counts per **typed triple**
-    ``(source label, edge label, target label)``.  From those,
-    :meth:`expected_pool` answers the question the matching order poses at
-    every step — *given one bound neighbour, how many candidates survive the
-    edge constraint?* — as the mean typed degree of the bound endpoint.
-    These are the *estimates* of ``EXPLAIN``; the observed side comes from
-    the :class:`~repro.utils.counters.WorkCounter` probes the engines
-    already tally.
-
-    The model is a snapshot of one graph version; :func:`cardinality_model`
-    memoises per ``(graph, version)`` so Zipf-hot explain traffic pays the
-    pass once per epoch.
-    """
-
-    __slots__ = ("graph_name", "version", "num_nodes", "num_edges",
-                 "label_counts", "triple_counts")
-
-    def __init__(self, graph: PropertyGraph) -> None:
-        self.graph_name = graph.name
-        self.version = graph.version
-        node_labels: Dict[NodeId, str] = {}
-        label_counts: Counter = Counter()
-        for node in graph.nodes():
-            label = graph.node_label(node)
-            node_labels[node] = label
-            label_counts[label] += 1
-        triple_counts: Counter = Counter()
-        for source, target, edge_label in graph.edges():
-            triple_counts[(node_labels[source], edge_label, node_labels[target])] += 1
-        self.num_nodes = len(node_labels)
-        self.num_edges = sum(triple_counts.values())
-        self.label_counts: Dict[str, int] = dict(label_counts)
-        self.triple_counts: Dict[Tuple[str, str, str], int] = dict(triple_counts)
-
-    def label_count(self, label: str) -> int:
-        """How many nodes carry *label* (the unconstrained pool estimate)."""
-        return self.label_counts.get(label, 0)
-
-    def triple_count(self, source_label: str, edge_label: str, target_label: str) -> int:
-        """How many edges realise the typed triple."""
-        return self.triple_counts.get((source_label, edge_label, target_label), 0)
-
-    def expected_pool(
-        self,
-        new_label: str,
-        edge_label: str,
-        bound_label: str,
-        outgoing: bool,
-    ) -> float:
-        """E[|candidates|] for a *new_label* node tied to one bound node.
-
-        ``outgoing=True`` means the pattern edge runs new → bound (the pool
-        is the bound node's typed predecessors), ``False`` means bound → new
-        (its typed successors).  Either way the estimate is the triple count
-        divided by the bound label's population — the mean typed degree.
-        """
-        bound = self.label_counts.get(bound_label, 0)
-        if bound == 0:
-            return 0.0
-        if outgoing:
-            triple = self.triple_counts.get((new_label, edge_label, bound_label), 0)
-        else:
-            triple = self.triple_counts.get((bound_label, edge_label, new_label), 0)
-        return triple / bound
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CardinalityModel(graph={self.graph_name!r}, version={self.version}, "
-            f"labels={len(self.label_counts)}, triples={len(self.triple_counts)})"
-        )
-
-
-# (id(graph), version) -> (graph, model).  The graph rides in the value to pin
-# its id against recycling, mirroring ResultCache keying.
-_MODEL_CACHE: "OrderedDict[Tuple[int, int], Tuple[PropertyGraph, CardinalityModel]]" = (
-    OrderedDict()
-)
-_MODEL_CACHE_LOCK = threading.Lock()
-_MODEL_CACHE_CAPACITY = 8
-
-
-def cardinality_model(graph: PropertyGraph) -> CardinalityModel:
-    """The memoised :class:`CardinalityModel` of *graph* at its current version."""
-    key = (id(graph), graph.version)
-    with _MODEL_CACHE_LOCK:
-        entry = _MODEL_CACHE.get(key)
-        if entry is not None and entry[0] is graph:
-            _MODEL_CACHE.move_to_end(key)
-            return entry[1]
-    model = CardinalityModel(graph)
-    with _MODEL_CACHE_LOCK:
-        _MODEL_CACHE[key] = (graph, model)
-        _MODEL_CACHE.move_to_end(key)
-        while len(_MODEL_CACHE) > _MODEL_CACHE_CAPACITY:
-            _MODEL_CACHE.popitem(last=False)
-    return model
 
 
 def neighborhood_size_bound(

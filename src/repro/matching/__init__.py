@@ -3,7 +3,6 @@
 from repro.matching.candidates import CandidateIndex, build_candidate_index
 from repro.matching.dmatch import DMatchOptions, DMatchOutcome, dmatch
 from repro.matching.enumerate import EnumMatcher, evaluate_positive_by_enumeration
-from repro.matching.explain import EdgeEvidence, MatchExplanation, explain_match
 from repro.matching.generic import (
     MatchContext,
     count_isomorphisms,
@@ -27,9 +26,6 @@ __all__ = [
     "count_isomorphisms",
     "label_candidates",
     "MatchContext",
-    "explain_match",
-    "MatchExplanation",
-    "EdgeEvidence",
     "EnumMatcher",
     "evaluate_positive_by_enumeration",
     "CandidateIndex",

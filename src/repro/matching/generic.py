@@ -337,7 +337,6 @@ class MatchContext:
         counter: Optional[WorkCounter] = None,
         anchored: Optional[Set[NodeId]] = None,
         limit: Optional[int] = None,
-        probe_profile: Optional[Dict[int, int]] = None,
     ) -> "AnchoredSearch":
         """One :class:`AnchoredSearch` over this context, anchored at *anchored*.
 
@@ -346,58 +345,30 @@ class MatchContext:
         Build it once and call :meth:`AnchoredSearch.run` per anchor.
         """
         if anchored is None or set(anchored) == self.anchored_nodes:
-            return AnchoredSearch(
-                self, self.order, self.anchored_nodes, counter, limit, probe_profile
-            )
+            return AnchoredSearch(self, self.order, self.anchored_nodes, counter, limit)
         anchored = set(anchored)
         order = _search_order(
             self.pattern, self.candidates, anchored, adjacency=self.adjacency
         )
-        return AnchoredSearch(self, order, anchored, counter, limit, probe_profile)
+        return AnchoredSearch(self, order, anchored, counter, limit)
 
     def isomorphisms(
         self,
         anchor: Optional[Assignment] = None,
         counter: Optional[WorkCounter] = None,
         limit: Optional[int] = None,
-        probe_profile: Optional[Dict[int, int]] = None,
     ) -> Iterator[Assignment]:
         """Enumerate isomorphisms extending *anchor* (any anchored node set).
 
         A one-shot :class:`AnchoredSearch`: callers that anchor many times
-        build one with :meth:`searcher` instead.  *probe_profile*, when
-        given, is filled with per-depth extension-probe tallies (``order
-        position -> probes``) — the observed-cardinality side of ``EXPLAIN
-        ANALYZE``; the profiled run enumerates byte-identically.
+        build one with :meth:`searcher` instead.
         """
         anchor = anchor or {}
-        search = self.searcher(counter, set(anchor), limit, probe_profile)
+        search = self.searcher(counter, set(anchor), limit)
         yield from search.run(anchor)
 
 
 _NO_MATCHES: tuple = ()
-
-
-class _ProfiledLabels:
-    """A stand-in for the graph's label map that tallies each probe.
-
-    The search looks up exactly one label per counted extension probe, with
-    exactly ``order[:position]`` assigned, so ``len(assignment)`` *is* the
-    probe's order position.  Profiling swaps this object in for the label
-    map, so the unprofiled loop carries no extra conditional.
-    """
-
-    __slots__ = ("labels", "assignment", "profile")
-
-    def __init__(self, labels, assignment: Assignment, profile: Dict[int, int]) -> None:
-        self.labels = labels
-        self.assignment = assignment
-        self.profile = profile
-
-    def __getitem__(self, node: NodeId):
-        position = len(self.assignment)
-        self.profile[position] = self.profile.get(position, 0) + 1
-        return self.labels[node]
 
 
 def _ranked_key(rank: Dict[NodeId, int], tie_break):
@@ -416,8 +387,8 @@ class AnchoredSearch:
     active-constraint rows, its sort key and its pattern label, plus the
     work counter — so :meth:`run` only resets ``assignment``/``used`` and
     walks the one ``extend`` loop.  :meth:`MatchContext.isomorphisms`,
-    ``find_isomorphisms``, EXPLAIN's probe profile and DMatch's locality
-    search all run this same loop.
+    ``find_isomorphisms`` and DMatch's locality search all run this same
+    loop.
 
     Pools are ordered by the keys :meth:`MatchContext._sort_keys` picks,
     so the stream replays the oracle's plain search.
@@ -430,8 +401,8 @@ class AnchoredSearch:
     """
 
     __slots__ = (
-        "context", "order", "anchored", "_counter", "_limit", "_profile",
-        "_snapshot", "_start", "_stream",
+        "context", "order", "anchored", "_counter", "_limit", "_snapshot",
+        "_start", "_stream",
     )
 
     def __init__(
@@ -441,7 +412,6 @@ class AnchoredSearch:
         anchored: Set[NodeId],
         counter: Optional[WorkCounter] = None,
         limit: Optional[int] = None,
-        probe_profile: Optional[Dict[int, int]] = None,
     ) -> None:
         self.context = context
         self.order = order
@@ -450,7 +420,6 @@ class AnchoredSearch:
         # in when the caller does not count.
         self._counter = counter if counter is not None else WorkCounter()
         self._limit = limit
-        self._profile = probe_profile
         self._stream = None
         if context._snapshot.version != context.graph._version:
             context._refresh_snapshot()
@@ -508,8 +477,6 @@ class AnchoredSearch:
         assignment: Assignment = {}
         used: Set[NodeId] = set()
         graph_labels = graph._labels
-        if self._profile is not None:
-            graph_labels = _ProfiledLabels(graph_labels, assignment, self._profile)
         # Constraint-free positions serve their invariant static pool; its
         # ordered form is cached for the life of the search.
         static_ordered: Dict[int, List[NodeId]] = {}

@@ -16,7 +16,7 @@ search engine.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, List
 
 from repro.graph.digraph import PropertyGraph
 from repro.matching.candidates import CandidateIndex
@@ -67,12 +67,8 @@ def potential_ordering(
     pattern: QuantifiedGraphPattern,
     graph: PropertyGraph,
     index: CandidateIndex,
-    restrict_to: Optional[Dict[NodeId, Set[NodeId]]] = None,
 ) -> Dict[NodeId, List[NodeId]]:
     """Per-pattern-node candidate lists sorted by decreasing potential.
-
-    ``restrict_to`` optionally narrows the candidate pools (e.g. to the d-hop
-    neighbourhood of the focus candidate currently being verified).
 
     Computes exactly :func:`candidate_potential`'s score (same float
     operations in the same order), with the per-candidate work hoisted:
@@ -87,9 +83,7 @@ def potential_ordering(
     ordering: Dict[NodeId, List[NodeId]] = {}
     upper_bounds = index.upper_bounds
     for pattern_node in pattern.nodes():
-        pool: Iterable[NodeId] = index.candidate_set(pattern_node)
-        if restrict_to is not None and pattern_node in restrict_to:
-            pool = [v for v in pool if v in restrict_to[pattern_node]]
+        pool = index.candidate_set(pattern_node)
         # Hoisted per-pattern-node state: (parent-row lookup, parent pool,
         # pool size) per incoming edge; per positive outgoing edge its
         # child-row lookup and a total -> max(threshold, 1) memo (a ratio

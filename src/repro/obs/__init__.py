@@ -39,15 +39,9 @@ from repro.obs.trace import (
     tracing_enabled,
 )
 
-# Imported last: explain leans on the plan/matching layers, which themselves
-# import repro.obs — the late import keeps the package acyclic.
-from repro.obs.explain import (
-    ExplainReport,
-    ExplainStep,
-    build_report,
-    estimate_steps,
-    q_error,
-)
+# Imported last: explain leans on the matching layer, which itself imports
+# repro.obs — the late import keeps the package acyclic.
+from repro.obs.explain import ExplainReport, build_report
 
 __all__ = [
     # core counters
@@ -73,11 +67,8 @@ __all__ = [
     "FingerprintStats",
     "SlowQueryRecord",
     # explain
-    "ExplainStep",
     "ExplainReport",
-    "estimate_steps",
     "build_report",
-    "q_error",
     # flight recorder
     "FlightEvent",
     "FlightRecorder",

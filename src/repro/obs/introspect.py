@@ -13,8 +13,8 @@ ledger**.  Each :class:`FingerprintStats` record carries the request and
 cache-hit counts and the latency histogram (p50/p99 by bucket interpolation)
 of all traffic, and — for *computed* requests only, cache hits carry no fresh
 observation — the per-epoch work observations (verifications, extensions,
-quantifier checks, answers, seconds) that ``explain()`` compares against the
-planner's estimates.  The ledger is bounded two ways, LRU over fingerprints
+quantifier checks, answers, seconds) that ``explain()`` reports as served
+traffic.  The ledger is bounded two ways, LRU over fingerprints
 and keep-latest over epochs per fingerprint: introspection must never become
 the memory leak it is meant to find.
 
@@ -40,7 +40,7 @@ from repro.utils.counters import WorkCounter
 __all__ = ["FingerprintStats", "ServiceIntrospection", "SlowQueryRecord"]
 
 # Fingerprints the ledger keeps (LRU beyond it), and graph epochs kept per
-# fingerprint (the most recent ones: the planner reads current behaviour).
+# fingerprint (the most recent ones: explain() reports current behaviour).
 DEFAULT_LEDGER_CAPACITY = 512
 DEFAULT_EPOCH_CAPACITY = 4
 

@@ -2,7 +2,7 @@
 
 :func:`compile_plan` turns a pattern (via its canonical form) into a
 :class:`CompiledPlan`: node labels by canonical position, the focus
-position, the canonical edges, and a stats-derived matching-order preview.
+position and the canonical edges.
 No query runs through a plan; ``explain()`` compiles one per call.
 """
 

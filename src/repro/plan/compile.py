@@ -2,9 +2,8 @@
 
 The service canonicalizes every pattern to a stable fingerprint
 (:mod:`repro.service.patterns`).  A :class:`CompiledPlan` is that
-fingerprint's shape in canonical positions — node labels, the focus
-position, the canonical edges with their quantifiers — plus the
-stats-derived matching-order preview EXPLAIN estimates along.
+fingerprint's shape in canonical positions: node labels, the focus
+position, the canonical edges with their quantifiers.
 
 Nothing here runs a query: every matching path reads its shortcuts (row
 stores, degree rows, ``str`` ranks, balls) off the per-epoch
@@ -17,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graph.digraph import PropertyGraph
-from repro.index.snapshot import GraphIndex
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.patterns.quantifier import CountingQuantifier
 from repro.utils.timing import Timer
@@ -45,8 +42,7 @@ class CompiledPlan:
     """One fingerprint's canonical shape: what EXPLAIN reports on.
 
     Node labels by canonical position, the focus position and the canonical
-    edges.  The order preview is derived per call from the graph's current
-    snapshot, so a plan holds no graph state.
+    edges; a plan holds no graph state.
     """
 
     __slots__ = ("fingerprint", "node_labels", "focus_position", "edges", "compile_seconds")
@@ -64,43 +60,6 @@ class CompiledPlan:
         self.focus_position = focus_position
         self.edges = edges
         self.compile_seconds = compile_seconds
-
-    def order_preview_for(self, graph: PropertyGraph) -> Tuple[int, ...]:
-        """Greedy connected order over canonical positions by label count.
-
-        The same SelectNext shape as ``_search_order``, but driven by the
-        snapshot's per-label population statistics instead of live candidate
-        sets — what a cost-based planner would pick *before* seeing the
-        query.  EXPLAIN estimates along it; the live search keeps its
-        per-query order.
-        """
-        snapshot = GraphIndex.for_graph(graph)
-        positions = range(len(self.node_labels))
-        sizes = {
-            position: snapshot.label_count(
-                snapshot.node_label_id(self.node_labels[position])
-            )
-            for position in positions
-        }
-        adjacency: Dict[int, List[int]] = {position: [] for position in positions}
-        for source_pos, target_pos, _label, _quantifier in self.edges:
-            adjacency[source_pos].append(target_pos)
-            adjacency[target_pos].append(source_pos)
-        order = [self.focus_position]
-        placed = {self.focus_position}
-        while len(order) < len(sizes):
-            frontier = [
-                position
-                for position in positions
-                if position not in placed
-                and any(neighbor in placed for neighbor in adjacency[position])
-            ]
-            if not frontier:
-                frontier = [position for position in positions if position not in placed]
-            chosen = min(frontier, key=lambda position: (sizes[position], position))
-            order.append(chosen)
-            placed.add(chosen)
-        return tuple(order)
 
     def describe(self) -> Dict[str, object]:
         """The canonical shape as a flat payload."""

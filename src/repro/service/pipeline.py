@@ -476,26 +476,23 @@ class RequestPipeline:
 
     # -------------------------------------------------------------- telemetry
 
-    def explain(
-        self,
-        query,
-        analyze: bool = False,
-        analyze_limit: Optional[int] = None,
-    ) -> ExplainReport:
-        """EXPLAIN (ANALYZE) one query: its canonical shape with per-step
-        estimated vs observed cardinalities.
+    def explain(self, query, analyze: bool = False) -> ExplainReport:
+        """EXPLAIN (ANALYZE) one query: what the tier's engine does with it,
+        and — with ``analyze=True`` — what it did.
 
         *query* is a pattern object or the canonical fingerprint of one this
         service has seen (the representative registry keeps one live pattern
-        per served fingerprint).  Estimates come from the cardinality model
-        of ``self.graph`` (the fleet's union graph, which is exactly what its
-        merged answer reproduces); observations come from the ledger's
-        per-epoch traffic averages and — with ``analyze=True`` —
-        from re-running the enumeration with a per-depth probe profile
-        (``analyze_limit`` caps the embeddings enumerated).  The shape is
-        compiled once per call (:func:`repro.plan.compile_plan`) and kept
-        nowhere.
+        per served fingerprint).  The report names the canonical shape, the
+        static strategy and reason, and the ledger's per-epoch traffic
+        averages.  ``analyze=True`` evaluates the query once with the tier's
+        QMatch configuration (read off the engine-options key) on
+        ``self.graph`` — the fleet's union graph, which is exactly what its
+        merged answer reproduces — and reports that run's exact work; it
+        raises :class:`~repro.utils.errors.ServiceError` when the engine is
+        not QMatch.  The shape is compiled once per call
+        (:func:`repro.plan.compile_plan`) and kept nowhere.
         """
+        from repro.matching.qmatch import QMatch
         from repro.plan.compile import compile_plan
 
         with self._evaluate_lock:
@@ -511,16 +508,17 @@ class RequestPipeline:
                 pattern = query
             form = self._canonical(pattern)
             plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
+            engine = None
+            if self._options_key[0] == "qmatch":
+                _, use_incremental, options = self._options_key
+                engine = QMatch(use_incremental, options)
             return build_report(
                 plan,
                 self.graph,
-                pattern=pattern,
+                pattern,
                 traffic=self.introspection.observed(form.fingerprint),
+                engine=engine,
                 analyze=analyze,
-                analyze_limit=analyze_limit,
-                options=(
-                    self._options_key[2] if self._options_key[0] == "qmatch" else None
-                ),
             )
 
     def _introspect_requests(self) -> Dict[str, object]:

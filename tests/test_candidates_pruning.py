@@ -180,14 +180,6 @@ class TestPotential:
         # x2 and x3 tie on potential (see above); str order breaks the tie.
         assert ordering["xo"] == ["x2", "x3"]
 
-    def test_ordering_with_restriction(self, paper_g1, pattern_q3):
-        positive = pattern_q3.pi()
-        index = build_candidate_index(positive, paper_g1, use_simulation=False)
-        ordering = potential_ordering(
-            positive, paper_g1, index, restrict_to={"xo": {"x2"}}
-        )
-        assert ordering["xo"] == ["x2"]
-
     def test_potential_of_leaf_node(self, paper_g1, pattern_q2):
         index = build_candidate_index(pattern_q2, paper_g1, use_simulation=False)
         score = candidate_potential(pattern_q2, paper_g1, index, "redmi", "redmi")

@@ -54,11 +54,12 @@ from repro.matching.enumerate import (
 from repro.matching.generic import MatchContext, find_isomorphisms, label_candidates
 from repro.matching.qmatch import query_strategy
 from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
+from repro.parallel.coordinator import penum_engine
 from repro.parallel.partition import DPar, base_partition
 from repro.serve import ShardedService
 from repro.service import QueryService
 from repro.utils import WorkCounter
-from repro.utils.errors import PatternValidationError
+from repro.utils.errors import PatternValidationError, ReproError
 from repro.utils.rng import ensure_rng
 
 from fixtures import build_paper_g1, build_paper_g2, build_q2, build_q3, build_q4
@@ -459,15 +460,25 @@ LABEL_COUNT_GOLDEN = {
 }
 
 
+COUNTER_FIELDS = ("verifications", "extensions", "quantifier_checks", "candidates_pruned")
+
+
 def counter_tuple(counter: WorkCounter) -> tuple:
     # The only extras are DMatch's strategy decisions; pinned separately.
     assert all(key.startswith("fixpoint.") for key in counter.extras), counter.extras
-    return (
-        counter.verifications,
-        counter.extensions,
-        counter.quantifier_checks,
-        counter.candidates_pruned,
-    )
+    return tuple(getattr(counter, field) for field in COUNTER_FIELDS)
+
+
+def work_split(work: dict) -> tuple:
+    """An EXPLAIN ANALYZE ``work`` payload as ``(counter tuple, extras)``."""
+    extras = {key: value for key, value in work.items() if key not in COUNTER_FIELDS}
+    return tuple(work[field] for field in COUNTER_FIELDS), extras
+
+
+def analyze_work(graph, pattern) -> tuple:
+    """What ``QueryService(graph).explain(pattern, analyze=True)`` reports."""
+    with QueryService(graph) as service:
+        return work_split(service.explain(pattern, analyze=True).work)
 
 
 @pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
@@ -500,6 +511,8 @@ class TestEngineAgainstOracle:
         with QueryService(graph) as service:
             served = service.evaluate(pattern)
         assert counter_tuple(served.counter) == golden["default"], "served"
+        # EXPLAIN ANALYZE reports that same work, not an estimate of it.
+        assert analyze_work(graph, pattern)[0] == golden["default"], "analyze"
 
     def test_work_never_exceeds_the_label_count_bound(self, name, graph, pattern):
         # The pinned tuples above are exact; this checks they only ever
@@ -635,6 +648,7 @@ STRATEGY_GOLDEN = {
 @pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
 def test_strategy_counters_equal_golden(name, graph, pattern):
     assert QMatch().evaluate(pattern, graph).counter.extras == STRATEGY_GOLDEN[name]
+    assert analyze_work(graph, pattern)[1] == STRATEGY_GOLDEN[name]
     # The ablation never answers from the fixpoint.
     extras = QMatch(options=DMatchOptions(use_simulation=False)).evaluate(
         pattern, graph
@@ -645,9 +659,10 @@ def test_strategy_counters_equal_golden(name, graph, pattern):
 @pytest.mark.parametrize("tier", ["service", "fleet"])
 @pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
 def test_served_strategy_is_what_explain_reports(tier, name, graph, pattern):
-    # The slow-query record names the strategy EXPLAIN derives statically,
-    # on one service and through a fleet's merged shard counters alike;
-    # empty only when the candidate filter left nothing to decide.
+    # The slow-query record and EXPLAIN ANALYZE's run name the strategy
+    # plain EXPLAIN derives statically, on one service and through a fleet's
+    # merged shard counters alike; empty only when the candidate filter left
+    # nothing to decide.
     if tier == "service":
         served = QueryService(graph, slow_query_threshold=0.0)
     else:
@@ -655,9 +670,82 @@ def test_served_strategy_is_what_explain_reports(tier, name, graph, pattern):
     with served:
         served.evaluate(pattern)
         (record,) = served.introspect()["slow_queries"]
-    strategy, reason = query_strategy(pattern, graph)
-    explained = strategy if reason is None else f"{strategy} ({reason})"
-    assert record["strategy"] == (explained if STRATEGY_GOLDEN[name] else "")
+        report = served.explain(pattern)
+        analyzed = served.explain(pattern, analyze=True)
+    assert (report.strategy, report.reason) == query_strategy(pattern, graph)
+    explained = (
+        report.strategy if report.reason is None
+        else f"{report.strategy} ({report.reason})"
+    )
+    ran = explained if STRATEGY_GOLDEN[name] else ""
+    assert record["strategy"] == ran
+    assert analyzed.strategy_label == ran
+
+
+def test_analyze_needs_a_qmatch_engine():
+    # EXPLAIN ANALYZE reports a QMatch run's work; an Enum-backed service
+    # has none to report, while plain EXPLAIN still names the shape.
+    graph, pattern = build_paper_g1(), build_q2()
+    with QueryService(graph, coordinator=penum_engine(num_workers=1)) as service:
+        service.evaluate(pattern)
+        report = service.explain(pattern)
+        assert report.strategy is None and report.traffic["queries"] == 1
+        with pytest.raises(ReproError, match="not QMatch"):
+            service.explain(pattern, analyze=True)
+
+
+# IncQMatch's work per negated edge under default options, in QMatch's
+# order: (|AFF|, reused candidates, verifications, |removed|).  Every other
+# case has no negated edge or an empty Π(Q) answer, so no IncQMatch run.
+INCREMENTAL_GOLDEN = {
+    "g1-q3p2": [(4, 6, 1, 1)],
+    "g2-q4": [(4, 10, 1, 1)],
+    "pokec-Q3": [(119, 203, 38, 37)],
+    "yago2-Q4": [(12, 32, 4, 4)],
+    "yago2-Q5": [(33, 71, 22, 22), (36, 71, 12, 12)],
+}
+
+
+@pytest.mark.parametrize("name,graph,pattern", CASES, ids=CASE_IDS)
+def test_incremental_work_equals_golden(name, graph, pattern):
+    runs = QMatch().evaluate(pattern, graph).incremental
+    assert [
+        (len(run.affected_area), run.reused_candidates, run.verifications, len(run.removed))
+        for run in runs
+    ] == INCREMENTAL_GOLDEN.get(name, [])
+
+
+def test_incremental_bound_filter_runs_on_new_edges_only():
+    # a and c each follow two persons; y -bad-> troll is negated.  In
+    # Π(Q⁺ᵉ) only one of a's followees keeps a bad edge (both of c's do), so
+    # a bound filter re-run on the old edge xo -[follow >= 2]-> y would
+    # prune a.  IncQMatch re-filters around new edges only, so a is still
+    # verified (search) or quantifier-checked (fixpoint): pinned here.
+    graph = PropertyGraph("refilter")
+    for node in ("a", "b1", "b2", "c", "d1", "d2"):
+        graph.add_node(node, "person")
+    graph.add_node("t", "troll")
+    for source, target in (("a", "b1"), ("a", "b2"), ("c", "d1"), ("c", "d2")):
+        graph.add_edge(source, target, "follow")
+    for source in ("b1", "d1", "d2"):
+        graph.add_edge(source, "t", "bad")
+    pattern = (
+        PatternBuilder("refilter")
+        .focus("xo", "person")
+        .node("y", "person")
+        .node("z", "troll")
+        .edge("xo", "y", "follow", at_least=2)
+        .negated_edge("y", "z", "bad")
+        .build()
+    )
+    assert EnumMatcher().evaluate_answer(pattern, graph) == {"a"}
+    searched = QMatch(options=DMatchOptions(use_simulation=False)).evaluate(pattern, graph)
+    (run,) = searched.incremental
+    assert searched.answer == {"a"} and run.removed == {"c"}
+    assert (len(run.affected_area), run.reused_candidates, run.verifications) == (5, 8, 2)
+    answered = QMatch().evaluate(pattern, graph)
+    assert answered.answer == {"a"}
+    assert counter_tuple(answered.counter) == (0, 0, 4, 0)
 
 
 TREE_LABELS = ("person", "product")

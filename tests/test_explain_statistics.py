@@ -1,4 +1,4 @@
-"""Tests for match explanations and graph statistics."""
+"""Tests for the graph statistics of the paper's experiment reports."""
 
 from __future__ import annotations
 
@@ -9,55 +9,6 @@ from repro.graph.statistics import (
     graph_statistics,
     neighborhood_size_bound,
 )
-from repro.matching import QMatch
-from repro.matching.explain import explain_match
-from repro.utils import MatchingError
-
-
-class TestExplainMatch:
-    def test_explains_a_positive_match(self, paper_g1, pattern_q2):
-        explanation = explain_match(pattern_q2, paper_g1, "x1")
-        assert explanation.is_match and explanation.positive_match
-        assert explanation.witness is not None
-        assert explanation.witness["xo"] == "x1"
-        assert all(item.satisfied for item in explanation.evidence)
-        assert "MATCH" in explanation.describe()
-
-    def test_explains_a_quantifier_failure(self, paper_g1, pattern_q2):
-        """x3 fails Q2 because only 2 of its 3 followees recommend the phone."""
-        explanation = explain_match(pattern_q2, paper_g1, "x3")
-        assert not explanation.is_match
-        follow_evidence = next(
-            item for item in explanation.evidence if item.edge.label == "follow"
-        )
-        assert not follow_evidence.satisfied
-        assert follow_evidence.total_children == 3
-        assert follow_evidence.counted_children == {"v2", "v3"}
-
-    def test_explains_a_negation_violation(self, paper_g1, pattern_q3):
-        """x3 satisfies Π(Q3) but follows the detractor v4."""
-        explanation = explain_match(pattern_q3, paper_g1, "x3")
-        assert explanation.positive_match
-        assert not explanation.is_match
-        assert explanation.violated_negations
-        violated = explanation.violated_negations[0]
-        assert "v4" in violated.counted_children
-        assert "negation violated" in explanation.describe()
-
-    def test_explanations_agree_with_qmatch(self, paper_g1, pattern_q3):
-        answer = QMatch().evaluate_answer(pattern_q3, paper_g1)
-        for candidate in ("x1", "x2", "x3"):
-            explanation = explain_match(pattern_q3, paper_g1, candidate)
-            assert explanation.is_match == (candidate in answer)
-
-    def test_non_candidate_node(self, paper_g1, pattern_q2):
-        explanation = explain_match(pattern_q2, paper_g1, "redmi")
-        assert not explanation.is_match
-        assert not explanation.positive_match
-
-    def test_unknown_node_raises(self, paper_g1, pattern_q2):
-        with pytest.raises(MatchingError):
-            explain_match(pattern_q2, paper_g1, "ghost")
 
 
 class TestGraphStatistics:

@@ -1,14 +1,10 @@
 """Tests for plan compilation: the canonical shape EXPLAIN reports on.
 
 A :class:`~repro.plan.CompiledPlan` holds a fingerprint's shape in canonical
-positions and derives its order preview from the graph's current snapshot;
-it holds no graph state and runs no query.
+positions; it holds no graph state and runs no query.
 """
 
 from __future__ import annotations
-
-import gc
-import weakref
 
 from repro.graph import PropertyGraph
 from repro.index import GraphIndex
@@ -85,28 +81,6 @@ class TestCompilePlan:
         assert info["focus"].endswith(":person")
         assert any("50" in spelling for spelling in info["quantifiers"])
         assert info["compile_seconds"] >= 0.0
-
-
-class TestOrderPreview:
-    def test_order_preview_starts_at_focus_and_is_a_permutation(self):
-        graph = small_graph()
-        plan = compile_plan(sample_pattern())
-        preview = plan.order_preview_for(graph)
-        assert preview[0] == plan.focus_position
-        assert sorted(preview) == list(range(len(plan.node_labels)))
-
-    def test_plan_pins_no_graph_state(self):
-        # The preview is read off the graph's current snapshot per call, so
-        # a plan outliving its graph keeps neither the graph nor a snapshot.
-        graph = small_graph()
-        plan = compile_plan(sample_pattern())
-        plan.order_preview_for(graph)
-        graph_ref = weakref.ref(graph)
-        snapshot_ref = weakref.ref(GraphIndex.for_graph(graph))
-        del graph
-        gc.collect()
-        assert graph_ref() is None and snapshot_ref() is None
-        assert plan.describe()["nodes"] == 4
 
 
 class TestSnapshotStrRanks:

@@ -227,6 +227,7 @@ class TestChecker:
         CountingQuantifier.more_than(1),
         CountingQuantifier.ratio_at_least(100.0 / 3.0),
         CountingQuantifier.ratio_exactly(50.0),
+        CountingQuantifier(">", 50.0, True),
     ]
 
     def test_check_is_the_checker_plus_validation(self):
@@ -237,6 +238,15 @@ class TestChecker:
                     assert checker(count, total) == quantifier.check(count, total)
             with pytest.raises(QuantifierError):
                 quantifier.check(-1, 3)
+
+    def test_ratio_over_no_children_is_false(self):
+        # No children means no ratio to take: every ratio op is unsatisfied
+        # at total 0, and none of them divides by it.
+        ratios = [quantifier for quantifier in self.GRID if quantifier.is_ratio]
+        assert {quantifier.op for quantifier in ratios} == {">=", ">", "="}
+        for quantifier in ratios:
+            for count in range(3):
+                assert quantifier.check(count, 0) is False, quantifier
 
     def test_one_checker_per_instance(self):
         quantifier = CountingQuantifier.ratio_at_least(50.0)
