@@ -36,8 +36,10 @@ With the simulation on, the result is a completed fixpoint
 edge.  On a pattern whose undirected shape is a tree, with injectivity
 implied, that superset is exact — every pooled node occurs in some
 isomorphism, and ``U(vx, e)`` of a focus edge is the count itself — so
-DMatch answers such a pattern from the pools without a search (see
-:func:`repro.matching.dmatch.fixpoint_decline_reason`).
+DMatch answers such a pattern from the pools without a search.  When the
+pattern's cycles all run through the focus, the pools are the starting
+point DMatch conditions on each focus candidate, again without a search
+(see :func:`repro.matching.dmatch.fixpoint_decline_reason`).
 """
 
 from __future__ import annotations
@@ -82,22 +84,19 @@ class CandidateIndex:
 
     def global_prune_check(self) -> bool:
         """Lemma 12: the focus can only have a match if every pattern node keeps
-        at least ``pm`` candidates, where ``pm`` is the largest numeric
-        threshold over the positive quantifiers of its incoming edges.
+        at least ``pm`` candidates, where ``pm`` is the most children any
+        quantifier of its incoming edges needs, and at least one.
+
+        That is each quantifier's ``least_bound(0)``: ``p`` for ``≥ p`` and
+        ``= p``, ``p + 1`` for ``> p``.  A ratio's count depends on the
+        degree, and at total 0 it needs at most the one child every match
+        has anyway.
 
         Returns ``True`` when the check passes (a match is still possible).
         """
         for node in self.pattern.nodes():
-            required = 1
-            for edge in self.pattern.in_edges(node):
-                quantifier = edge.quantifier
-                if quantifier.is_negation or quantifier.is_ratio:
-                    continue
-                if quantifier.op in (">=", ">", "="):
-                    threshold = quantifier.numeric_threshold(0)
-                    if quantifier.op == ">":
-                        threshold += 1
-                    required = max(required, threshold)
+            in_edges = self.pattern.in_edges(node)
+            required = max([1] + [edge.quantifier.least_bound(0) for edge in in_edges])
             if len(self.candidates.get(node, ())) < required:
                 return False
         return True

@@ -1,7 +1,7 @@
 """DMatch: quantifier-aware evaluation of positive QGPs (paper Section 4.1).
 
-DMatch answers a positive pattern by one of two strategies, chosen per query
-after the candidate filter (:mod:`repro.matching.candidates`) has run:
+DMatch answers a positive pattern by one of three strategies, chosen per
+query after the candidate filter (:mod:`repro.matching.candidates`) has run:
 
 * **fixpoint** — when ``Π(Q)`` is an undirected tree and injectivity is
   implied, the candidate fixpoint is exact arc consistency: every surviving
@@ -10,9 +10,20 @@ after the candidate filter (:mod:`repro.matching.candidates`) has run:
   then read off the pools — one ``len(row & pool)`` per quantified focus edge
   and candidate, and no verification at all (Freuder's backtrack-free
   theorem; the per-parent count of an acyclic aggregate query is one
-  message pass).  :func:`fixpoint_decline_reason` states the preconditions;
-  every decision is counted as a ``WorkCounter`` extra (``fixpoint.answered``
-  or ``fixpoint.declined.<reason>``).
+  message pass).
+* **cutset** — when every cycle of ``Π(Q)`` runs through the focus, fixing
+  ``xo := vx`` leaves a forest (cycle-cutset conditioning, with the focus as
+  the cutset).  For each candidate ``vx`` the pools of the focus neighbours
+  on those cycles are intersected with ``succₑ(vx)`` / ``predₑ(vx)``, a
+  worklist seeded there restores arc consistency over the forest edges (one
+  ``row.isdisjoint(pool)`` per value), and ``|Me(vx, e)|`` is the size of the
+  conditioned pool of ``e``'s target.  Again no verification.  The tree is
+  the case with nothing to condition, so both strategies are one kernel.
+
+  :func:`fixpoint_decline_reason` states the preconditions of both, and
+  :func:`pass_strategy` names the one that runs; every decision is counted
+  as a ``WorkCounter`` extra (``fixpoint.answered``, ``cutset.answered`` or
+  ``fixpoint.declined.<reason>``).
 * **search** — otherwise DMatch revises the generic ``Match`` search:
 
   1. **Locality.**  A candidate ``vx`` of the query focus can only be
@@ -37,9 +48,9 @@ after the candidate filter (:mod:`repro.matching.candidates`) has run:
 
 The function returns, besides the focus answer set, per-pattern-node binding
 sets; QMatch caches them for the incremental processing of negated edges.
-The fixpoint strategy returns exactly the oracle's ``Q(u, G)`` (every node in
-some satisfying match); the early-exit search keeps one witness per answer,
-so its sets may be smaller.
+The fixpoint and cutset strategies return exactly the oracle's ``Q(u, G)``
+(every node in some satisfying match); the early-exit search keeps one
+witness per answer, so its sets may be smaller.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ __all__ = [
     "dmatch",
     "DMatchOutcome",
     "fixpoint_decline_reason",
+    "pass_strategy",
 ]
 
 NodeId = Hashable
@@ -123,6 +135,59 @@ def _pattern_is_monotone(pattern: QuantifiedGraphPattern) -> bool:
     return all(edge.quantifier.op in (">=", ">") for edge in pattern.edges())
 
 
+def _focus_cut(pattern: QuantifiedGraphPattern) -> Optional[Set[NodeId]]:
+    """The pattern nodes whose pools fixing ``xo := vx`` must refine.
+
+    ``None`` when ``Π(Q)`` minus the focus is not a simple forest: some
+    pattern edge is a self-loop, two edges join one pair of non-focus nodes,
+    an undirected cycle avoids the focus, or the focus does not reach every
+    node.  Otherwise the nodes of every component of ``Π(Q) − xo`` that
+    touches the focus through two or more edges: each further touch closes a
+    cycle through the focus.  Empty exactly when ``Π(Q)`` is a simple tree.
+    """
+    focus = pattern.focus
+    adjacency: Dict[NodeId, List[NodeId]] = {
+        node: [] for node in pattern.nodes() if node != focus
+    }
+    touches: List[NodeId] = []
+    pairs = set()
+    for edge in pattern.edges():
+        source, target = edge.source, edge.target
+        if source == target:
+            return None
+        if source == focus or target == focus:
+            touches.append(target if source == focus else source)
+            continue
+        pair = frozenset((source, target))
+        if pair in pairs:
+            return None
+        pairs.add(pair)
+        adjacency[source].append(target)
+        adjacency[target].append(source)
+    component_of: Dict[NodeId, NodeId] = {}
+    components = 0
+    cut: Set[NodeId] = set()
+    for start in adjacency:
+        if start in component_of:
+            continue
+        components += 1
+        component_of[start] = start
+        members = [start]
+        for node in members:
+            for neighbour in adjacency[node]:
+                if neighbour not in component_of:
+                    component_of[neighbour] = start
+                    members.append(neighbour)
+        hits = sum(1 for node in touches if component_of.get(node) == start)
+        if hits == 0:
+            return None
+        if hits > 1:
+            cut.update(members)
+    if len(pairs) != len(adjacency) - components:
+        return None
+    return cut
+
+
 def fixpoint_decline_reason(
     pattern: QuantifiedGraphPattern,
     graph_index,
@@ -131,21 +196,25 @@ def fixpoint_decline_reason(
 ) -> Optional[str]:
     """Why *pattern*'s answer cannot be read off its candidate fixpoint.
 
-    ``None`` when it can: then every candidate the fixpoint keeps occurs in
-    some isomorphism, and the counts the focus quantifiers need are the
-    pools' own.  Otherwise the first failed precondition, which names the
-    ``fixpoint.declined.<reason>`` counter extra:
+    ``None`` when it can: then, with the focus fixed to any candidate
+    ``vx``, every candidate that arc consistency over the rest of the
+    pattern keeps occurs in some isomorphism mapping ``xo`` to ``vx``, and
+    the counts the focus quantifiers need are the pools' own.  Otherwise the
+    first failed precondition, which names the ``fixpoint.declined.<reason>``
+    counter extra:
 
     1. ``no_simulation`` — the dual-simulation switch is off, or (checked
        last, so a caller's pools never mask a structural reason) *index* is
        not a completed fixpoint: arc consistency needs both;
-    2. ``cyclic`` — the undirected shape is not a simple tree: some pair of
-       nodes is joined twice (parallel or antiparallel edges, a self-loop),
-       or ``|E| ≠ |V| − 1``, or the nodes are not all connected;
-    3. ``shared_label`` — two pattern nodes share a label but are not
-       adjacent, so a homomorphism may bind both to one graph node;
+    2. ``cyclic`` — ``Π(Q)`` minus the focus is not a simple forest: a
+       pattern self-loop, two edges joining one pair of non-focus nodes, a
+       cycle that avoids the focus, or a node the focus does not reach;
+    3. ``shared_label`` — two pattern nodes (the focus included) share a
+       label but are not adjacent, so a homomorphism may bind both to one
+       graph node;
     4. ``self_loop`` — two adjacent same-label nodes, and *graph_index* has
-       a self-loop on their edge's label (the one way they can collapse);
+       a self-loop on a label of an edge joining them (the one way they can
+       collapse);
     5. ``non_focus_quantifier`` — an edge that does not leave the focus has
        a non-existential quantifier, whose count would depend on the rest of
        the match.
@@ -154,26 +223,23 @@ def fixpoint_decline_reason(
     """
     if not options.use_simulation:
         return "no_simulation"
-    edges = pattern.edges()
-    pair_labels = {frozenset((edge.source, edge.target)): edge.label for edge in edges}
-    if (
-        len(pair_labels) != len(edges)
-        or any(len(pair) == 1 for pair in pair_labels)
-        or len(edges) != pattern.num_nodes - 1
-        or not pattern.is_connected()
-    ):
+    if _focus_cut(pattern) is None:
         return "cyclic"
+    edges = pattern.edges()
+    pair_labels: Dict[frozenset, List[str]] = {}
+    for edge in edges:
+        pair_labels.setdefault(frozenset((edge.source, edge.target)), []).append(edge.label)
     by_label: Dict[str, List[NodeId]] = {}
     for node in pattern.nodes():
         by_label.setdefault(pattern.node_label(node), []).append(node)
-    loop_labels = []
+    loop_labels: List[str] = []
     for nodes in by_label.values():
         for position, first in enumerate(nodes):
             for second in nodes[position + 1:]:
-                label = pair_labels.get(frozenset((first, second)))
-                if label is None:
+                labels = pair_labels.get(frozenset((first, second)))
+                if labels is None:
                     return "shared_label"
-                loop_labels.append(label)
+                loop_labels.extend(labels)
     if any(graph_index.has_self_loop(label) for label in loop_labels):
         return "self_loop"
     focus = pattern.focus
@@ -182,6 +248,106 @@ def fixpoint_decline_reason(
     if index is not None and not index.at_fixpoint:
         return "no_simulation"
     return None
+
+
+def pass_strategy(
+    pattern: QuantifiedGraphPattern,
+    graph_index,
+    options: DMatchOptions,
+    index: Optional[CandidateIndex] = None,
+) -> Tuple[str, Optional[str]]:
+    """How DMatch answers one positive pass: ``("fixpoint", None)`` for a
+    simple tree, ``("cutset", None)`` when cycles run through the focus
+    only, else ``("search", reason)`` with
+    :func:`fixpoint_decline_reason`'s reason."""
+    reason = fixpoint_decline_reason(pattern, graph_index, options, index)
+    if reason is not None:
+        return "search", reason
+    return ("cutset" if _focus_cut(pattern) else "fixpoint"), None
+
+
+class _FocusConditioning:
+    """Arc consistency with the focus fixed, bound once per pass.
+
+    Fixing ``xo := vx`` turns every focus edge into a unary constraint on
+    its other end, and what is left of the cut (see :func:`_focus_cut`) is
+    a forest, on which arc consistency is exact.  Bound here once: per
+    focus edge into the cut, its other end and the row store giving
+    ``succₑ(vx)`` (an out-edge) or ``predₑ(vx)`` (an in-edge); per cut node
+    ``n``, the arcs ``(w, row store)`` of its forest neighbours ``w``, whose
+    rows point from ``w`` towards ``n``.
+    """
+
+    def __init__(
+        self,
+        pattern: QuantifiedGraphPattern,
+        graph_index,
+        pools: Dict[NodeId, Set[NodeId]],
+        cut: Set[NodeId],
+    ) -> None:
+        focus = pattern.focus
+        rows = graph_index.label_rows
+        self.pools = pools
+        conditions = []
+        arcs: Dict[NodeId, List[tuple]] = {node: [] for node in cut}
+        for edge in pattern.edges():
+            source, target = edge.source, edge.target
+            if source == focus:
+                if target in cut:
+                    conditions.append((target, rows(False, edge.label).get))
+            elif target == focus:
+                if source in cut:
+                    conditions.append((source, rows(True, edge.label).get))
+            elif source in cut:
+                # Revise the source against the target through its
+                # successors, and the target against the source through its
+                # predecessors.
+                arcs[target].append((source, rows(False, edge.label).get))
+                arcs[source].append((target, rows(True, edge.label).get))
+        self.conditions = tuple(conditions)
+        self.arcs = {node: tuple(node_arcs) for node, node_arcs in arcs.items()}
+
+    def conditioned_pools(
+        self, focus_candidate: NodeId
+    ) -> Optional[Dict[NodeId, Set[NodeId]]]:
+        """The pools given ``xo := focus_candidate``, or ``None`` when one
+        empties (no isomorphism maps the focus there).
+
+        Each focus neighbour's pool is intersected with the candidate's
+        row, and a worklist seeded at the pools that shrank revises the
+        forest arcs into them: one ``row.isdisjoint(pool)`` per value.  A
+        pool that shrinks re-schedules its other forest neighbours; the arc
+        it was revised against needs no second look, since a value it lost
+        supported nothing there.
+        """
+        pools = dict(self.pools)
+        arcs = self.arcs
+        pending = []
+        for node, row_get in self.conditions:
+            pool = pools[node]
+            narrowed = pool & row_get(focus_candidate, _EMPTY_ROW)
+            if len(narrowed) != len(pool):
+                if not narrowed:
+                    return None
+                pools[node] = narrowed
+                for arc in arcs[node]:
+                    pending.append((arc, node))
+        while pending:
+            (node, row_get), support_node = pending.pop()
+            pool = pools[node]
+            support = pools[support_node]
+            kept = {
+                value for value in pool
+                if not row_get(value, _EMPTY_ROW).isdisjoint(support)
+            }
+            if len(kept) != len(pool):
+                if not kept:
+                    return None
+                pools[node] = kept
+                for arc in arcs[node]:
+                    if arc[0] != support_node:
+                        pending.append((arc, node))
+        return pools
 
 
 def _answer_from_fixpoint(
@@ -193,17 +359,24 @@ def _answer_from_fixpoint(
     counter: WorkCounter,
     outcome: DMatchOutcome,
 ) -> None:
-    """The fixpoint strategy: the answer and ``Q(u, G)`` read off the pools.
+    """The fixpoint and cutset strategies: the answer and ``Q(u, G)`` read
+    off the pools, conditioned on each focus candidate where the pattern's
+    cut (see :func:`_focus_cut`) is not empty.
 
     Only the focus's quantified out-edges need a count: an existential edge
-    holds for every surviving candidate, and the preconditions leave no
-    other quantifier.  ``|succₑ(vx) ∩ C(u')|`` is one C-level ``len(row &
-    pool)``; one quantifier check is counted per edge until the first
-    failure, and no verification at all.
+    holds for every candidate with an isomorphism, and the preconditions
+    leave no other quantifier.  A target outside the cut sits in a subtree
+    the focus touches once, so its count is ``|succₑ(vx) ∩ C(u')|``, one
+    C-level ``len(row & pool)``; a target in the cut counts its pool after
+    :class:`_FocusConditioning`.  One quantifier check is counted per edge
+    until the first failure, and no verification at all.
     """
     focus = pattern.focus
+    pools = index.candidates
+    cut = _focus_cut(pattern)
     checks = [
         (
+            edge.target if edge.target in cut else None,
             graph_index.label_rows(False, edge.label).get,
             index.candidate_set(edge.target),
             edge.quantifier.checker(),
@@ -211,30 +384,46 @@ def _answer_from_fixpoint(
         for edge in pattern.out_edges(focus)
         if not edge.is_existential
     ]
-    if checks:
-        answer = set()
-        performed = 0
-        for candidate in focus_candidates:
-            for row_get, pool, check in checks:
-                performed += 1
-                row = row_get(candidate, _EMPTY_ROW)
-                if not check(len(row & pool), len(row)):
-                    break
-            else:
-                answer.add(candidate)
-        counter.quantifier_checks += performed
-    else:
-        answer = set(focus_candidates)
+    conditioned_pools = (
+        _FocusConditioning(pattern, graph_index, pools, cut).conditioned_pools
+        if cut
+        else None
+    )
+    unions: Dict[NodeId, Set[NodeId]] = {node: set() for node in cut}
+    answer = set()
+    performed = 0
+    for candidate in focus_candidates:
+        conditioned = pools
+        if conditioned_pools is not None:
+            conditioned = conditioned_pools(candidate)
+            if conditioned is None:
+                continue
+        for target, row_get, pool, check in checks:
+            performed += 1
+            row = row_get(candidate, _EMPTY_ROW)
+            count = len(row & pool) if target is None else len(conditioned[target])
+            if not check(count, len(row)):
+                break
+        else:
+            answer.add(candidate)
+            for node, union in unions.items():
+                union |= conditioned[node]
+    counter.quantifier_checks += performed
     outcome.answer = answer
-    pools = index.candidates
-    if len(answer) == len(pools[focus]):
-        # Nothing left the focus pool, so the pools already are Q(u, G).
+    if not answer:
+        return  # dmatch starts every node's match set empty
+    # Q(u, G): the cut's pools are the union of the answers' conditioned
+    # pools, which is exact; the subtrees the focus touches once need one
+    # more arc-consistency pass with C(xo) := answer, unless nothing left
+    # the focus pool.
+    exact = {**unions, focus: answer}
+    if len(exact) == pattern.num_nodes:
+        outcome.node_matches = exact
+    elif not cut and len(answer) == len(pools[focus]):
         outcome.node_matches = {u: set(pools[u]) for u in pattern.nodes()}
     else:
-        # One more arc-consistency pass with C(xo) := answer keeps exactly
-        # the nodes of the isomorphisms whose focus is an answer.
         outcome.node_matches = refine_candidates(
-            pattern.stratified().graph, graph, {**pools, focus: answer}
+            pattern.stratified().graph, graph, {**pools, **exact}
         )
 
 
@@ -445,9 +634,11 @@ def dmatch(
         the cached positive answer here).
 
     After the candidate filter and the Lemma 12 check, the answer comes
-    from the fixpoint when :func:`fixpoint_decline_reason` finds no reason
+    from the pools (conditioned on each focus candidate when a cycle runs
+    through the focus) when :func:`fixpoint_decline_reason` finds no reason
     against it, and from the search otherwise; *counter* records which
-    (``fixpoint.answered`` / ``fixpoint.declined.<reason>``).
+    (``fixpoint.answered`` / ``cutset.answered`` /
+    ``fixpoint.declined.<reason>``).
     """
     if not pattern.is_positive:
         raise MatchingError("dmatch evaluates positive patterns; use QMatch for negation")
@@ -475,9 +666,9 @@ def dmatch(
             return outcome
 
         graph_index = GraphIndex.for_graph(graph)
-        reason = fixpoint_decline_reason(pattern, graph_index, options, index)
+        strategy, reason = pass_strategy(pattern, graph_index, options, index)
         if reason is None:
-            counter.bump("fixpoint.answered")
+            counter.bump(strategy + ".answered")
             _answer_from_fixpoint(
                 pattern, graph, graph_index, index, focus_candidates, counter, outcome
             )

@@ -92,13 +92,11 @@ def _incremental_candidate_index(
         positified.stratified().graph, graph, index.candidates, dual=True
     )
 
-    # Re-apply the quantifier upper-bound filter only around the new edges
-    # (the cached pools already satisfied it for the old edges).
-    old_keys = {e.key for e in cached.index.pattern.edges()}
+    # Re-apply the quantifier upper-bound filter over every positive edge:
+    # the seeding and the refinement shrank the pools the old edges'
+    # bounds were counted against, and a bound counted against a smaller
+    # pool is still an upper bound.
     for edge in positified.edges():
-        if edge.source not in new_nodes and edge.target not in new_nodes:
-            if edge.key in old_keys:
-                continue
         apply_quantifier_bound_filter(index, edge, graph_index)
     return index, new_nodes, reused
 
@@ -159,10 +157,11 @@ def inc_qmatch(
 
     graph_index = GraphIndex.for_graph(graph)
     if fixpoint_decline_reason(positified_pi, graph_index, options) is None:
-        # Π(Q⁺ᵉ) qualifies for DMatch's fixpoint answer, which needs
-        # arc-consistent pools: one final refinement of the seeded pools
-        # (the bound filter above may have pruned without one), with the
-        # focus restricted to the cached answer — the only candidates asked.
+        # Π(Q⁺ᵉ) qualifies for DMatch's fixpoint or cutset answer, which
+        # needs arc-consistent pools: one final refinement of the seeded
+        # pools (the bound filter above may have pruned without one), with
+        # the focus restricted to the cached answer — the only candidates
+        # asked.
         index.candidates[focus] &= cached.answer
         index.candidates = refine_candidates(
             positified_pi.stratified().graph, graph, index.candidates, dual=True

@@ -5,11 +5,19 @@ QMatch evaluates an arbitrary QGP ``Q(xo)`` in the three steps of Figure 5:
 1. build candidate sets and auxiliary structures (``FilterCandidate`` with
    quantifier upper bounds, optional dual-simulation pre-filter);
 2. evaluate the positive part ``Π(Q)`` with :func:`repro.matching.dmatch.dmatch`
-   (dynamic candidate ordering, pruning, locality, early termination);
+   (read off the candidate fixpoint for a tree, conditioned on each focus
+   candidate when every cycle runs through the focus, otherwise a search
+   with dynamic candidate ordering, pruning, locality and early
+   termination);
 3. for every negated edge ``e``, evaluate ``Π(Q⁺ᵉ)`` *incrementally* with
    :func:`repro.matching.incremental.inc_qmatch` against the cached results of
-   step 2, and subtract:
+   step 2 (each ``Π(Q⁺ᵉ)`` takes DMatch's strategy by the same rule), and
+   subtract:
    ``Q(xo, G) = Π(Q)(xo, G) \\ ⋃ₑ Π(Q⁺ᵉ)(xo, G)``.
+
+Each pass records one strategy decision in the counter's extras;
+:func:`query_strategy` and :func:`strategy_label` read the query's strategy
+as its weakest pass's (``search`` over ``cutset`` over ``fixpoint``).
 
 Two baseline variants used throughout the paper's experiments are provided as
 factories:
@@ -25,7 +33,7 @@ from typing import Optional, Set, Tuple
 
 from repro.graph.digraph import PropertyGraph
 from repro.index.snapshot import GraphIndex
-from repro.matching.dmatch import DMatchOptions, dmatch, fixpoint_decline_reason
+from repro.matching.dmatch import DMatchOptions, dmatch, pass_strategy
 from repro.matching.incremental import inc_qmatch
 from repro.matching.result import IncrementalStats, MatchResult
 from repro.obs.trace import span
@@ -150,34 +158,38 @@ def query_strategy(
     graph: PropertyGraph,
     options: DMatchOptions = DMatchOptions(),
 ) -> Tuple[str, Optional[str]]:
-    """How QMatch answers *pattern* on *graph*: ``("fixpoint", None)`` or
-    ``("search", reason)``.
+    """How QMatch answers *pattern* on *graph*: ``("fixpoint", None)``,
+    ``("cutset", None)`` or ``("search", reason)``.
 
-    ``"fixpoint"`` when ``Π(Q)`` and every ``Π(Q⁺ᵉ)`` pass
-    :func:`~repro.matching.dmatch.fixpoint_decline_reason`, so no pass
-    verifies a candidate; otherwise the first pass's decline reason.  The
-    same decision DMatch counts per pass (``fixpoint.*`` counter extras),
-    made statically for EXPLAIN.
+    The weakest pass names the query: the first pass (``Π(Q)``, then each
+    ``Π(Q⁺ᵉ)``) that :func:`~repro.matching.dmatch.pass_strategy` sends to
+    the search, with its reason; else ``"cutset"`` when some pass
+    conditions on the focus; else ``"fixpoint"``.  The same decision DMatch
+    counts per pass (``fixpoint.*`` / ``cutset.*`` counter extras), made
+    statically for EXPLAIN.
     """
     graph_index = GraphIndex.for_graph(graph)
     passes = [pattern.pi()]
     passes.extend(positified for _, positified in pattern.positified_pi_patterns())
+    strategies = set()
     for positive in passes:
-        reason = fixpoint_decline_reason(positive, graph_index, options)
+        strategy, reason = pass_strategy(positive, graph_index, options)
         if reason is not None:
-            return "search", reason
-    return "fixpoint", None
+            return strategy, reason
+        strategies.add(strategy)
+    return ("cutset" if "cutset" in strategies else "fixpoint"), None
 
 
 def strategy_label(counter: Optional[WorkCounter]) -> str:
-    """What a computed evaluation ran, read off its counter's ``fixpoint.*``
-    extras by :func:`query_strategy`'s rule.
+    """What a computed evaluation ran, read off its counter's extras by
+    :func:`query_strategy`'s rule.
 
     ``"search (<reason>)"`` with the first declining pass's reason (DMatch
     bumps the extras pass by pass, and merging keeps that order), else
+    ``"cutset"`` when some pass conditioned on the focus, else
     ``"fixpoint"`` when some pass answered from the fixpoint.  Empty when
     the counter holds no decision: a cache hit (no counter), an evaluation
-    whose candidate filter emptied a pool before either strategy ran, or an
+    whose candidate filter emptied a pool before any strategy ran, or an
     engine other than QMatch.
     """
     if counter is None:
@@ -186,7 +198,10 @@ def strategy_label(counter: Optional[WorkCounter]) -> str:
     for key in extras:
         if key.startswith(_DECLINED):
             return f"search ({key[len(_DECLINED):]})"
-    return "fixpoint" if "fixpoint.answered" in extras else ""
+    for strategy in ("cutset", "fixpoint"):
+        if strategy + ".answered" in extras:
+            return strategy
+    return ""
 
 
 def qmatch_engine(options: DMatchOptions = DMatchOptions()) -> QMatch:

@@ -12,7 +12,8 @@ under ``analyze=True`` — what it did:
 * **EXPLAIN ANALYZE** evaluates the query once with the tier's own QMatch
   configuration and reports that run's exact work — the
   :class:`~repro.utils.counters.WorkCounter` (verifications, extension
-  probes, quantifier checks, prunes and the ``fixpoint.*`` decisions), its
+  probes, quantifier checks, prunes and the ``fixpoint.*`` / ``cutset.*``
+  decisions), its
   answer count and the strategy it ran
   (:func:`repro.matching.qmatch.strategy_label`).  The counters are the
   ones the oracle suite pins, so ANALYZE reports work, not an estimate.
@@ -33,16 +34,18 @@ class ExplainReport:
     """The EXPLAIN (ANALYZE) payload for one fingerprint on one graph.
 
     ``strategy`` is how the engine answers the query (``"fixpoint"``: read
-    off the candidate fixpoint, no probes; ``"search"``, with the failed
-    precondition as ``reason``); ``None`` for an engine that is not QMatch.
+    off the candidate fixpoint, no probes; ``"cutset"``: the same pools
+    conditioned on each focus candidate, no probes; ``"search"``, with the
+    failed precondition as ``reason``); ``None`` for an engine that is not
+    QMatch.
     ``traffic`` carries the ledger's per-query averages of served traffic
     (empty when the fingerprint was never computed).
 
     When ``analyzed``, ``work`` is the ANALYZE run's ``WorkCounter.as_dict()``,
     ``answers`` its answer count and ``strategy_label`` what it ran
-    (``"fixpoint"``, ``"search (<reason>)"``, or empty when the candidate
-    filter emptied a pool before either strategy ran); all three are
-    ``None`` otherwise.
+    (``"fixpoint"``, ``"cutset"``, ``"search (<reason>)"``, or empty when
+    the candidate filter emptied a pool before any strategy ran); all three
+    are ``None`` otherwise.
     """
 
     fingerprint: str

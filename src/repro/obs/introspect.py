@@ -159,9 +159,9 @@ class SlowQueryRecord:
     """One slow query — fingerprint, timing, and its work counters.
 
     ``strategy`` says what ran, read off the computed work counter by
-    :func:`repro.matching.qmatch.strategy_label`: ``"fixpoint"``, or
-    ``"search (<reason>)"`` with the first declining pass's reason — the
-    rule EXPLAIN uses.  It is empty for cache hits, subscription
+    :func:`repro.matching.qmatch.strategy_label`: ``"fixpoint"``,
+    ``"cutset"``, or ``"search (<reason>)"`` with the first declining
+    pass's reason — the rule EXPLAIN uses.  It is empty for cache hits, subscription
     maintenance, and computations that recorded no strategy decision.
 
     The serve-tier fields make a slow *fleet* query diagnosable from the

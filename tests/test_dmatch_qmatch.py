@@ -49,12 +49,22 @@ class TestDMatch:
         assert outcome.answer == {"x1"}
 
     def test_counts_verifications(self, small_pokec, dataset_q1):
-        # Q1 is cyclic (xo -> z -> y <- xo), so DMatch searches.
+        # Q1's cycle (xo -> z -> y <- xo) runs through the focus, so DMatch
+        # conditions on each focus candidate and verifies none; without the
+        # simulation it searches, and counts each verification.
         counter = WorkCounter()
-        dmatch(dataset_q1, small_pokec, counter=counter)
+        conditioned = dmatch(dataset_q1, small_pokec, counter=counter)
+        assert counter.verifications == counter.extensions == 0
+        assert counter.quantifier_checks >= 1
+        assert counter.extras == {"cutset.answered": 1}
+        counter = WorkCounter()
+        searched = dmatch(
+            dataset_q1, small_pokec, DMatchOptions(use_simulation=False), counter=counter
+        )
+        assert searched.answer == conditioned.answer
         assert counter.verifications >= 1
         assert counter.quantifier_checks >= 1
-        assert counter.extras == {"fixpoint.declined.cyclic": 1}
+        assert counter.extras == {"fixpoint.declined.no_simulation": 1}
 
     def test_tree_pattern_is_answered_without_verifications(self, paper_g1, pattern_q2):
         # Q2 is a chain: the candidate fixpoint is exact, so no search runs.

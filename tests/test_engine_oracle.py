@@ -262,20 +262,20 @@ GOLDEN = {
     },
     "g2-q4": {
         "enum": (4, 46, 42, 0),
-        "default": (4, 17, 34, 0),
+        "default": (0, 0, 4, 0),
         "no-simulation": (4, 17, 34, 5),
-        "no-potential": (4, 17, 34, 0),
-        "no-early-exit": (4, 17, 42, 0),
-        "locality": (4, 17, 34, 0),
+        "no-potential": (0, 0, 4, 0),
+        "no-early-exit": (0, 0, 4, 0),
+        "locality": (0, 0, 4, 0),
         "all-off": (4, 17, 42, 5),
     },
     "pokec-Q1": {
         "enum": (31, 378, 540, 0),
-        "default": (16, 107, 243, 21),
+        "default": (0, 0, 16, 21),
         "no-simulation": (16, 107, 243, 155),
-        "no-potential": (16, 107, 243, 21),
-        "no-early-exit": (16, 147, 411, 21),
-        "locality": (16, 107, 243, 21),
+        "no-potential": (0, 0, 16, 21),
+        "no-early-exit": (0, 0, 16, 21),
+        "locality": (0, 0, 16, 21),
         "all-off": (16, 147, 411, 155),
     },
     "pokec-Q2": {
@@ -298,20 +298,20 @@ GOLDEN = {
     },
     "yago2-Q4": {
         "enum": (22, 378, 239, 0),
-        "default": (15, 64, 128, 5),
+        "default": (0, 0, 15, 5),
         "no-simulation": (15, 64, 128, 175),
-        "no-potential": (15, 64, 128, 5),
-        "no-early-exit": (15, 75, 216, 5),
-        "locality": (15, 64, 128, 5),
+        "no-potential": (0, 0, 15, 5),
+        "no-early-exit": (0, 0, 15, 5),
+        "locality": (0, 0, 15, 5),
         "all-off": (15, 75, 216, 175),
     },
     "yago2-Q5": {
         "enum": (66, 749, 680, 0),
-        "default": (66, 166, 232, 0),
+        "default": (0, 0, 0, 0),
         "no-simulation": (66, 166, 232, 136),
-        "no-potential": (66, 166, 232, 0),
-        "no-early-exit": (66, 304, 680, 0),
-        "locality": (66, 166, 232, 0),
+        "no-potential": (0, 0, 0, 0),
+        "no-early-exit": (0, 0, 0, 0),
+        "locality": (0, 0, 0, 0),
         "all-off": (66, 304, 680, 136),
     },
     "synthetic-w0": {
@@ -465,7 +465,7 @@ COUNTER_FIELDS = ("verifications", "extensions", "quantifier_checks", "candidate
 
 def counter_tuple(counter: WorkCounter) -> tuple:
     # The only extras are DMatch's strategy decisions; pinned separately.
-    assert all(key.startswith("fixpoint.") for key in counter.extras), counter.extras
+    assert all(key.startswith(("fixpoint.", "cutset.")) for key in counter.extras), counter.extras
     return tuple(getattr(counter, field) for field in COUNTER_FIELDS)
 
 
@@ -577,6 +577,44 @@ class TestEngineAgainstOracle:
 # --------------------------------------------------------------------------
 
 
+def reference_shape(pattern):
+    """``"tree"``, ``"cutset"`` or ``"cyclic"``, from the definitions.
+
+    ``"tree"``: the undirected pattern is a simple tree.  ``"cutset"``:
+    removing the focus leaves a simple forest, every part of which the
+    focus reaches.  A union-find over the edge list decides both; nothing
+    here touches the engine's code.
+    """
+    nodes = list(pattern.nodes())
+    edges = pattern.edges()
+    root = {node: node for node in nodes}
+
+    def find(node):
+        while root[node] != node:
+            node = root[node]
+        return node
+
+    def closes_a_cycle(edge_list):
+        closed = False
+        for edge in edge_list:
+            first, second = find(edge.source), find(edge.target)
+            closed = closed or first == second
+            root[first] = second
+        return closed
+
+    focus = pattern.focus
+    if closes_a_cycle(e for e in edges if focus not in (e.source, e.target)):
+        return "cyclic"
+    if any(edge.source == edge.target for edge in edges):
+        return "cyclic"
+    cyclic_through_focus = closes_a_cycle(
+        e for e in edges if focus in (e.source, e.target)
+    )
+    if len({find(node) for node in nodes}) != 1:
+        return "cyclic"
+    return "cutset" if cyclic_through_focus else "tree"
+
+
 def reference_decline_reason(pattern, graph, use_simulation=True):
     """:func:`fixpoint_decline_reason`'s verdict, from its definition.
 
@@ -585,22 +623,10 @@ def reference_decline_reason(pattern, graph, use_simulation=True):
     """
     if not use_simulation:
         return "no_simulation"
+    if reference_shape(pattern) == "cyclic":
+        return "cyclic"
     nodes = list(pattern.nodes())
     edges = pattern.edges()
-    neighbours = {node: set() for node in nodes}
-    for edge in edges:
-        neighbours[edge.source].add(edge.target)
-        neighbours[edge.target].add(edge.source)
-    reached, frontier = {pattern.focus}, [pattern.focus]
-    while frontier:
-        for node in neighbours[frontier.pop()] - reached:
-            reached.add(node)
-            frontier.append(node)
-    simple = all(edge.source != edge.target for edge in edges) and len(
-        {frozenset((edge.source, edge.target)) for edge in edges}
-    ) == len(edges)
-    if not (simple and len(edges) == len(nodes) - 1 and len(reached) == len(nodes)):
-        return "cyclic"
     loop_labels = set()
     for first, second in itertools.combinations(nodes, 2):
         if pattern.node_label(first) != pattern.node_label(second):
@@ -627,18 +653,26 @@ def reference_decline_reason(pattern, graph, use_simulation=True):
     return None
 
 
+def reference_strategy(pattern, graph, use_simulation=True):
+    """One pass's ``(strategy, reason)``, as :func:`pass_strategy` states it."""
+    reason = reference_decline_reason(pattern, graph, use_simulation)
+    if reason is not None:
+        return "search", reason
+    return ("fixpoint" if reference_shape(pattern) == "tree" else "cutset"), None
+
+
 # Strategy decisions of QMatch under default options, per case: Π(Q) first,
 # then one per positified pattern that was evaluated.
 STRATEGY_GOLDEN = {
     "g1-q2": {"fixpoint.answered": 1},
-    "g1-q3p2": {"fixpoint.answered": 1, "fixpoint.declined.cyclic": 1},
+    "g1-q3p2": {"fixpoint.answered": 1, "fixpoint.declined.shared_label": 1},
     "g1-q3p4": {},
-    "g2-q4": {"fixpoint.declined.cyclic": 2},
-    "pokec-Q1": {"fixpoint.declined.cyclic": 1},
+    "g2-q4": {"cutset.answered": 2},
+    "pokec-Q1": {"cutset.answered": 1},
     "pokec-Q2": {"fixpoint.answered": 1},
-    "pokec-Q3": {"fixpoint.answered": 1, "fixpoint.declined.cyclic": 1},
-    "yago2-Q4": {"fixpoint.declined.cyclic": 2},
-    "yago2-Q5": {"fixpoint.declined.cyclic": 3},
+    "pokec-Q3": {"fixpoint.answered": 1, "fixpoint.declined.shared_label": 1},
+    "yago2-Q4": {"cutset.answered": 2},
+    "yago2-Q5": {"cutset.answered": 3},
     "synthetic-w0": {"fixpoint.declined.shared_label": 1},
     "synthetic-w1": {"fixpoint.declined.shared_label": 1},
     "synthetic-w2": {"fixpoint.declined.shared_label": 1},
@@ -699,10 +733,10 @@ def test_analyze_needs_a_qmatch_engine():
 # case has no negated edge or an empty Π(Q) answer, so no IncQMatch run.
 INCREMENTAL_GOLDEN = {
     "g1-q3p2": [(4, 6, 1, 1)],
-    "g2-q4": [(4, 10, 1, 1)],
+    "g2-q4": [(4, 10, 0, 1)],
     "pokec-Q3": [(119, 203, 38, 37)],
-    "yago2-Q4": [(12, 32, 4, 4)],
-    "yago2-Q5": [(33, 71, 22, 22), (36, 71, 12, 12)],
+    "yago2-Q4": [(12, 32, 0, 4)],
+    "yago2-Q5": [(33, 71, 0, 22), (41, 71, 0, 12)],
 }
 
 
@@ -715,12 +749,13 @@ def test_incremental_work_equals_golden(name, graph, pattern):
     ] == INCREMENTAL_GOLDEN.get(name, [])
 
 
-def test_incremental_bound_filter_runs_on_new_edges_only():
+def test_incremental_bound_filter_reruns_on_every_edge():
     # a and c each follow two persons; y -bad-> troll is negated.  In
-    # Π(Q⁺ᵉ) only one of a's followees keeps a bad edge (both of c's do), so
-    # a bound filter re-run on the old edge xo -[follow >= 2]-> y would
-    # prune a.  IncQMatch re-filters around new edges only, so a is still
-    # verified (search) or quantifier-checked (fixpoint): pinned here.
+    # Π(Q⁺ᵉ) only one of a's followees keeps a bad edge (both of c's do).
+    # IncQMatch re-runs the bound filter on every positive edge, the old
+    # xo -[follow >= 2]-> y included, against the pools seeding and
+    # refinement shrank: a's bound falls to 1 and a is pruned before it is
+    # verified (search) or quantifier-checked (fixpoint).  Pinned here.
     graph = PropertyGraph("refilter")
     for node in ("a", "b1", "b2", "c", "d1", "d2"):
         graph.add_node(node, "person")
@@ -742,10 +777,101 @@ def test_incremental_bound_filter_runs_on_new_edges_only():
     searched = QMatch(options=DMatchOptions(use_simulation=False)).evaluate(pattern, graph)
     (run,) = searched.incremental
     assert searched.answer == {"a"} and run.removed == {"c"}
-    assert (len(run.affected_area), run.reused_candidates, run.verifications) == (5, 8, 2)
+    assert (len(run.affected_area), run.reused_candidates, run.verifications) == (5, 8, 1)
     answered = QMatch().evaluate(pattern, graph)
     assert answered.answer == {"a"}
-    assert counter_tuple(answered.counter) == (0, 0, 4, 0)
+    assert counter_tuple(answered.counter) == (0, 0, 3, 0)
+
+
+def test_cutset_propagates_along_the_cycle():
+    # xo -[p, = 1]-> a -q-> b -r-> c <-s- xo: a 4-cycle through the focus
+    # whose middle node b no focus edge touches.  For v, conditioning
+    # leaves a's pool whole and narrows c's to c1; only propagation
+    # c -> b -> a drops a2 (its b2 reaches c2, which v does not point at),
+    # so |Me(v, (xo, a))| is 1 and v is an answer.  A worklist that stops
+    # one arc short counts 2 and loses v.
+    graph = PropertyGraph("four-cycle")
+    for node, label in (
+        ("v", "person"), ("w", "person"), ("a1", "A"), ("a2", "A"),
+        ("b1", "B"), ("b2", "B"), ("c1", "C"), ("c2", "C"),
+    ):
+        graph.add_node(node, label)
+    for source, target, label in (
+        ("v", "a1", "p"), ("v", "a2", "p"), ("v", "c1", "s"),
+        ("w", "a2", "p"), ("w", "c2", "s"),
+        ("a1", "b1", "q"), ("a2", "b2", "q"), ("b1", "c1", "r"), ("b2", "c2", "r"),
+    ):
+        graph.add_edge(source, target, label)
+    pattern = QuantifiedGraphPattern(name="four-cycle")
+    for node, label in (("xo", "person"), ("a", "A"), ("b", "B"), ("c", "C")):
+        pattern.add_node(node, label)
+    pattern.set_focus("xo")
+    pattern.add_edge("xo", "a", "p", CountingQuantifier.exactly(1))
+    pattern.add_edge("a", "b", "q")
+    pattern.add_edge("b", "c", "r")
+    pattern.add_edge("xo", "c", "s")
+    assert EnumMatcher().evaluate_answer(pattern, graph) == {"v", "w"}
+    counter = WorkCounter()
+    outcome = dmatch(pattern, graph, counter=counter)
+    assert outcome.answer == {"v", "w"}
+    assert counter.extras == {"cutset.answered": 1} and counter.verifications == 0
+    assert outcome.node_matches == evaluate_positive_by_enumeration(pattern, graph)[1]
+
+
+def lemma12_case(quantifier):
+    """xo -follow-> w -[like, *quantifier*]-> u over a graph with two albums.
+
+    a follows b and c, d follows c; b likes one album, c likes both.  The
+    bound filter keeps every pool non-empty (a non-focus candidate needs
+    one child), so only Lemma 12 can decide before a strategy runs.
+    """
+    graph = PropertyGraph("lemma12")
+    for node in ("a", "b", "c", "d"):
+        graph.add_node(node, "person")
+    for node in ("al1", "al2"):
+        graph.add_node(node, "album")
+    for source, target, label in (
+        ("a", "b", "follow"), ("a", "c", "follow"), ("d", "c", "follow"),
+        ("b", "al1", "like"), ("c", "al1", "like"), ("c", "al2", "like"),
+    ):
+        graph.add_edge(source, target, label)
+    pattern = QuantifiedGraphPattern(name="lemma12")
+    for node, label in (("xo", "person"), ("w", "person"), ("u", "album")):
+        pattern.add_node(node, label)
+    pattern.set_focus("xo")
+    pattern.add_edge("xo", "w", "follow")
+    pattern.add_edge("w", "u", "like", quantifier)
+    return graph, pattern
+
+
+@pytest.mark.parametrize(
+    "quantifier,fires",
+    [
+        (CountingQuantifier.at_least(3), True),  # three albums; the graph has two
+        (CountingQuantifier.more_than(2), True),  # three as well
+        (CountingQuantifier.more_than(1), False),  # two: c likes both
+        (CountingQuantifier.exactly(2), False),
+        (CountingQuantifier.ratio_at_least(100.0), False),  # a ratio needs one child
+    ],
+    ids=["ge3", "gt2", "gt1", "eq2", "ratio"],
+)
+def test_lemma12_decides_before_any_strategy(quantifier, fires):
+    # Lemma 12 asks each pattern node for as many candidates as its
+    # in-edges' quantifiers need.  When it fires, DMatch returns before any
+    # strategy: no decision extra, no quantifier check, no verification.
+    graph, pattern = lemma12_case(quantifier)
+    counter = WorkCounter()
+    outcome = dmatch(pattern, graph, counter=counter)
+    assert not outcome.index.is_empty()
+    assert outcome.answer == EnumMatcher().evaluate_answer(pattern, graph)
+    if fires:
+        assert outcome.answer == set()
+        assert counter.extras == {}
+        assert counter.quantifier_checks == counter.verifications == 0
+    else:
+        assert outcome.answer == {"a", "d"}
+        assert counter.extras == {"fixpoint.declined.non_focus_quantifier": 1}
+        assert counter.verifications == 2
 
 
 TREE_LABELS = ("person", "product")
@@ -769,13 +895,18 @@ def fixpoint_cases(draw):
     Node labels come from two values, so same-label pairs (adjacent or not)
     are common; graphs may carry self-loops; focus out-edges take any
     quantifier, an edge elsewhere (below or into the focus) sometimes a
-    non-existential one; an optional extra edge closes a cycle or doubles a
-    pair, and an optional negated branch exercises the incremental path.
-    Hypothesis draws the seed and these switches; the seed draws the rest.
+    non-existential one.  An optional extra edge closes a cycle through the
+    focus (a further out-edge, which may be counted, an in-edge, or a
+    second edge beside a focus edge) or joins two random nodes (often a
+    cycle that avoids the focus, or a doubled pair); an optional negated
+    branch exercises the incremental path; and the pattern's positive edges
+    are planted into the graph up to three times.  Hypothesis draws the seed and these
+    switches; the seed draws the rest.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    with_loops, counted_below, extra_edge, negated = (
-        draw(st.booleans()) for _ in range(4)
+    with_loops, counted_below, negated = (draw(st.booleans()) for _ in range(3))
+    extra_edge = draw(
+        st.sampled_from((None, "anywhere", "focus_out", "focus_in", "focus_double"))
     )
     graph = PropertyGraph("fixpoint-graph")
     num_nodes = rng.randint(8, 16)
@@ -788,7 +919,7 @@ def fixpoint_cases(draw):
             graph.add_edge(source, target, rng.choice(TREE_EDGE_LABELS))
 
     pattern = QuantifiedGraphPattern(name="hyp-tree")
-    size = rng.randint(2, 4)
+    size = rng.randint(2, 5)
     for node in range(size):
         pattern.add_node(f"u{node}", rng.choice(TREE_LABELS))
     pattern.set_focus("u0")
@@ -803,15 +934,53 @@ def fixpoint_cases(draw):
         else:
             quantifier = CountingQuantifier.existential()
         pattern.add_edge(source, target, rng.choice(TREE_EDGE_LABELS), quantifier)
-    if extra_edge:
-        first, second = rng.sample([f"u{node}" for node in range(size)], 2)
+    others = [f"u{node}" for node in range(1, size)]
+    if extra_edge == "anywhere":
+        first, second = rng.sample(["u0", *others], 2)
         pattern.add_edge(first, second, rng.choice(TREE_EDGE_LABELS))
+    elif extra_edge == "focus_out":
+        pattern.add_edge(
+            "u0", rng.choice(others), rng.choice(TREE_EDGE_LABELS),
+            rng.choice(FOCUS_QUANTIFIERS) if rng.random() < 0.5 else None,
+        )
+    elif extra_edge == "focus_in":
+        pattern.add_edge(rng.choice(others), "u0", rng.choice(TREE_EDGE_LABELS))
+    elif extra_edge == "focus_double":
+        beside = rng.choice(
+            [edge for edge in pattern.edges() if "u0" in (edge.source, edge.target)]
+        )
+        other_label = next(
+            label for label in TREE_EDGE_LABELS if label != beside.label
+        )
+        if rng.random() < 0.5:
+            pattern.add_edge(
+                beside.source, beside.target, other_label,
+                rng.choice(FOCUS_QUANTIFIERS)
+                if beside.source == "u0" and rng.random() < 0.5 else None,
+            )
+        else:
+            pattern.add_edge(beside.target, beside.source, rng.choice(TREE_EDGE_LABELS))
     if negated:
         pattern.add_node("neg", rng.choice(TREE_LABELS))
         pattern.add_edge(
             f"u{rng.randrange(size)}", "neg", rng.choice(TREE_EDGE_LABELS),
             CountingQuantifier.negation(),
         )
+    # A random graph rarely holds a given cycle: copy the pattern's
+    # positive edges onto up to three injective label-preserving images.
+    for _ in range(rng.randint(0, 3)):
+        image = {}
+        for node in pattern.nodes():
+            free = sorted(
+                graph.nodes_with_label(pattern.node_label(node)) - set(image.values())
+            )
+            if not free:
+                break
+            image[node] = rng.choice(free)
+        else:
+            for edge in pattern.edges():
+                if not edge.is_negated:
+                    graph.add_edge(image[edge.source], image[edge.target], edge.label)
     try:
         pattern.validate()
     except PatternValidationError:
@@ -838,7 +1007,18 @@ def test_fixpoint_strategy_equals_enum_and_declines_exactly_when_a_precondition_
             for stats in result.incremental:
                 assert stats.verifications <= len(stats.affected_area)
 
-    # The strategy decision on Π(Q), and Q(u, G) when the fixpoint answers.
+    # EXPLAIN's static decision: the weakest pass names the query.
+    passes = [pattern.pi()] + [positified for _, positified in pattern.positified_pi_patterns()]
+    decisions = [reference_strategy(positive, graph) for positive in passes]
+    declined = [decision for decision in decisions if decision[0] == "search"]
+    if declined:
+        assert query_strategy(pattern, graph) == declined[0]
+    elif ("cutset", None) in decisions:
+        assert query_strategy(pattern, graph) == ("cutset", None)
+    else:
+        assert query_strategy(pattern, graph) == ("fixpoint", None)
+
+    # The strategy decision on Π(Q), and Q(u, G) when no search runs.
     positive = pattern.pi()
     for use_simulation in (True, False):
         counter = WorkCounter()
@@ -850,9 +1030,9 @@ def test_fixpoint_strategy_equals_enum_and_declines_exactly_when_a_precondition_
             # Decided before any strategy: no candidates, or Lemma 12.
             assert outcome.index.is_empty() or not outcome.index.global_prune_check()
             continue
-        reason = reference_decline_reason(positive, graph, use_simulation)
+        strategy, reason = reference_strategy(positive, graph, use_simulation)
         if reason is None:
-            assert counter.extras == {"fixpoint.answered": 1}
+            assert counter.extras == {f"{strategy}.answered": 1}
             assert counter.verifications == counter.extensions == 0
             _, node_matches = evaluate_positive_by_enumeration(positive, graph)
             assert outcome.node_matches == node_matches

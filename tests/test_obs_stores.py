@@ -80,8 +80,11 @@ class TestMatchCounters:
         assert first.counter.verifications == second.counter.verifications > 0
 
     def test_counters_count_with_tracing_off(self):
+        # Q1 is answered by conditioning on the focus: it verifies nothing,
+        # but checks a quantifier per focus candidate.
         result = QMatch().evaluate(paper_pattern("Q1"), _small_graph())
-        assert result.counter.verifications > 0
+        assert result.counter.quantifier_checks > 0
+        assert result.counter.extras == {"cutset.answered": 1}
         assert get_tracer().records() == ()
 
 

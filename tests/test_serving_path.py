@@ -114,17 +114,17 @@ class TestStrategyRecords:
             service.evaluate(q2)  # a cache hit
             assert strategies(service, "slow_query") == [
                 ("Q2", "fixpoint"),
-                ("Q1", "search (cyclic)"),
+                ("Q1", "cutset"),
                 ("Q2", ""),
             ]
             # The flight ring records computed requests only.
             assert strategies(service, "query") == [
                 ("Q2", "fixpoint"),
-                ("Q1", "search (cyclic)"),
+                ("Q1", "cutset"),
             ]
             assert [record["strategy"] for record in service.introspect()["slow_queries"]] == [
                 "fixpoint",
-                "search (cyclic)",
+                "cutset",
                 "",
             ]
 
@@ -135,22 +135,23 @@ class TestStrategyRecords:
             fleet.evaluate_many([q2, q1])
             assert strategies(fleet, "slow_query") == [
                 ("Q2", "fixpoint"),
-                ("Q1", "search (cyclic)"),
+                ("Q1", "cutset"),
             ]
 
     @pytest.mark.parametrize("use_incremental", [True, False])
     @pytest.mark.parametrize("p", [2, 4])
     def test_label_follows_explains_rule(self, p, use_incremental):
-        # Q3 answers Π(Q) from the fixpoint and searches its cyclic Q⁺ᵉ, so
-        # both readings say search (cyclic), whether the Q⁺ᵉ pass is
+        # Q3 answers Π(Q) from the fixpoint and searches its Q⁺ᵉ, whose two
+        # person nodes are not adjacent, so both readings say search
+        # (shared_label), whether the Q⁺ᵉ pass is
         # incremental (QMatch) or from scratch (QMatchN).  At p = 4 the
         # candidate filter empties a pool: nothing ran, and the label says so.
         engine = QMatch(use_incremental=use_incremental)
         graph, pattern = build_paper_g1(), build_q3(p=p)
         label = strategy_label(engine.evaluate(pattern, graph).counter)
         strategy, reason = query_strategy(pattern, graph)
-        assert (strategy, reason) == ("search", "cyclic")
-        assert label == ("search (cyclic)" if p == 2 else "")
+        assert (strategy, reason) == ("search", "shared_label")
+        assert label == ("search (shared_label)" if p == 2 else "")
         assert strategy_label(engine.evaluate(build_q2(), graph).counter) == "fixpoint"
         assert strategy_label(None) == ""
 
@@ -179,5 +180,5 @@ class TestServingCompilesNothing:
             for _ in range(2):
                 report = fleet.explain(q1)
             assert plan_compile_count() == before + 2
-            assert report.strategy == "search" and report.reason == "cyclic"
+            assert report.strategy == "cutset" and report.reason is None
             assert not hasattr(fleet, "plans")

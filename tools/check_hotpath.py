@@ -24,13 +24,14 @@ Flagged in the per-query filters — ``src/repro/graph/simulation.py``,
   (``row.isdisjoint(pool)``, ``len(row & pool)``) instead.
 
 Flagged in the functions that run once per focus candidate — DMatch's
-per-candidate verification and the anchored search's per-anchor entry and
-its enumeration loop, listed by name in ``PER_CANDIDATE``:
+per-candidate verification, its per-candidate conditioning on the focus,
+and the anchored search's per-anchor entry and its enumeration loop, listed
+by name in ``PER_CANDIDATE``:
 
 * a nested ``def`` or ``lambda``: a closure rebuilt for every candidate.
-  Build it once per query (DMatch's verifier, ``AnchoredSearch._bind``)
-  instead.  A listed function that no longer exists is a finding too, so a
-  rename cannot switch the rule off.
+  Build it once per query (DMatch's verifier and its focus conditioning,
+  ``AnchoredSearch._bind``) instead.  A listed function that no longer
+  exists is a finding too, so a rename cannot switch the rule off.
 
 A line that is genuinely cold (a reference oracle, a one-off builder) opts
 out with a trailing ``# hotpath: ok`` comment.  Comments and docstrings are
@@ -86,7 +87,11 @@ FILTER_PATTERNS = (
 # Per file, the functions (at any nesting depth) that run once per focus
 # candidate or per anchor, or deeper still, per extension.
 PER_CANDIDATE = {
-    "src/repro/matching/dmatch.py": ("_verify_focus_candidate", "_local_search"),
+    "src/repro/matching/dmatch.py": (
+        "_verify_focus_candidate",
+        "_local_search",
+        "conditioned_pools",
+    ),
     "src/repro/matching/generic.py": ("run", "start", "extend"),
 }
 
