@@ -4,13 +4,15 @@ Not a figure of the paper, but the design choices of its QMatch and DPar
 (PAPER.md) deserve their own measurements:
 
 * the dual-simulation candidate pre-filter (Lemma 13),
-* the potential-score candidate ordering (Appendix B),
 * early termination on monotone quantifiers,
 * the MKP assignment inside DPar versus a plain greedy fallback.
 
 Each row reports the wall time and total work of the engine with exactly one
-switch toggled, on the same Pokec workload, so the contribution of every
-optimisation can be read off directly.
+switch toggled (and with both off), on the same Pokec workload, so the
+contribution of every optimisation can be read off directly.  Work is exact
+and deterministic, so each switch is checked to cut it: the full engine
+does less than either single ablation, and each of those less than both
+switches off.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from repro.utils import Timer
 CONFIGS = {
     "full": DMatchOptions(),
     "no-simulation": DMatchOptions(use_simulation=False),
-    "no-potential": DMatchOptions(use_potential=False),
     "no-early-exit": DMatchOptions(early_exit=False),
-    "with-locality": DMatchOptions(use_locality=True),
-    "none": DMatchOptions(use_simulation=False, use_potential=False,
-                          early_exit=False, use_locality=False),
+    "none": DMatchOptions(use_simulation=False, early_exit=False),
 }
 
 
@@ -49,6 +48,9 @@ def _qmatch_ablation(graph):
         rows.append([name, round(timer.elapsed, 3), work])
     # Every configuration must return identical answers.
     assert all(len(variants) == 1 for variants in answers.values())
+    work = {name: total for name, _, total in rows}
+    assert work["full"] < work["no-early-exit"] < work["none"], work
+    assert work["full"] < work["no-simulation"] < work["none"], work
     return rows
 
 

@@ -416,21 +416,6 @@ class GraphIndex:
             self._neighborhoods = merged
         return merged
 
-    def nodes_within_hops(self, node: NodeId, hops: int) -> Set[NodeId]:
-        """Original ids within *hops* undirected hops of *node* (inclusive).
-
-        Parity API with :func:`repro.graph.traversal.nodes_within_hops`,
-        including the :class:`NodeNotFoundError` on unknown nodes.  Tight
-        loops use :meth:`NeighborhoodCSR.nodes_within_hops_ids` directly with
-        a reusable scratch buffer.
-        """
-        node_index = self.nodes.get(node)
-        if node_index < 0:
-            from repro.utils.errors import NodeNotFoundError
-
-            raise NodeNotFoundError(node)
-        return self.to_nodes(self.neighborhoods().nodes_within_hops_ids(node_index, hops))
-
     # ---------------------------------------------------- pattern requirements
 
     def pattern_masks(

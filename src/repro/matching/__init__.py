@@ -11,7 +11,6 @@ from repro.matching.generic import (
     label_candidates,
 )
 from repro.matching.incremental import inc_qmatch
-from repro.matching.pruning import candidate_potential, potential_ordering
 from repro.matching.qmatch import QMatch, qmatch_engine, qmatch_n_engine
 from repro.matching.result import (
     FragmentResult,
@@ -30,8 +29,6 @@ __all__ = [
     "evaluate_positive_by_enumeration",
     "CandidateIndex",
     "build_candidate_index",
-    "candidate_potential",
-    "potential_ordering",
     "DMatchOptions",
     "DMatchOutcome",
     "dmatch",

@@ -1,14 +1,15 @@
 """Candidate computation and filtering (``FilterCandidate`` of QMatch).
 
-QMatch initialises, for every pattern node ``u``, a candidate set ``C(u)`` and
-the auxiliary structures the paper calls ``X``, ``c`` and ``U`` (Section 4.1):
+QMatch initialises, for every pattern node ``u``, a candidate set ``C(u)``
+and filters it with the paper's upper bound ``U`` (Section 4.1):
 
 * ``U(v, e)`` for ``e = (u, u')`` — an upper bound on ``|Me(vx, v, Q)|``.
   The paper initialises it to ``|Me(v)|``, the number of ``v``'s children via
   an edge with ``e``'s label; here it counts only the children *still in*
   ``C(u')``: ``U(v, e) = |succₑ(v) ∩ C(u')|``, one C-level ``len(row & pool)``
   over the compiled frozenset rows.  Every member of ``Me(vx, v, Q)`` is a
-  distinct node of ``C(u')``, so it is still an upper bound;
+  distinct node of ``C(u')``, so it is still an upper bound.  It decides the
+  candidate's fate in the pass that computes it and is not kept;
 * a focus candidate whose bound already fails a positive quantifier on one of
   its edges is removed before the search starts (the paper's Example 5:
   ``x1`` is dropped because ``U(x1, (xo, z1)) = 1 < 2``).  A candidate of
@@ -59,13 +60,11 @@ NodeId = Hashable
 
 @dataclass
 class CandidateIndex:
-    """Filtered candidate sets plus the upper-bound structures of QMatch."""
+    """The filtered candidate sets of QMatch and the filter's prune count."""
 
     pattern: QuantifiedGraphPattern
     graph: PropertyGraph
     candidates: Dict[NodeId, Set[NodeId]] = field(default_factory=dict)
-    # (pattern edge key, graph node) -> upper bound U(v, e)
-    upper_bounds: Dict[tuple, int] = field(default_factory=dict)
     pruned: int = 0
     # True when the pools are a completed dual-simulation + ``U(v, e)``
     # fixpoint: arc consistent over every positive pattern edge, which is
@@ -78,9 +77,6 @@ class CandidateIndex:
     def is_empty(self) -> bool:
         """True when some pattern node has no candidate left (no match exists)."""
         return any(not members for members in self.candidates.values())
-
-    def upper_bound(self, edge_key: tuple, graph_node: NodeId) -> int:
-        return self.upper_bounds.get((edge_key, graph_node), 0)
 
     def global_prune_check(self) -> bool:
         """Lemma 12: the focus can only have a match if every pattern node keeps
@@ -105,7 +101,7 @@ class CandidateIndex:
 def apply_quantifier_bound_filter(index: CandidateIndex, edge, graph_index) -> None:
     """Apply the ``U(v, e)`` upper-bound filter of one pattern edge to *index*.
 
-    Records ``U(v, e) = |succₑ(v) ∩ C(u')|`` for every candidate ``v`` of
+    Computes ``U(v, e) = |succₑ(v) ∩ C(u')|`` for every candidate ``v`` of
     ``edge.source``, keeps the ones that may still be matched, and counts the
     rest in ``index.pruned``: a focus candidate must leave its quantifier
     satisfiable (``may_still_hold``: the bound reaches the quantifier's
@@ -120,14 +116,12 @@ def apply_quantifier_bound_filter(index: CandidateIndex, edge, graph_index) -> N
     quantifier = edge.quantifier
     if quantifier.is_negation:
         return
-    edge_key = edge.key
     child_row = graph_index.label_rows(False, edge.label).get
     targets = index.candidates.get(edge.target, set())
     focus_edge = edge.source == index.pattern.focus
     # total -> the quantifier's least bound (a ratio makes it depend on the
     # degree); computed once per distinct total.
     least: Dict[int, int] = {}
-    upper_bounds = index.upper_bounds
     survivors: Set[NodeId] = set()
     pruned = 0
     for candidate in index.candidates.get(edge.source, ()):
@@ -137,7 +131,6 @@ def apply_quantifier_bound_filter(index: CandidateIndex, edge, graph_index) -> N
         else:
             bound = len(row & targets)
             total = len(row)
-        upper_bounds[(edge_key, candidate)] = bound
         if focus_edge:
             needed = least.get(total)
             if needed is None:
@@ -167,10 +160,8 @@ def build_candidate_index(
     3. per-edge quantifier upper bounds ``U(v, e)`` over every positive edge,
        alternating with (2) until a bound pass prunes nothing.
 
-    ``upper_bounds`` holds the last pass's bounds — ``U`` against the final
-    pools for every final candidate — and ``pruned`` counts the bound
-    filter's removals over all passes (the simulation's are not counted).
-    Every filter is sound for
+    ``pruned`` counts the bound filter's removals over all passes (the
+    simulation's are not counted).  Every filter is sound for
     isomorphism, so the filtered sets still contain every true match; tests
     assert this against the reference engine and against a plain-adjacency
     transcription of the same fixpoint.  All of it resolves through the
@@ -192,7 +183,6 @@ def build_candidate_index(
     edges = [edge for edge in pattern.edges() if not edge.quantifier.is_negation]
     while True:
         pruned_before = index.pruned
-        index.upper_bounds.clear()
         for edge in edges:
             apply_quantifier_bound_filter(index, edge, graph_index)
         if index.pruned == pruned_before:

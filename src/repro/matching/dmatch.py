@@ -26,18 +26,13 @@ query after the candidate filter (:mod:`repro.matching.candidates`) has run:
   ``fixpoint.declined.<reason>``).
 * **search** — otherwise DMatch revises the generic ``Match`` search:
 
-  1. **Locality.**  A candidate ``vx`` of the query focus can only be
-     verified by nodes inside its d-hop neighbourhood, where ``d`` is the
-     pattern radius — the same observation that powers the parallel
-     algorithm.  The search therefore verifies focus candidates one at a
-     time (optionally restricting every other pool to the candidate's
-     neighbourhood), instead of enumerating matches over the whole graph as
-     ``Enum`` does.
+  1. **Anchoring.**  A candidate ``vx`` of the query focus can only be
+     verified by nodes connected to it, so the search verifies focus
+     candidates one at a time, anchored at ``xo := vx``, instead of
+     enumerating matches over the whole graph as ``Enum`` does.
   2. **Quantifier-aware pruning.**  Candidate sets are pre-filtered by the
-     upper bounds ``U(v, e)``, candidates are visited in decreasing
-     *potential* order (see :mod:`repro.matching.pruning`), and a focus
-     candidate whose local candidate sets cannot possibly satisfy some
-     quantifier is rejected without search.
+     upper bounds ``U(v, e)``, so a focus candidate whose bound cannot
+     satisfy some quantifier is rejected without search.
   3. **Early termination.**  When every quantifier in the pattern is
      monotone (``≥`` / ``>``), a focus candidate is accepted as soon as one
      enumeration witness satisfies all quantifiers with the counts
@@ -63,11 +58,10 @@ from repro.graph.simulation import refine_candidates
 from repro.index.snapshot import GraphIndex
 from repro.matching.candidates import CandidateIndex, build_candidate_index
 from repro.matching.generic import MatchContext
-from repro.matching.pruning import potential_ordering
 from repro.matching.result import MatchResult
 from repro.patterns.qgp import QuantifiedGraphPattern
 from repro.utils.counters import WorkCounter
-from repro.utils.errors import MatchingError
+from repro.utils.errors import MatchingError, PatternError
 from repro.utils.timing import Timer
 
 __all__ = [
@@ -88,15 +82,10 @@ class DMatchOptions:
     """Tuning switches for DMatch (each corresponds to a paper optimisation).
 
     ``use_simulation``   — dual-simulation candidate pre-filter (Lemma 13).
-    ``use_potential``    — potential-score candidate ordering (Appendix B).
     ``early_exit``       — stop verifying a focus candidate as soon as a
                            witness satisfies all (monotone) quantifiers.
-    ``use_locality``     — additionally intersect candidate sets with the
-                           focus candidate's radius-hop neighbourhood.  The
-                           anchored search already explores only nodes
-                           connected to the focus candidate, so this is off by
-                           default; it pays off on patterns whose candidate
-                           sets are huge and poorly connected.
+
+    Both change the work done, never the answer.
 
     Candidate filtering, the dual-simulation fixpoint and the backtracking
     enumeration always run over the compiled :class:`repro.index.GraphIndex`
@@ -104,9 +93,7 @@ class DMatchOptions:
     """
 
     use_simulation: bool = True
-    use_potential: bool = True
     early_exit: bool = True
-    use_locality: bool = False
 
 
 @dataclass
@@ -427,42 +414,6 @@ def _answer_from_fixpoint(
         )
 
 
-def _local_candidate_pools(
-    pattern: QuantifiedGraphPattern,
-    index: CandidateIndex,
-    local_nodes: Set[NodeId],
-    label_members: Dict[str, Tuple[Set[NodeId], int]],
-) -> Dict[NodeId, Set[NodeId]]:
-    """Candidate pools restricted to *local_nodes*, hoisted per label.
-
-    The naive restriction intersects every pattern node's candidate set with
-    the ball — one ``O(min(|pool|, |ball|))`` pass *per node*, where pools
-    with no quantifier pruning are full label-candidate sets and dominate the
-    ball.  Hoisting through the label makes it one pass per *label*
-    (``label members ∩ ball``), after which an unpruned pool — recognised by
-    size, sound because candidate sets only ever shrink from the label
-    members (the :class:`CandidateIndex` build invariant) — serves the
-    label-local set as-is, and a pruned pool intersects against the (small)
-    label-local set instead of the whole ball.  Pools may share set objects
-    (two unpruned nodes of one label); callers treat them as read-only, the
-    same contract :class:`MatchContext` already states for its candidates.
-    """
-    label_local: Dict[str, Set[NodeId]] = {}
-    pools: Dict[NodeId, Set[NodeId]] = {}
-    for pattern_node in pattern.nodes():
-        label = pattern.node_label(pattern_node)
-        members, full_size = label_members[label]
-        local_label = label_local.get(label)
-        if local_label is None:
-            local_label = members & local_nodes
-            label_local[label] = local_label
-        pool = index.candidate_set(pattern_node)
-        pools[pattern_node] = (
-            local_label if len(pool) == full_size else pool & local_label
-        )
-    return pools
-
-
 class _FocusVerifier:
     """One query's focus-candidate verification, bound once per query.
 
@@ -480,23 +431,15 @@ class _FocusVerifier:
     def __init__(
         self,
         pattern: QuantifiedGraphPattern,
-        graph: PropertyGraph,
-        index: CandidateIndex,
         options: DMatchOptions,
         counter: WorkCounter,
         context: MatchContext,
         graph_index: GraphIndex,
     ) -> None:
-        self.pattern = pattern
-        self.graph = graph
-        self.index = index
         self.counter = counter
-        self.context = context
         self.focus = pattern.focus
-        # Computed even without locality: it also rejects a disconnected
-        # pattern (PatternError), as DMatch always has.
-        self.radius = pattern.radius()
-        self.graph_index = graph_index
+        # The shared context already carries the filtered candidate pools.
+        self.search = context.searcher(counter)
         self.early_exit = options.early_exit and _pattern_is_monotone(pattern)
         edges = pattern.edges()
         self.edge_ends = tuple(
@@ -511,22 +454,6 @@ class _FocusVerifier:
             )
             for edge in edges
         )
-        self.label_members = None
-        if options.use_locality:
-            # Per-query label -> (members, size) table for the hoisted local
-            # pool restriction (one ``nodes_with_label`` copy per label per
-            # query, instead of one pool-wide intersection per pattern node
-            # per focus candidate).
-            self.label_members = {}
-            for pattern_node in pattern.nodes():
-                label = pattern.node_label(pattern_node)
-                if label not in self.label_members:
-                    members = graph.nodes_with_label(label)
-                    self.label_members[label] = (members, len(members))
-            self.search = None
-        else:
-            # The shared context already carries the filtered candidate pools.
-            self.search = context.searcher(counter)
 
     def satisfies(self, assignment, matched_children) -> bool:
         """Does *assignment* satisfy every quantifier under the counts so far?"""
@@ -544,28 +471,6 @@ class _FocusVerifier:
             edge_index += 1
         return True
 
-    def _local_search(self, focus_candidate: NodeId):
-        """A search over pools restricted to the candidate's radius-hop ball.
-
-        Costs one BFS per candidate; ``None`` when some restricted pool is
-        empty (no search can succeed).  Everything but the pools (rank maps,
-        pattern adjacency, compiled rows) is the query's shared context's.
-        """
-        index = self.index
-        local_nodes = self.graph_index.nodes_within_hops(focus_candidate, self.radius)
-        local_candidates = _local_candidate_pools(
-            self.pattern, index, local_nodes, self.label_members
-        )
-        local_candidates[self.focus] = (
-            {focus_candidate}
-            if focus_candidate in index.candidate_set(self.focus)
-            else set()
-        )
-        for members in local_candidates.values():
-            if not members:
-                return None
-        return self.context.with_candidates(local_candidates).searcher(self.counter)
-
     def _verify_focus_candidate(self, focus_candidate: NodeId) -> List[Dict[NodeId, NodeId]]:
         """Decide whether *focus_candidate* belongs to ``Π(Q)(xo, G)``.
 
@@ -574,10 +479,6 @@ class _FocusVerifier:
         """
         self.counter.verifications += 1
         search = self.search
-        if search is None:
-            search = self._local_search(focus_candidate)
-            if search is None:
-                return []
         satisfies = self.satisfies
         early_exit = self.early_exit
         edge_ends = self.edge_ends
@@ -676,12 +577,11 @@ def dmatch(
             return outcome
         counter.bump("fixpoint.declined." + reason)
 
-        ordering = None
-        if options.use_potential:
-            # One global potential ordering is computed per query; the
-            # anchored search intersects it with the dynamically derived
-            # candidate pools, so per-candidate re-ranking is unnecessary.
-            ordering = potential_ordering(pattern, graph, index)
+        if not pattern.is_connected():
+            # The search reaches every pattern node from the anchored focus.
+            raise PatternError(
+                "pattern is not connected: some nodes are unreachable from the focus"
+            )
         # One shared search context per query: pattern adjacency, matching
         # order and candidate pools are computed once and reused for every
         # focus candidate (only the anchor binding changes).
@@ -689,7 +589,6 @@ def dmatch(
             pattern.stratified(),
             graph,
             candidates={u: index.candidate_set(u) for u in pattern.nodes()},
-            candidate_order=ordering,
             anchored_nodes={pattern.focus},
         )
         # The snapshot's str-rank map orders the focus sweep without
@@ -702,7 +601,7 @@ def dmatch(
         except KeyError:
             focus_order = sorted(focus_candidates, key=str)
         verify = _FocusVerifier(
-            pattern, graph, index, options, counter, shared_context, graph_index
+            pattern, options, counter, shared_context, graph_index
         )._verify_focus_candidate
         answer_add = outcome.answer.add
         node_matches = outcome.node_matches

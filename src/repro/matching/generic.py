@@ -23,7 +23,6 @@ same code path.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Hashable, Iterator, List, Optional, Set
 
 from repro.graph.digraph import PropertyGraph
@@ -176,7 +175,6 @@ class MatchContext:
         pattern: QuantifiedGraphPattern,
         graph: PropertyGraph,
         candidates: Optional[Dict[NodeId, Set[NodeId]]] = None,
-        candidate_order: Optional[Dict[NodeId, List[NodeId]]] = None,
         anchored_nodes: Optional[Set[NodeId]] = None,
     ) -> None:
         if pattern.num_nodes == 0:
@@ -186,15 +184,6 @@ class MatchContext:
         self.candidates = candidates if candidates is not None else label_candidates(pattern, graph)
         for pattern_node in pattern.nodes():
             self.candidates.setdefault(pattern_node, set())
-        self.candidate_order = candidate_order
-        # Rank maps let the hot loop order a (small) dynamic pool without
-        # scanning the full preference list of a pattern node.
-        self._ranks: Dict[NodeId, Dict[NodeId, int]] = {}
-        if candidate_order:
-            for pattern_node, preferred in candidate_order.items():
-                self._ranks[pattern_node] = {
-                    node: rank for rank, node in enumerate(preferred)
-                }
         self.anchored_nodes = set(anchored_nodes or ())
         for anchored in self.anchored_nodes:
             if anchored not in self.candidates:
@@ -211,28 +200,6 @@ class MatchContext:
         self._compiled_adjacency: Dict[NodeId, List[tuple]] = {}
         self._active_plan: Optional[tuple] = None
         self._refresh_snapshot()
-
-    def with_candidates(self, candidates: Dict[NodeId, Set[NodeId]]) -> "MatchContext":
-        """A context over other candidate pools, sharing everything else.
-
-        The locality search verifies each focus candidate over pools
-        restricted to its neighbourhood.  Rank maps, pattern adjacency and
-        labels and the compiled row-store adjacency do not depend on the
-        pools, so the derived context borrows them from this one (built once
-        per query) and only recomputes the matching order and its
-        active-constraint plan — exactly what a fresh construction over
-        *candidates* would hold.  Nothing outlives the query that built
-        this context.
-        """
-        derived = copy.copy(self)
-        derived.candidates = candidates
-        for pattern_node in self.pattern.nodes():
-            candidates.setdefault(pattern_node, set())
-        derived.order = _search_order(
-            self.pattern, candidates, self.anchored_nodes, adjacency=self.adjacency
-        )
-        derived._active_plan = derived._build_active_plan(derived.order)
-        return derived
 
     def _refresh_snapshot(self) -> None:
         """(Re)compile the graph snapshot and the compiled pattern adjacency.
@@ -265,39 +232,6 @@ class MatchContext:
                 )
             self._compiled_adjacency[pattern_node] = compiled
         self._active_plan = self._build_active_plan(self.order)
-
-    def _sort_keys(self, order: List[NodeId]) -> tuple:
-        """Per order position, the pool sort key and its ``str`` fallback.
-
-        A rank map that covers the node's whole candidate set — DMatch's
-        potential ordering always does — orders every pool by rank alone
-        (ranks are distinct enumerate positions, so the tie-break never
-        decides).  Otherwise the key is the rank, if any, then the
-        snapshot's ``str``-rank map: equal ``str`` forms share a rank, so
-        the stable sort leaves them where ``key=str`` would, without
-        stringifying every pool member per probe.  The fallback key is the
-        ``str``-based one, for static pools holding nodes the snapshot's
-        rank map does not know.
-        """
-        str_rank = None
-        keys, fallbacks = [], []
-        for pattern_node in order:
-            rank = self._ranks.get(pattern_node)
-            if rank and rank.keys() >= self.candidates[pattern_node]:
-                keys.append(rank.__getitem__)
-                fallbacks.append(rank.__getitem__)
-                continue
-            if str_rank is None:
-                str_rank = self._snapshot.str_ranks().__getitem__
-            if rank:
-                fallback = _ranked_key(rank, str)
-                key = _ranked_key(rank, str_rank)
-            else:
-                fallback = str
-                key = str_rank
-            keys.append(key)
-            fallbacks.append(fallback)
-        return tuple(keys), tuple(fallbacks)
 
     def _build_active_plan(self, order: List[NodeId]) -> tuple:
         """Per pattern node, the constraints that are *active* when it extends.
@@ -371,27 +305,22 @@ class MatchContext:
 _NO_MATCHES: tuple = ()
 
 
-def _ranked_key(rank: Dict[NodeId, int], tie_break):
-    """Sort key ``(rank, tie-break)``; unranked nodes go after every ranked one."""
-    unranked = len(rank)
-    rank_get = rank.get
-    return lambda node: (rank_get(node, unranked), tie_break(node))
-
-
 class AnchoredSearch:
     """One query's anchored enumeration: bound once, run per anchor.
 
     DMatch verifies every focus candidate of a query against the same
     pattern, candidate pools and matching order; only the anchored graph
     node changes.  Construction binds, per order position, the pool's
-    active-constraint rows, its sort key and its pattern label, plus the
-    work counter — so :meth:`run` only resets ``assignment``/``used`` and
-    walks the one ``extend`` loop.  :meth:`MatchContext.isomorphisms`,
-    ``find_isomorphisms`` and DMatch's locality search all run this same
-    loop.
+    active-constraint rows and its pattern label, plus the snapshot's
+    ``str``-rank key and the work counter — so :meth:`run` only resets
+    ``assignment``/``used`` and walks the one ``extend`` loop.
+    :meth:`MatchContext.isomorphisms`, ``find_isomorphisms`` and DMatch's
+    focus verification all run this same loop.
 
-    Pools are ordered by the keys :meth:`MatchContext._sort_keys` picks,
-    so the stream replays the oracle's plain search.
+    Pools are ordered by the snapshot's ``str`` ranks: equal ``str`` forms
+    share a rank, so the stable sort leaves them where ``key=str`` would,
+    without stringifying every pool member per probe, and the stream
+    replays the oracle's plain search.
 
     One stream is live at a time: :meth:`run` closes the previous anchor's
     stream (an early exit abandons it mid-search) before resetting the
@@ -473,7 +402,7 @@ class AnchoredSearch:
         singles = tuple(plan_single.get(node) for node in order)
         actives_at = tuple(plan[node] for node in order)
         labels = tuple(context._pattern_labels[node] for node in order)
-        keys, fallbacks = context._sort_keys(order)
+        str_rank = self._snapshot.str_ranks().__getitem__
         assignment: Assignment = {}
         used: Set[NodeId] = set()
         graph_labels = graph._labels
@@ -482,12 +411,12 @@ class AnchoredSearch:
         static_ordered: Dict[int, List[NodeId]] = {}
         yielded = 0
 
-        def sort_pool(position: int, pool) -> List[NodeId]:
+        def sort_pool(pool) -> List[NodeId]:
             try:
-                return sorted(pool, key=keys[position])
+                return sorted(pool, key=str_rank)
             except KeyError:
                 # A static pool may hold nodes the snapshot does not know.
-                return sorted(pool, key=fallbacks[position])
+                return sorted(pool, key=str)
 
         def pool_at(position: int):
             """The ordered pool of a position without exactly one constraint.
@@ -503,9 +432,7 @@ class AnchoredSearch:
             if not actives:
                 cached = static_ordered.get(position)
                 if cached is None:
-                    cached = static_ordered[position] = sort_pool(
-                        position, pools[position]
-                    )
+                    cached = static_ordered[position] = sort_pool(pools[position])
                 return cached
             rows = []
             for neighbor, row_sets in actives:
@@ -521,7 +448,7 @@ class AnchoredSearch:
                 pool &= row
             if not pool:
                 return ()
-            return sort_pool(position, pool)
+            return sort_pool(pool)
 
         def extend(position: int) -> Iterator[Assignment]:
             """The one enumeration loop.
@@ -552,9 +479,9 @@ class AnchoredSearch:
                 if not pool:
                     return
                 try:
-                    pool = sorted(pool, key=keys[position])
+                    pool = sorted(pool, key=str_rank)
                 except KeyError:
-                    pool = sorted(pool, key=fallbacks[position])
+                    pool = sorted(pool, key=str)
             label = labels[position]
             last = position + 1 == depth
             for graph_node in pool:
@@ -620,7 +547,6 @@ def find_isomorphisms(
     anchor: Optional[Assignment] = None,
     counter: Optional[WorkCounter] = None,
     limit: Optional[int] = None,
-    candidate_order: Optional[Dict[NodeId, List[NodeId]]] = None,
 ) -> Iterator[Assignment]:
     """Enumerate isomorphisms of the (stratified) *pattern* in *graph*.
 
@@ -641,15 +567,11 @@ def find_isomorphisms(
         When given, extension attempts are tallied into it.
     limit:
         Stop after yielding this many isomorphisms.
-    candidate_order:
-        Optional per-pattern-node candidate orderings (e.g. the potential
-        ordering of DMatch); nodes missing from a list are appended after it.
     """
     context = MatchContext(
         pattern,
         graph,
         candidates=candidates,
-        candidate_order=candidate_order,
         anchored_nodes=set(anchor or ()),
     )
     yield from context.isomorphisms(anchor=anchor, counter=counter, limit=limit)

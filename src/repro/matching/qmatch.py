@@ -7,7 +7,7 @@ QMatch evaluates an arbitrary QGP ``Q(xo)`` in the three steps of Figure 5:
 2. evaluate the positive part ``Π(Q)`` with :func:`repro.matching.dmatch.dmatch`
    (read off the candidate fixpoint for a tree, conditioned on each focus
    candidate when every cycle runs through the focus, otherwise a search
-   with dynamic candidate ordering, pruning, locality and early
+   anchored at each focus candidate, with quantifier pruning and early
    termination);
 3. for every negated edge ``e``, evaluate ``Π(Q⁺ᵉ)`` *incrementally* with
    :func:`repro.matching.incremental.inc_qmatch` against the cached results of
@@ -62,8 +62,7 @@ class QMatch:
         recomputing each positified pattern from scratch (QMatchN).
     options:
         The :class:`DMatchOptions` switches controlling the positive-part
-        search (simulation pre-filter, potential ordering, locality, early
-        exit).
+        search (simulation pre-filter, early exit).
     name:
         Engine name reported in results; defaults to ``"QMatch"`` or
         ``"QMatchN"`` depending on *use_incremental*.

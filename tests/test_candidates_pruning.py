@@ -1,4 +1,4 @@
-"""Tests for candidate filtering (FilterCandidate) and the pruning heuristics."""
+"""Tests for candidate filtering (FilterCandidate) and its pruning rules."""
 
 from __future__ import annotations
 
@@ -10,14 +10,12 @@ from repro.matching import (
     EnumMatcher,
     QMatch,
     build_candidate_index,
-    candidate_potential,
     label_candidates,
-    potential_ordering,
 )
 from repro.patterns import PatternBuilder
 from repro.utils import WorkCounter
 
-from fixtures import build_paper_g1, build_q3
+from fixtures import build_q3
 
 
 class TestCandidateIndex:
@@ -26,18 +24,22 @@ class TestCandidateIndex:
         positive = pattern_q3.pi()
         index = build_candidate_index(positive, paper_g1, use_simulation=False)
         assert "x1" not in index.candidate_set("xo")
-        assert {"x2", "x3"} <= index.candidate_set("xo")
+        assert index.candidate_set("xo") == {"x2", "x3"}
         assert index.pruned >= 1
 
-    def test_upper_bounds_recorded(self, paper_g1, pattern_q3):
+    def test_bounds_count_the_live_pool(self, paper_g1):
         # U counts the followees still in C(z1) = the four recommenders
-        # v0..v3: x3 follows v2, v3 and v4, and v4 only gives a bad rating.
-        positive = pattern_q3.pi()
-        index = build_candidate_index(positive, paper_g1, use_simulation=False)
-        edge = next(e for e in positive.edges() if e.label == "follow")
+        # v0..v3: x3 follows v2, v3 and v4, and v4 only gives a bad rating,
+        # so x2 and x3 both count two and both survive p = 2.  At p = 3 a
+        # count by label would keep x3 (three followees); the live count
+        # prunes it, and x2 with it.
+        index = build_candidate_index(build_q3(p=2).pi(), paper_g1, use_simulation=False)
         assert index.candidate_set("z1") == {"v0", "v1", "v2", "v3"}
-        assert index.upper_bound(edge.key, "x3") == 2
-        assert index.upper_bound(edge.key, "x2") == 2
+        assert index.candidate_set("xo") == {"x2", "x3"}
+        stricter = build_candidate_index(build_q3(p=3).pi(), paper_g1, use_simulation=False)
+        assert stricter.candidate_set("z1") == {"v0", "v1", "v2", "v3"}
+        assert stricter.candidate_set("xo") == set()
+        assert stricter.pruned == index.pruned + 2
 
     def test_bound_counts_the_live_pool_to_a_fixpoint(self):
         # xo needs two followees that recommend a product.  b's two followees
@@ -62,11 +64,12 @@ class TestCandidateIndex:
             .edge("z", "y", "recom")
             .build()
         )
-        follow = next(e for e in pattern.edges() if e.label == "follow")
         index = build_candidate_index(pattern, graph, use_simulation=False)
         assert index.candidate_set("xo") == {"a"}
         assert index.candidate_set("z") == {"f1", "f2", "g1"}
-        assert index.upper_bound(follow.key, "a") == 2
+        # First pass: five persons with fewer than two followees leave C(xo),
+        # four that recommend nothing leave C(z); second pass: b.
+        assert index.pruned == 5 + 4 + 1
         # With simulation, dropping b also takes g1, whose only follower is b.
         index = build_candidate_index(pattern, graph, use_simulation=True)
         assert index.candidate_set("xo") == {"a"}
@@ -98,11 +101,11 @@ class TestCandidateIndex:
             .edge("y", "z", "recom", at_least=2)
             .build()
         )
-        recom = next(e for e in pattern.edges() if e.label == "recom")
         for use_simulation in (True, False):
             index = build_candidate_index(pattern, graph, use_simulation=use_simulation)
+            # v2's one recommended item (c3) stays with it.
             assert index.candidate_set("y") == {"v1", "v2"}
-            assert index.upper_bound(recom.key, "v2") == 1
+            assert index.candidate_set("z") == {"c1", "c2", "c3"}
             assert index.pruned == 0
         assert EnumMatcher().evaluate_answer(pattern, graph) == {"vx"}
         for options in (DMatchOptions(), DMatchOptions(use_simulation=False, early_exit=False)):
@@ -154,37 +157,7 @@ class TestGlobalPruneCheck:
         assert index.global_prune_check()
 
 
-class TestPotential:
-    def test_potential_prefers_candidates_with_headroom(self, pattern_q3):
-        # Headroom is U / p, and U counts followees still in C(z1): x2 and x3
-        # both have two (x3's third followee, v4, recommends nothing), so
-        # they tie.  One more recommending followee gives x3 the larger one.
-        graph = build_paper_g1()
-        positive = pattern_q3.pi()
-        index = build_candidate_index(positive, graph, use_simulation=False)
-        score_x3 = candidate_potential(positive, graph, index, "xo", "x3")
-        score_x2 = candidate_potential(positive, graph, index, "xo", "x2")
-        assert score_x3 == score_x2
-        graph.add_edge("x3", "v1", "follow")
-        index = build_candidate_index(positive, graph, use_simulation=False)
-        score_x3 = candidate_potential(positive, graph, index, "xo", "x3")
-        score_x2 = candidate_potential(positive, graph, index, "xo", "x2")
-        assert score_x3 > score_x2
-
-    def test_potential_ordering_is_sorted(self, paper_g1, pattern_q3):
-        positive = pattern_q3.pi()
-        index = build_candidate_index(positive, paper_g1, use_simulation=False)
-        ordering = potential_ordering(positive, paper_g1, index)
-        for node in positive.nodes():
-            assert set(ordering[node]) == index.candidate_set(node)
-        # x2 and x3 tie on potential (see above); str order breaks the tie.
-        assert ordering["xo"] == ["x2", "x3"]
-
-    def test_potential_of_leaf_node(self, paper_g1, pattern_q2):
-        index = build_candidate_index(pattern_q2, paper_g1, use_simulation=False)
-        score = candidate_potential(pattern_q2, paper_g1, index, "redmi", "redmi")
-        assert score > 0.0
-
+class TestLabelCandidates:
     def test_label_candidates_baseline(self, paper_g1, pattern_q2):
         candidates = label_candidates(pattern_q2, paper_g1)
         assert candidates["redmi"] == {"redmi"}

@@ -15,15 +15,13 @@ from repro.matching import (
     DMatchOptions,
     EnumMatcher,
     QMatch,
-    build_candidate_index,
     dmatch,
     qmatch_engine,
     qmatch_n_engine,
 )
-from repro.matching.dmatch import _local_candidate_pools
 from repro.matching.enumerate import evaluate_positive_by_enumeration
 from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
-from repro.utils import MatchingError, WorkCounter
+from repro.utils import MatchingError, PatternError, WorkCounter
 
 from fixtures import build_paper_g1, build_q3
 
@@ -36,6 +34,29 @@ class TestDMatch:
     def test_rejects_negative_patterns(self, paper_g1, pattern_q3):
         with pytest.raises(MatchingError):
             dmatch(pattern_q3, paper_g1)
+
+    @pytest.mark.parametrize(
+        "use_simulation, early_exit",
+        list(itertools.product([True, False], repeat=2)),
+    )
+    def test_rejects_disconnected_patterns(self, paper_g1, use_simulation, early_exit):
+        # Every pool is non-empty, so the decision is DMatch's own: the
+        # search reaches the pattern from the anchored focus, and a part the
+        # focus cannot reach is refused rather than answered.
+        pattern = QuantifiedGraphPattern(name="split")
+        pattern.add_node("xo", "person")
+        pattern.add_node("y", "person")
+        pattern.add_node("v", "person")
+        pattern.add_node("r", "Redmi_2A")
+        pattern.add_edge("xo", "y", "follow")
+        pattern.add_edge("v", "r", "recom")
+        pattern.set_focus("xo")
+        with pytest.raises(PatternError, match="not connected"):
+            dmatch(
+                pattern,
+                paper_g1,
+                options=DMatchOptions(use_simulation=use_simulation, early_exit=early_exit),
+            )
 
     def test_node_match_caches_cover_answer(self, paper_g1, pattern_q2):
         outcome = dmatch(pattern_q2, paper_g1)
@@ -168,47 +189,15 @@ def _chain_pattern() -> QuantifiedGraphPattern:
     return chain
 
 
-class TestLocalCandidatePools:
-    def test_hoisted_pools_equal_naive_restriction(self):
-        """The per-label hoist of the locality restriction equals intersecting
-        every pattern node's candidate set with the ball directly."""
-        graph = _random_graph(13)
-        pattern = _chain_pattern().stratified()
-        index = build_candidate_index(pattern, graph)
-        rng = random.Random(0)
-        all_nodes = list(graph.nodes())
-        label_members = {}
-        for node in pattern.nodes():
-            label = pattern.node_label(node)
-            if label not in label_members:
-                members = graph.nodes_with_label(label)
-                label_members[label] = (members, len(members))
-        for _ in range(20):
-            local_nodes = set(rng.sample(all_nodes, rng.randrange(1, len(all_nodes))))
-            hoisted = _local_candidate_pools(pattern, index, local_nodes, label_members)
-            naive = {
-                node: index.candidate_set(node) & local_nodes
-                for node in pattern.nodes()
-            }
-            assert hoisted == naive
-
-
 class TestOptionCombinations:
     """Every optimisation switch must preserve the answer (ablation correctness)."""
 
     @pytest.mark.parametrize(
-        "use_simulation, use_potential, early_exit, use_locality",
-        list(itertools.product([True, False], repeat=4)),
+        "use_simulation, early_exit",
+        list(itertools.product([True, False], repeat=2)),
     )
-    def test_all_option_combinations_agree(
-        self, paper_g1, use_simulation, use_potential, early_exit, use_locality
-    ):
-        options = DMatchOptions(
-            use_simulation=use_simulation,
-            use_potential=use_potential,
-            early_exit=early_exit,
-            use_locality=use_locality,
-        )
+    def test_all_option_combinations_agree(self, paper_g1, use_simulation, early_exit):
+        options = DMatchOptions(use_simulation=use_simulation, early_exit=early_exit)
         pattern = build_q3(p=2)
         assert QMatch(options=options).evaluate_answer(pattern, paper_g1) == {"x2"}
 
@@ -219,8 +208,8 @@ class TestOptionCombinations:
             for options in (
                 DMatchOptions(),
                 DMatchOptions(use_simulation=False),
-                DMatchOptions(use_potential=False, early_exit=False),
-                DMatchOptions(use_locality=True),
+                DMatchOptions(early_exit=False),
+                DMatchOptions(use_simulation=False, early_exit=False),
             ):
                 assert QMatch(options=options).evaluate_answer(pattern, small_pokec) == expected
 
@@ -302,36 +291,32 @@ class TestQMatchDriver:
         assert QMatch().evaluate_answer(pattern, paper_g1) == expected == {"x2", "x3"}
 
 
-class _Ordering(dict):
-    """A potential ordering that can be weakly referenced."""
-
-
 class TestPerQueryState:
-    @pytest.mark.parametrize("use_locality", [False, True])
-    def test_the_ordering_dies_with_its_query(self, monkeypatch, use_locality):
+    @pytest.mark.parametrize("use_simulation", [False, True])
+    def test_the_search_context_dies_with_its_query(self, monkeypatch, use_simulation):
         # The graph's snapshot outlives every query it serves, so nothing
-        # derived from one query (rank maps, its ordering, its pattern
-        # adjacency) may be memoised on it.
+        # derived from one query (its search context: matching order,
+        # pattern adjacency, compiled constraint plan) may be memoised on it.
         # The package re-exports the function as ``repro.matching.dmatch``,
         # so fetch the module itself.
         dmatch_module = importlib.import_module("repro.matching.dmatch")
-        orderings = []
-        original = dmatch_module.potential_ordering
+        contexts = []
+        original = dmatch_module.MatchContext
 
         def recording(*args, **kwargs):
-            ordering = _Ordering(original(*args, **kwargs))
-            orderings.append(weakref.ref(ordering))
-            return ordering
+            context = original(*args, **kwargs)
+            contexts.append(weakref.ref(context))
+            return context
 
-        monkeypatch.setattr(dmatch_module, "potential_ordering", recording)
+        monkeypatch.setattr(dmatch_module, "MatchContext", recording)
         graph, pattern = build_paper_g1(), build_q3(p=2)
-        result = QMatch(options=DMatchOptions(use_locality=use_locality)).evaluate(
+        result = QMatch(options=DMatchOptions(use_simulation=use_simulation)).evaluate(
             pattern, graph
         )
         assert result.answer == {"x2"}
         gc.collect()
-        assert orderings
-        assert all(reference() is None for reference in orderings)
+        assert contexts
+        assert all(reference() is None for reference in contexts)
 
 
 class TestWorkAccounting:

@@ -1,7 +1,7 @@
 """The matching engine against independent oracles.
 
 There is one matching path in ``repro``: every candidate filter, simulation
-fixpoint, potential ordering and enumeration runs over the compiled
+fixpoint and enumeration runs over the compiled
 :class:`repro.index.GraphIndex` snapshot.  What keeps it honest is checked
 here, on the paper's example graphs and on seeded generator graphs:
 
@@ -14,7 +14,8 @@ here, on the paper's example graphs and on seeded generator graphs:
   children by label only (those older tuples were recorded while a
   dict-backed twin of every stage was asserted equal to the compiled path);
 * the ``find_isomorphisms`` stream replays the oracle's plain search — same
-  assignments, same order, same extension count;
+  assignments, same order, same extension count — and an anchored stream is
+  that stream filtered by its anchor;
 * simulation relations and candidate indexes equal the textbook
   constructions below (a worklist fixpoint, and the bound filter counted
   against the live pools to a fixpoint, over plain adjacency), which share
@@ -23,6 +24,7 @@ here, on the paper's example graphs and on seeded generator graphs:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -130,14 +132,14 @@ def reference_upper_bound(graph, source, edge_label, pool):
 
 
 def reference_candidate_index(pattern, graph, use_simulation):
-    """``(candidates, upper_bounds, pruned)`` of the QMatch candidate filter.
+    """``(candidates, pruned)`` of the QMatch candidate filter.
 
     One bound pass visits the positive edges in pattern order: a focus
     candidate stays while its quantifier may still hold for its bound, any
     other candidate while it has a child in the target pool.  Bound passes
     alternate with the dual simulation worklist (when *use_simulation*)
-    until a bound pass prunes nothing; the bounds returned are that last
-    pass's, and *pruned* counts the bound passes' removals only.
+    until a bound pass prunes nothing; *pruned* counts the bound passes'
+    removals only.
     """
     skeleton = pattern.stratified().graph
     if use_simulation:
@@ -149,7 +151,6 @@ def reference_candidate_index(pattern, graph, use_simulation):
         }
     pruned = 0
     while True:
-        upper_bounds = {}
         pass_pruned = 0
         for edge in pattern.edges():
             quantifier = edge.quantifier
@@ -159,7 +160,6 @@ def reference_candidate_index(pattern, graph, use_simulation):
             survivors = set()
             for candidate in candidates[edge.source]:
                 bound = reference_upper_bound(graph, candidate, edge.label, pool)
-                upper_bounds[(edge.key, candidate)] = bound
                 if edge.source == pattern.focus:
                     total = graph.out_degree(candidate, edge.label)
                     keep = quantifier.may_still_hold(bound, total)
@@ -172,7 +172,7 @@ def reference_candidate_index(pattern, graph, use_simulation):
             candidates[edge.source] = survivors
         pruned += pass_pruned
         if not pass_pruned:
-            return candidates, upper_bounds, pruned
+            return candidates, pruned
         if use_simulation:
             reference_refine(skeleton, graph, candidates, dual=True)
 
@@ -215,7 +215,7 @@ def _cases():
 CASES = _cases()
 CASE_IDS = [name for name, _, _ in CASES]
 
-SWITCHES = ("use_simulation", "use_potential", "early_exit", "use_locality")
+SWITCHES = ("use_simulation", "early_exit")
 OPTION_COMBOS = [
     DMatchOptions(**dict(zip(SWITCHES, bits)))
     for bits in itertools.product((True, False), repeat=len(SWITCHES))
@@ -224,10 +224,8 @@ OPTION_COMBOS = [
 GOLDEN_OPTIONS = {
     "default": dict(),
     "no-simulation": dict(use_simulation=False),
-    "no-potential": dict(use_potential=False),
     "no-early-exit": dict(early_exit=False),
-    "locality": dict(use_locality=True),
-    "all-off": dict(use_simulation=False, use_potential=False, early_exit=False),
+    "all-off": dict(use_simulation=False, early_exit=False),
 }
 
 # (verifications, extensions, quantifier_checks, candidates_pruned) per case:
@@ -237,111 +235,99 @@ GOLDEN = {
         "enum": (3, 19, 8, 0),
         "default": (0, 0, 2, 1),
         "no-simulation": (7, 6, 6, 5),
-        "no-potential": (0, 0, 2, 1),
         "no-early-exit": (0, 0, 2, 1),
-        "locality": (0, 0, 2, 1),
         "all-off": (7, 6, 6, 5),
     },
     "g1-q3p2": {
         "enum": (4, 40, 17, 0),
         "default": (1, 4, 7, 1),
         "no-simulation": (3, 12, 11, 10),
-        "no-potential": (1, 4, 7, 1),
         "no-early-exit": (1, 4, 10, 1),
-        "locality": (1, 4, 7, 1),
         "all-off": (3, 12, 16, 10),
     },
     "g1-q3p4": {
         "enum": (4, 40, 7, 0),
         "default": (0, 0, 0, 3),
         "no-simulation": (0, 0, 0, 12),
-        "no-potential": (0, 0, 0, 3),
         "no-early-exit": (0, 0, 0, 3),
-        "locality": (0, 0, 0, 3),
         "all-off": (0, 0, 0, 12),
     },
     "g2-q4": {
         "enum": (4, 46, 42, 0),
         "default": (0, 0, 4, 0),
         "no-simulation": (4, 17, 34, 5),
-        "no-potential": (0, 0, 4, 0),
         "no-early-exit": (0, 0, 4, 0),
-        "locality": (0, 0, 4, 0),
         "all-off": (4, 17, 42, 5),
     },
     "pokec-Q1": {
         "enum": (31, 378, 540, 0),
         "default": (0, 0, 16, 21),
         "no-simulation": (16, 107, 243, 155),
-        "no-potential": (0, 0, 16, 21),
         "no-early-exit": (0, 0, 16, 21),
-        "locality": (0, 0, 16, 21),
         "all-off": (16, 147, 411, 155),
     },
     "pokec-Q2": {
         "enum": (120, 1401, 766, 0),
         "default": (0, 0, 34, 86),
         "no-simulation": (34, 428, 428, 122),
-        "no-potential": (0, 0, 34, 86),
         "no-early-exit": (0, 0, 34, 86),
-        "locality": (0, 0, 34, 86),
         "all-off": (34, 428, 428, 122),
     },
     "pokec-Q3": {
         "enum": (159, 3013, 1940, 0),
         "default": (38, 151, 305, 2),
         "no-simulation": (156, 623, 541, 38),
-        "no-potential": (38, 151, 305, 2),
         "no-early-exit": (38, 302, 955, 2),
-        "locality": (38, 151, 305, 2),
         "all-off": (156, 1402, 1937, 38),
     },
     "yago2-Q4": {
         "enum": (22, 378, 239, 0),
         "default": (0, 0, 15, 5),
         "no-simulation": (15, 64, 128, 175),
-        "no-potential": (0, 0, 15, 5),
         "no-early-exit": (0, 0, 15, 5),
-        "locality": (0, 0, 15, 5),
         "all-off": (15, 75, 216, 175),
     },
     "yago2-Q5": {
         "enum": (66, 749, 680, 0),
         "default": (0, 0, 0, 0),
         "no-simulation": (66, 166, 232, 136),
-        "no-potential": (0, 0, 0, 0),
         "no-early-exit": (0, 0, 0, 0),
-        "locality": (0, 0, 0, 0),
         "all-off": (66, 304, 680, 136),
     },
     "synthetic-w0": {
         "enum": (0, 24, 0, 0),
         "default": (3, 3, 0, 0),
         "no-simulation": (3, 3, 0, 6),
-        "no-potential": (3, 3, 0, 0),
         "no-early-exit": (3, 3, 0, 0),
-        "locality": (3, 3, 0, 0),
         "all-off": (3, 3, 0, 6),
     },
     "synthetic-w1": {
         "enum": (0, 24, 0, 0),
         "default": (3, 3, 0, 0),
         "no-simulation": (3, 3, 0, 6),
-        "no-potential": (3, 3, 0, 0),
         "no-early-exit": (3, 3, 0, 0),
-        "locality": (3, 3, 0, 0),
         "all-off": (3, 3, 0, 6),
     },
     "synthetic-w2": {
         "enum": (0, 24, 0, 0),
         "default": (3, 3, 0, 0),
         "no-simulation": (3, 3, 0, 6),
-        "no-potential": (3, 3, 0, 0),
         "no-early-exit": (3, 3, 0, 0),
-        "locality": (3, 3, 0, 0),
         "all-off": (3, 3, 0, 6),
     },
 }
+
+
+def test_switches_are_every_dmatch_option():
+    # OPTION_COMBOS is exhaustive only while SWITCHES names every field.
+    assert tuple(f.name for f in dataclasses.fields(DMatchOptions)) == SWITCHES
+
+
+@pytest.mark.parametrize("label", ["no-simulation", "no-early-exit"])
+def test_every_switch_changes_pinned_work(label):
+    # A switch earns its place by changing work somewhere; one that equals
+    # the default on every case changes nothing the tests can see.
+    assert any(golden[label] != golden["default"] for golden in GOLDEN.values())
 
 
 # The same tuples while U(v, e) counted every child carrying the target's
@@ -353,108 +339,84 @@ LABEL_COUNT_GOLDEN = {
         "enum": (3, 19, 8, 0),
         "default": (3, 10, 8, 0),
         "no-simulation": (8, 10, 8, 4),
-        "no-potential": (3, 10, 8, 0),
         "no-early-exit": (3, 10, 8, 0),
-        "locality": (3, 10, 8, 0),
         "all-off": (8, 10, 8, 4),
     },
     "g1-q3p2": {
         "enum": (4, 40, 17, 0),
         "default": (3, 12, 11, 1),
         "no-simulation": (3, 12, 11, 10),
-        "no-potential": (3, 12, 11, 1),
         "no-early-exit": (3, 12, 16, 1),
-        "locality": (3, 12, 11, 1),
         "all-off": (3, 12, 16, 10),
     },
     "g1-q3p4": {
         "enum": (4, 40, 7, 0),
         "default": (0, 0, 0, 3),
         "no-simulation": (0, 0, 0, 12),
-        "no-potential": (0, 0, 0, 3),
         "no-early-exit": (0, 0, 0, 3),
-        "locality": (0, 0, 0, 3),
         "all-off": (0, 0, 0, 12),
     },
     "g2-q4": {
         "enum": (4, 46, 42, 0),
         "default": (4, 17, 34, 0),
         "no-simulation": (4, 17, 34, 5),
-        "no-potential": (4, 17, 34, 0),
         "no-early-exit": (4, 17, 42, 0),
-        "locality": (4, 17, 34, 0),
         "all-off": (4, 17, 42, 5),
     },
     "pokec-Q1": {
         "enum": (31, 378, 540, 0),
         "default": (37, 196, 501, 0),
         "no-simulation": (37, 196, 501, 134),
-        "no-potential": (37, 196, 501, 0),
         "no-early-exit": (37, 236, 540, 0),
-        "locality": (37, 196, 501, 0),
         "all-off": (37, 236, 540, 134),
     },
     "pokec-Q2": {
         "enum": (120, 1401, 766, 0),
         "default": (120, 1104, 766, 0),
         "no-simulation": (120, 1104, 766, 36),
-        "no-potential": (120, 1104, 766, 0),
         "no-early-exit": (120, 1104, 766, 0),
-        "locality": (120, 1104, 766, 0),
         "all-off": (120, 1104, 766, 36),
     },
     "pokec-Q3": {
         "enum": (159, 3013, 1940, 0),
         "default": (158, 627, 545, 0),
         "no-simulation": (158, 627, 545, 36),
-        "no-potential": (158, 627, 545, 0),
         "no-early-exit": (158, 1406, 1939, 0),
-        "locality": (158, 627, 545, 0),
         "all-off": (158, 1406, 1939, 36),
     },
     "yago2-Q4": {
         "enum": (22, 378, 239, 0),
         "default": (20, 79, 158, 0),
         "no-simulation": (26, 91, 158, 164),
-        "no-potential": (20, 79, 158, 0),
         "no-early-exit": (20, 90, 231, 0),
-        "locality": (20, 79, 158, 0),
         "all-off": (26, 102, 231, 164),
     },
     "yago2-Q5": {
         "enum": (66, 749, 680, 0),
         "default": (66, 166, 232, 0),
         "no-simulation": (66, 166, 232, 136),
-        "no-potential": (66, 166, 232, 0),
         "no-early-exit": (66, 304, 680, 0),
-        "locality": (66, 166, 232, 0),
         "all-off": (66, 304, 680, 136),
     },
     "synthetic-w0": {
         "enum": (0, 24, 0, 0),
         "default": (3, 3, 0, 0),
         "no-simulation": (3, 3, 0, 6),
-        "no-potential": (3, 3, 0, 0),
         "no-early-exit": (3, 3, 0, 0),
-        "locality": (3, 3, 0, 0),
         "all-off": (3, 3, 0, 6),
     },
     "synthetic-w1": {
         "enum": (0, 24, 0, 0),
         "default": (3, 3, 0, 0),
         "no-simulation": (3, 3, 0, 6),
-        "no-potential": (3, 3, 0, 0),
         "no-early-exit": (3, 3, 0, 0),
-        "locality": (3, 3, 0, 0),
         "all-off": (3, 3, 0, 6),
     },
     "synthetic-w2": {
         "enum": (0, 24, 0, 0),
         "default": (3, 3, 0, 0),
         "no-simulation": (3, 3, 0, 6),
-        "no-potential": (3, 3, 0, 0),
         "no-early-exit": (3, 3, 0, 0),
-        "locality": (3, 3, 0, 0),
         "all-off": (3, 3, 0, 6),
     },
 }
@@ -496,7 +458,7 @@ class TestEngineAgainstOracle:
         for use_simulation in (True, False):
             options = DMatchOptions(use_simulation=use_simulation)
             result = QMatch(options=options).evaluate(pattern, graph)
-            _, _, pruned = reference_candidate_index(pattern.pi(), graph, use_simulation)
+            _, pruned = reference_candidate_index(pattern.pi(), graph, use_simulation)
             assert result.counter.candidates_pruned == pruned, use_simulation
 
     def test_work_counters_equal_golden(self, name, graph, pattern):
@@ -530,6 +492,28 @@ class TestEngineAgainstOracle:
         stream = list(find_isomorphisms(skeleton, graph, limit=200, counter=counter))
         assert (stream, counter.extensions) == oracle_stream(skeleton, graph, 200)
 
+    def test_two_node_anchors_filter_the_oracle_stream(self, name, graph, pattern):
+        # Anchoring the focus and the node the focus-anchored order places
+        # last yields exactly the oracle's isomorphisms that agree with the
+        # anchor, in the oracle's order, also from the context built for the
+        # focus alone (the two-node anchor needs its own matching order and
+        # constraint plan).  Binding both to one graph node breaks
+        # injectivity and yields nothing.
+        skeleton = pattern.pi().stratified()
+        focus = skeleton.focus
+        focus_context = MatchContext(skeleton, graph, anchored_nodes={focus})
+        other = focus_context.order[-1]
+        stream, _ = oracle_stream(skeleton, graph, None)
+        for match in stream[:5]:
+            anchor = {focus: match[focus], other: match[other]}
+            expected = [
+                m for m in stream if m[focus] == anchor[focus] and m[other] == anchor[other]
+            ]
+            assert list(find_isomorphisms(skeleton, graph, anchor=anchor)) == expected
+            assert list(focus_context.isomorphisms(anchor=anchor)) == expected
+            clash = {focus: match[focus], other: match[focus]}
+            assert list(find_isomorphisms(skeleton, graph, anchor=clash)) == []
+
     def test_dmatch_on_positive_part_equals_enum(self, name, graph, pattern):
         positive = pattern.pi()
         expected = EnumMatcher().evaluate(positive, graph).answer
@@ -542,11 +526,10 @@ class TestEngineAgainstOracle:
             index = build_candidate_index(
                 positive, graph, use_simulation=use_simulation, counter=counter
             )
-            candidates, upper_bounds, pruned = reference_candidate_index(
+            candidates, pruned = reference_candidate_index(
                 positive, graph, use_simulation
             )
             assert index.candidates == candidates
-            assert index.upper_bounds == upper_bounds
             assert index.pruned == pruned == counter.candidates_pruned
 
     def test_simulation_relations_equal_reference(self, name, graph, pattern):

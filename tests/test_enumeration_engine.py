@@ -6,14 +6,14 @@ the serving tiers.  These checks hold it against references that share none
 of its machinery, on small graphs dense enough that most pools are cut by
 several active constraints:
 
-* answers equal the ``Enum`` oracle under all 16 switch combinations;
+* answers equal the ``Enum`` oracle under all 4 switch combinations;
 * the isomorphism stream replays the oracle's plain adjacency search, and
   anchored streams partition it by focus binding;
 * nodes with one ``str`` form (``1`` and ``"1"``) share an ordering rank
   without being confused with each other;
-* the locality restriction, the parallel coordinator and the query service
-  answer exactly what sequential ``QMatch`` answers, and serving compiles no
-  plan (only ``explain()`` does, once per call).
+* the parallel coordinator and the query service answer exactly what
+  sequential ``QMatch`` answers under a non-default switch, and serving
+  compiles no plan (only ``explain()`` does, once per call).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def quantified_pattern(name: str) -> QuantifiedGraphPattern:
 
 PATTERN_NAMES = ("chain", "triangle", "exact", "ratio")
 
-SWITCHES = ("use_simulation", "use_potential", "early_exit", "use_locality")
+SWITCHES = ("use_simulation", "early_exit")
 OPTION_COMBOS = [
     DMatchOptions(**dict(zip(SWITCHES, bits)))
     for bits in itertools.product((False, True), repeat=len(SWITCHES))
@@ -121,8 +121,8 @@ class TestDMatchAcrossOptions:
         pattern = quantified_pattern(name)
         oracle_answer, oracle_matches = evaluate_positive_by_enumeration(pattern, graph)
         assert oracle_answer  # the pattern must match something here
-        for use_potential in (False, True):
-            options = DMatchOptions(early_exit=False, use_potential=use_potential)
+        for use_simulation in (False, True):
+            options = DMatchOptions(early_exit=False, use_simulation=use_simulation)
             outcome = dmatch(pattern, graph, options=options)
             assert outcome.answer == oracle_answer
             assert outcome.node_matches == oracle_matches
@@ -213,7 +213,7 @@ class TestEqualStrForms:
 
 
 # ---------------------------------------------------------------------------
-# Locality, the parallel coordinator and the service
+# A sparse graph, the parallel coordinator and the service
 # ---------------------------------------------------------------------------
 
 
@@ -233,22 +233,20 @@ def sparse_graph() -> PropertyGraph:
     return graph
 
 
-class TestLocalityAndDistribution:
+class TestSparseGraphAndDistribution:
     @pytest.mark.parametrize("name", PATTERN_NAMES)
-    def test_locality_on_sparse_graph_equals_oracle(self, name):
+    def test_sparse_graph_equals_oracle(self, name):
         graph = sparse_graph()
         pattern = quantified_pattern(name)
         expected = EnumMatcher().evaluate_answer(pattern, graph)
-        for early_exit in (False, True):
-            options = DMatchOptions(use_locality=True, early_exit=early_exit)
-            assert dmatch(pattern, graph, options=options).answer == expected
-            assert dmatch(pattern, graph).answer == expected
+        for options in OPTION_COMBOS:
+            assert dmatch(pattern, graph, options=options).answer == expected, options
 
     def test_pqmatch_serial_and_process_equal_sequential(self):
         from repro.datasets import benchmark_graph
 
         graph = benchmark_graph("pokec", scale=0.2, seed=31)
-        options = DMatchOptions(use_locality=True)
+        options = DMatchOptions(early_exit=False)
         serial = PQMatch(num_workers=2, d=2, engine=QMatch(options=options))
         with PQMatch(
             num_workers=2, d=2, executor="process", engine=QMatch(options=options)
@@ -261,12 +259,12 @@ class TestLocalityAndDistribution:
             # Workers enumerate over their cached snapshots: no rebuilds.
             assert process.executor.last_worker_rebuilds == 0
 
-    @pytest.mark.parametrize("use_locality", [False, True])
-    def test_service_answers_equal_qmatch(self, use_locality):
+    @pytest.mark.parametrize("early_exit", [False, True])
+    def test_service_answers_equal_qmatch(self, early_exit):
         from repro.datasets import benchmark_graph
 
         graph = benchmark_graph("pokec", scale=0.2, seed=37)
-        engine = QMatch(options=DMatchOptions(use_locality=use_locality))
+        engine = QMatch(options=DMatchOptions(early_exit=early_exit))
         with QueryService(graph, PQMatch(num_workers=1, d=2, engine=engine)) as service:
             for name in PATTERN_NAMES:
                 pattern = quantified_pattern(name)

@@ -155,14 +155,6 @@ class TestCandidatesAndCounters:
         list(find_isomorphisms(path_pattern(), small_social, counter=counter))
         assert counter.extensions > 0
 
-    def test_candidate_order_is_respected(self, small_social):
-        pattern = path_pattern()
-        ordering = {"b": ["u3", "u2"]}
-        first = next(
-            iter(find_isomorphisms(pattern, small_social, candidate_order=ordering))
-        )
-        assert first["b"] == "u3"
-
 
 class TestLabelCandidateAliasing:
     """Aliasing audit for ``label_candidates`` (the ``nodes_with_label`` bug

@@ -6,7 +6,6 @@ import pytest
 
 from repro.graph import PropertyGraph, nodes_within_hops, random_labeled_graph
 from repro.index import GraphIndex, merge_undirected
-from repro.utils.errors import NodeNotFoundError
 
 from fixtures import build_paper_g1
 
@@ -115,14 +114,6 @@ class TestFrontierBFS:
         levels = bfs_levels(graph, (0, 0), directed=False)
         order = [levels[snapshot.node_of(i)] for i in reached]
         assert order == sorted(order)
-
-    def test_snapshot_parity_wrapper(self):
-        graph = build_paper_g1()
-        snapshot = GraphIndex.build(graph)
-        for node in graph.nodes():
-            assert snapshot.nodes_within_hops(node, 2) == nodes_within_hops(graph, node, 2)
-        with pytest.raises(NodeNotFoundError):
-            snapshot.nodes_within_hops("ghost", 1)
 
 
 class TestSortedRowsAndCompiledRows:

@@ -45,7 +45,7 @@ class TestEngineSpec:
     def test_qmatch_round_trip(self):
         engine = QMatch(
             use_incremental=False,
-            options=DMatchOptions(early_exit=False, use_locality=True),
+            options=DMatchOptions(use_simulation=False, early_exit=False),
             name="custom",
         )
         spec = engine_to_spec(engine)

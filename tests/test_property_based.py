@@ -151,9 +151,7 @@ def test_qmatch_agrees_with_reference_semantics(graph, pattern):
 @given(graph=labeled_graphs(), pattern=quantified_patterns())
 @settings(**SETTINGS)
 def test_qmatch_without_optimisations_agrees(graph, pattern):
-    options = DMatchOptions(
-        use_simulation=False, use_potential=False, early_exit=False, use_locality=False
-    )
+    options = DMatchOptions(use_simulation=False, early_exit=False)
     expected = EnumMatcher().evaluate_answer(pattern, graph)
     assert QMatch(options=options).evaluate_answer(pattern, graph) == expected
 
@@ -173,9 +171,9 @@ def test_parallel_matching_agrees_with_sequential(graph, pattern):
 @settings(**SETTINGS)
 def test_qmatch_positive_part_agrees_with_reference_semantics(graph, pattern):
     """Both the answer and the positive part Π(Q) equal the Enum oracle's,
-    with and without the potential ordering."""
+    with and without the simulation pre-filter."""
     expected = EnumMatcher().evaluate(pattern, graph)
-    for options in (DMatchOptions(), DMatchOptions(use_potential=False)):
+    for options in (DMatchOptions(), DMatchOptions(use_simulation=False)):
         result = QMatch(options=options).evaluate(pattern, graph)
         assert result.answer == expected.answer
         assert result.positive_answer == expected.positive_answer

@@ -22,8 +22,7 @@ ENGINES = [
     pytest.param(lambda: QMatch(), id="QMatch"),
     pytest.param(lambda: QMatch(use_incremental=False), id="QMatchN"),
     pytest.param(
-        lambda: QMatch(options=DMatchOptions(use_simulation=False, use_potential=False,
-                                             early_exit=False, use_locality=True)),
+        lambda: QMatch(options=DMatchOptions(use_simulation=False, early_exit=False)),
         id="QMatch-no-optimisations",
     ),
     pytest.param(lambda: PQMatch(num_workers=3, d=2, seed=1), id="PQMatch"),

@@ -15,8 +15,8 @@ Flagged in ``src/repro/matching/`` and ``src/repro/plan/``:
 * ``.copy()`` calls (hot-path structures are reused or rebuilt per epoch,
   never defensively copied per probe).
 
-Flagged in the per-query filters — ``src/repro/graph/simulation.py``,
-``src/repro/matching/candidates.py`` and ``src/repro/matching/pruning.py``:
+Flagged in the per-query filters — ``src/repro/graph/simulation.py`` and
+``src/repro/matching/candidates.py``:
 
 * ``csr.row(…)`` calls and ``range(start, end)`` loops, i.e. stepping
   through a CSR neighbour slice one Python iteration at a time.  These
@@ -58,7 +58,6 @@ HOT_DIRS = ("src/repro/matching", "src/repro/plan")
 FILTER_FILES = (
     "src/repro/graph/simulation.py",
     "src/repro/matching/candidates.py",
-    "src/repro/matching/pruning.py",
 )
 
 ESCAPE = "hotpath: ok"
@@ -89,7 +88,6 @@ FILTER_PATTERNS = (
 PER_CANDIDATE = {
     "src/repro/matching/dmatch.py": (
         "_verify_focus_candidate",
-        "_local_search",
         "conditioned_pools",
     ),
     "src/repro/matching/generic.py": ("run", "start", "extend"),
